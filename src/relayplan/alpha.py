@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import FactoredBelief, Observation
+from .belief import FactoredBelief, Observation, joint_belief
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain
 from .model import Action, ScenarioConfig, cost_vector, reward_vector
@@ -50,7 +50,7 @@ class AlphaPair:
             raise ValidationError("cost vector entries must be >= 0")
 
     def evaluate(self, fb: FactoredBelief) -> tuple[float, float]:
-        b = _flat_belief(fb)
+        b = joint_belief(fb)
         return float(self.alpha_r @ b), float(self.alpha_c @ b)
 
     def key(self, decimals: int = 12) -> tuple:
@@ -67,13 +67,6 @@ def joint_shape(scenario: ScenarioConfig) -> tuple[int, ...]:
 
 def joint_size(scenario: ScenarioConfig) -> int:
     return scenario.n_regions**scenario.n_relays
-
-
-def _flat_belief(fb: FactoredBelief) -> np.ndarray:
-    out = np.ones(1)
-    for b in fb.per_relay:
-        out = np.kron(out, b)
-    return out
 
 
 def reward_tensor(scenario: ScenarioConfig, action: Action, ue: int = 0) -> np.ndarray:

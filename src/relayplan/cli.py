@@ -174,7 +174,7 @@ def cmd_simulate(args) -> int:
             f"scenario fingerprint {scenario.fingerprint()}"
         )
     chains = chains_for_scenario(scenario)
-    metrics = monte_carlo(policy, scenario, args.runs, args.seed, chains, threads=args.threads)
+    metrics = monte_carlo(policy, scenario, args.runs, args.seed, chains)
     rows = metrics_rows(metrics, scenario.fingerprint(), policy.method)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -213,7 +213,7 @@ def cmd_compare(args) -> int:
             )
             chains = chains_for_scenario(sped)
             policy = solve_gcpbvi(sped, chains, h=args.belief_h, cap=args.belief_cap)
-            d2d = monte_carlo(policy, sped, args.runs, args.seed, chains, threads=args.threads)
+            d2d = monte_carlo(policy, sped, args.runs, args.seed, chains)
             cell = baseline_cellular(sped, args.runs, args.seed, chains)
             gain = (
                 (d2d.avg_cum_reward - cell.avg_cum_reward) / cell.avg_cum_reward
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--belief-h", dest="belief_h", type=int, default=None)
     slv.add_argument("--belief-cap", dest="belief_cap", type=int, default=256)
     slv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    slv.add_argument("--threads", type=int, default=1)
     slv.add_argument("--out", required=True)
     slv.set_defaults(func=cmd_solve)
 
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--policy", required=True)
     simp.add_argument("--runs", type=int, default=100)
     simp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    simp.add_argument("--threads", type=int, default=1)
     simp.add_argument("--out", required=True)
     simp.set_defaults(func=cmd_simulate)
 
@@ -363,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--belief-h", dest="belief_h", type=int, default=2)
     cmp_.add_argument("--belief-cap", dest="belief_cap", type=int, default=128)
     cmp_.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    cmp_.add_argument("--threads", type=int, default=1)
     cmp_.add_argument("--out", required=True)
     cmp_.set_defaults(func=cmd_compare)
 

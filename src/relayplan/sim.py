@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,7 +192,6 @@ def monte_carlo(
     n_runs: int,
     seed: int = 0,
     chains: list[MarkovChain] | None = None,
-    threads: int = 1,
 ) -> SimulationMetrics:
     """Averages over independent seeded episodes."""
     if n_runs < 1:
@@ -202,17 +200,10 @@ def monte_carlo(
     ctx = _SimContext(scenario, chains)
     seeds = np.random.SeedSequence(seed).spawn(n_runs)
     action_cache: dict = {}
-
-    def one(child_seed):
-        return run_episode(
-            policy, scenario, chains, child_seed, context=ctx, action_cache=action_cache
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(one, seeds))
-    else:
-        traces = [one(s) for s in seeds]
+    traces = [
+        run_episode(policy, scenario, chains, s, context=ctx, action_cache=action_cache)
+        for s in seeds
+    ]
     return _reduce_traces(traces, scenario.horizon, scenario.gamma)
 
 

@@ -24,8 +24,10 @@ that happens.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,7 @@ from .belief import (
     build_h_belief_set,
     density_bound,
     epsilon_belief_set,
+    joint_belief,
 )
 from .errors import CapExceededError, SpectralError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
@@ -57,6 +60,7 @@ ORACLE_RELAY_CAP = 2
 EXACT_ACTION_CAP = 64
 ROOT_BRANCH_CAP = 1024
 FRONTIER_CAP = 2048
+POLICY_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -121,10 +125,12 @@ def select_pair(
     """
     pairs = policy.epochs[epoch - 1]
     tol = _budget_tol(policy.c_th)
+    b = joint_belief(fb)
     best = None
     best_key = None
     for pair in pairs:
-        r, c = pair.evaluate(fb)
+        # the arithmetic of AlphaPair.evaluate, with the joint belief built once
+        r, c = float(pair.alpha_r @ b), float(pair.alpha_c @ b)
         if c > policy.c_th + tol:
             continue
         key = (-r, c, pair.action.selected)
@@ -1119,42 +1125,6 @@ def _tree_from_dict(data: dict) -> OracleTree:
     )
 
 
-def policy_to_dict(policy: PolicySolution) -> dict:
-    out = {
-        "method": policy.method,
-        "horizon": policy.horizon,
-        "gamma": policy.gamma,
-        "c_th": policy.c_th,
-        "scenario_fingerprint": policy.scenario_fingerprint,
-        "initial_state": list(policy.initial_state),
-        "chains": [chain.matrix.tolist() for chain in policy.chains],
-        "stats": _plain(policy.stats),
-    }
-    if policy.epochs is not None:
-        out["epochs"] = [
-            [
-                {
-                    "action": list(pair.action.selected),
-                    "alpha_r": pair.alpha_r.tolist(),
-                    "alpha_c": pair.alpha_c.tolist(),
-                }
-                for pair in epoch_pairs
-            ]
-            for epoch_pairs in policy.epochs
-        ]
-    if policy.belief_set is not None:
-        out["belief_set"] = {
-            "h": policy.belief_set.h,
-            "source_state": list(policy.belief_set.source_state),
-            "points": [
-                [vec.tolist() for vec in fb.per_relay] for fb in policy.belief_set.points
-            ],
-        }
-    if policy.tree is not None:
-        out["tree"] = _tree_to_dict(policy.tree)
-    return out
-
-
 def _plain(value):
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
@@ -1167,57 +1137,142 @@ def _plain(value):
     return value
 
 
-def policy_from_dict(data: dict) -> PolicySolution:
-    chains = [MarkovChain(np.array(m)) for m in data["chains"]]
-    epochs = None
-    if "epochs" in data:
-        epochs = [
-            [
-                AlphaPair(
-                    alpha_r=np.array(p["alpha_r"]),
-                    alpha_c=np.array(p["alpha_c"]),
-                    action=Action(tuple(p["action"])),
-                    epoch=e + 1,
-                )
-                for p in epoch_pairs
-            ]
-            for e, epoch_pairs in enumerate(data["epochs"])
-        ]
-    belief_set = None
-    if "belief_set" in data:
-        bs = data["belief_set"]
-        points = [
-            FactoredBelief(tuple(np.array(v) for v in vecs)) for vecs in bs["points"]
-        ]
-        belief_set = BeliefSet(
-            points=points, h=bs["h"], source_state=tuple(bs["source_state"])
-        )
-    tree = _tree_from_dict(data["tree"]) if "tree" in data else None
-    return PolicySolution(
-        method=data["method"],
-        horizon=data["horizon"],
-        gamma=data["gamma"],
-        c_th=data["c_th"],
-        chains=chains,
-        scenario_fingerprint=data["scenario_fingerprint"],
-        initial_state=tuple(data["initial_state"]),
-        epochs=epochs,
-        belief_set=belief_set,
-        tree=tree,
-        stats=data.get("stats", {}),
-    )
-
-
 def save_policy(policy: PolicySolution, path) -> None:
-    import json
+    """Write ``policy`` to exactly ``path`` as a version-1 policy archive.
 
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_dict(policy), fh)
-        fh.write("\n")
+    The archive is the uncompressed ``np.savez`` layout: ``chains`` (K, n, n);
+    ``alpha_r_<e>`` and ``alpha_c_<e>`` (pairs, n^K) for every epoch ``e``;
+    ``belief_points`` (B, K, n); and ``meta``, a JSON string with the scalars,
+    the per-epoch actions, the belief-set depth and source, the stats and the
+    oracle tree. Member timestamps are fixed, so equal policies give equal
+    bytes.
+    """
+    chains = np.stack([chain.matrix for chain in policy.chains])
+    flat = chains.shape[1] ** chains.shape[0]
+    arrays = {"chains": chains}
+    meta = {
+        "format_version": POLICY_FORMAT_VERSION,
+        "method": policy.method,
+        "horizon": policy.horizon,
+        "gamma": policy.gamma,
+        "c_th": policy.c_th,
+        "scenario_fingerprint": policy.scenario_fingerprint,
+        "initial_state": list(policy.initial_state),
+        "epoch_actions": None,
+        "belief_set": None,
+        "stats": policy.stats,
+        "tree": _tree_to_dict(policy.tree) if policy.tree is not None else None,
+    }
+    if policy.epochs is not None:
+        meta["epoch_actions"] = [
+            [list(pair.action.selected) for pair in pairs] for pairs in policy.epochs
+        ]
+        for e, pairs in enumerate(policy.epochs, start=1):
+            arrays[f"alpha_r_{e}"] = np.array([p.alpha_r for p in pairs]).reshape(len(pairs), flat)
+            arrays[f"alpha_c_{e}"] = np.array([p.alpha_c for p in pairs]).reshape(len(pairs), flat)
+    if policy.belief_set is not None:
+        meta["belief_set"] = {
+            "h": policy.belief_set.h,
+            "source_state": list(policy.belief_set.source_state),
+        }
+        arrays["belief_points"] = np.array(
+            [np.stack(fb.per_relay) for fb in policy.belief_set.points]
+        )
+    arrays["meta"] = np.array(json.dumps(_plain(meta)))
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, value, allow_pickle=False)
 
 
 def load_policy(path) -> PolicySolution:
-    import json
+    """Read a policy archive written by :func:`save_policy`.
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return policy_from_dict(json.load(fh))
+    Every chain, pair and belief goes through its validating constructor.
+    A file that is not a version-1 policy archive (an old JSON policy, a
+    truncated or foreign file, a missing or unknown version, a mis-shaped
+    array) raises ``ValidationError``.
+    """
+    with open(path, "rb") as fh:
+        try:
+            return _read_policy(fh)
+        except (
+            ValidationError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile
+        ) as exc:
+            raise ValidationError(
+                f"{path} is not a usable relayplan policy file: {exc}; "
+                "re-run `relayplan solve` to write it again"
+            ) from exc
+
+
+def _read_policy(fh) -> PolicySolution:
+    if fh.read(4) != b"PK\x03\x04":
+        raise ValidationError("not a zip archive (JSON policies are no longer read)")
+    fh.seek(0)
+    with np.load(fh, allow_pickle=False) as archive:
+        if "meta" not in archive.files:
+            raise ValidationError("zip archive without policy metadata")
+        meta = json.loads(str(archive["meta"][()]))
+        if not isinstance(meta, dict):
+            raise ValidationError("policy metadata is not a JSON object")
+        version = meta.get("format_version")
+        if version != POLICY_FORMAT_VERSION:
+            raise ValidationError(
+                f"policy format version {version!r}, expected {POLICY_FORMAT_VERSION}"
+            )
+        stacked = archive["chains"]
+        if stacked.ndim != 3 or stacked.shape[0] < 1 or stacked.shape[1] != stacked.shape[2]:
+            raise ValidationError(f"chains have shape {stacked.shape}, expected (K, n, n)")
+        k, n = stacked.shape[:2]
+        chains = [MarkovChain(m) for m in stacked]
+        initial_state = tuple(int(s) for s in meta["initial_state"])
+        if len(initial_state) != k:
+            raise ValidationError(f"initial state {initial_state} does not have {k} relays")
+
+        epochs = None
+        if meta["epoch_actions"] is not None:
+            epochs = []
+            for e, actions in enumerate(meta["epoch_actions"], start=1):
+                stacks = [archive[f"alpha_r_{e}"], archive[f"alpha_c_{e}"]]
+                for stack in stacks:
+                    if stack.shape != (len(actions), n**k):
+                        raise ValidationError(
+                            f"epoch {e} stack has shape {stack.shape}, "
+                            f"expected ({len(actions)}, {n**k})"
+                        )
+                epochs.append([
+                    AlphaPair(alpha_r=r, alpha_c=c, action=Action(tuple(a)), epoch=e)
+                    for r, c, a in zip(*stacks, actions)
+                ])
+            if len(epochs) != meta["horizon"]:
+                raise ValidationError(
+                    f"{len(epochs)} epochs stored for horizon {meta['horizon']}"
+                )
+
+        belief_set = None
+        if meta["belief_set"] is not None:
+            points = archive["belief_points"]
+            if points.ndim != 3 or points.shape[1:] != (k, n):
+                raise ValidationError(
+                    f"belief points have shape {points.shape}, expected (B, {k}, {n})"
+                )
+            belief_set = BeliefSet(
+                points=[FactoredBelief(tuple(point)) for point in points],
+                h=meta["belief_set"]["h"],
+                source_state=tuple(meta["belief_set"]["source_state"]),
+            )
+
+    return PolicySolution(
+        method=meta["method"],
+        horizon=meta["horizon"],
+        gamma=meta["gamma"],
+        c_th=meta["c_th"],
+        chains=chains,
+        scenario_fingerprint=meta["scenario_fingerprint"],
+        initial_state=initial_state,
+        epochs=epochs,
+        belief_set=belief_set,
+        tree=_tree_from_dict(meta["tree"]) if meta["tree"] is not None else None,
+        stats=meta["stats"],
+    )

@@ -122,6 +122,16 @@ class TestSimulate:
         ]) == 2
 
 
+    def test_old_json_policy_exits_2(self, tiny_scenario, tmp_path, capsys):
+        policy = tmp_path / "old.json"
+        policy.write_text(json.dumps({"method": "gcpbvi", "epochs": []}) + "\n")
+        assert run([
+            "simulate", "--scenario", tiny_scenario, "--policy", policy,
+            "--runs", "5", "--out", tmp_path / "m.csv",
+        ]) == 2
+        assert "relayplan solve" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_d2d_vs_cellular_gain_positive(self, tmp_path):
         sc = tmp_path / "sc.json"

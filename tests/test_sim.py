@@ -91,14 +91,13 @@ class TestMonteCarlo:
         assert metrics.avg_cum_ee == 0.0
         assert metrics.avg_cum_cost == 0.0
 
-    def test_threads_give_identical_results(self):
+    def test_same_seed_same_metrics(self):
         rng = np.random.default_rng(8)
         scenario, chains = random_instance(rng, k=1, n=3, t=2)
         policy = solve_gcpbvi(scenario, chains, h=2)
-        serial = monte_carlo(policy, scenario, 40, seed=11, chains=chains)
-        threaded = monte_carlo(policy, scenario, 40, seed=11, chains=chains, threads=4)
-        assert serial.avg_cum_reward == pytest.approx(threaded.avg_cum_reward, abs=1e-12)
-        assert serial.avg_cum_cost == pytest.approx(threaded.avg_cum_cost, abs=1e-12)
+        first = monte_carlo(policy, scenario, 40, seed=11, chains=chains)
+        again = monte_carlo(policy, scenario, 40, seed=11, chains=chains)
+        assert dataclasses.asdict(again) == dataclasses.asdict(first)
 
     def test_mean_matches_exact_policy_value(self):
         rng = np.random.default_rng(10)

@@ -1,15 +1,21 @@
+import dataclasses
+import json
 import math
+import time
+import zipfile
 
 import numpy as np
 import pytest
 
-from conftest import line_scenario, random_instance
+from conftest import line_scenario, random_chain, random_instance
 from relayplan.alpha import AlphaPair, immediate_pair
 from relayplan.belief import FactoredBelief, build_h_belief_set
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain
 from relayplan.model import Action, EMPTY_ACTION, all_actions
+from relayplan.sim import monte_carlo
 from relayplan.solvers import (
+    PolicySolution,
     brute_force_oracle,
     cpbvi_backup,
     discrete_derivative,
@@ -282,7 +288,82 @@ class TestQEvaluation:
         assert q.q_c == pytest.approx(c, abs=1e-9)
 
 
+class TestSelectPair:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_reference_loop_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 3))
+        n = int(rng.integers(2, 4))
+        actions = all_actions(k)
+        vecs = rng.uniform(0.0, 10.0, size=(int(rng.integers(1, 9)), 2, n**k))
+        for j in range(1, len(vecs)):
+            src = int(rng.integers(j))
+            tie = rng.random()
+            if tie < 0.3:
+                vecs[j, 0] = vecs[src, 0]  # equal reward, cost decides
+            elif tie < 0.6:
+                vecs[j] = vecs[src]  # equal reward and cost, the action decides
+        pairs = [
+            AlphaPair(alpha_r=r, alpha_c=c, action=actions[int(rng.integers(len(actions)))])
+            for r, c in vecs
+        ]
+        fb = FactoredBelief(tuple(
+            np.eye(n)[int(rng.integers(n))] if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
+            for _ in range(k)
+        ))
+        costs = [pair.evaluate(fb)[1] for pair in pairs]
+        c_th = float(rng.choice(costs)) if rng.random() < 0.8 else -1.0
+        policy = PolicySolution(
+            method="gcpbvi", horizon=1, gamma=1.0, c_th=c_th,
+            chains=[random_chain(rng, n) for _ in range(k)], scenario_fingerprint="x",
+            initial_state=(0,) * k, epochs=[pairs],
+        )
+
+        tol = 1e-9 * max(1.0, abs(c_th))
+        scored = [
+            ((-r, c, pair.action.selected), pair)
+            for pair in pairs
+            for r, c in [pair.evaluate(fb)]
+            if c <= c_th + tol
+        ]
+        expected = min(scored, key=lambda item: item[0])[1] if scored else None
+
+        pair, action = select_pair(policy, 1, fb)
+        assert pair is expected
+        assert action == (expected.action if expected is not None else EMPTY_ACTION)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _tree_items(tree) -> tuple:
+    return (tree.action, sorted((z, _tree_items(sub)) for z, sub in tree.children.items()))
+
+
+def _rewrite_archive(path, edit_meta=None, **arrays):
+    """Rewrite a saved policy archive with edited metadata or replaced arrays."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(members["meta"]))
+    if edit_meta is not None:
+        edit_meta(meta)
+    members["meta"] = np.array(json.dumps(meta))
+    members.update(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 class TestPersistence:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(23)
+        scenario, chains = random_instance(rng, k=2, n=2, t=2)
+        policy = solve_gcpbvi(scenario, chains, h=2)
+        path = tmp_path / "policy.npz"
+        save_policy(policy, path)
+        return policy, path
+
     def test_round_trip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(23)
         scenario, chains = random_instance(rng, k=1, n=3, t=2)
@@ -295,6 +376,41 @@ class TestPersistence:
         assert again.planned_value() == pytest.approx(policy.planned_value())
         np.testing.assert_allclose(again.chains[0].matrix, chains[0].matrix)
 
+    @pytest.mark.parametrize("solve", [solve_exact, solve_cpbvi, solve_gcpbvi])
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 2)])
+    def test_round_trip_is_bit_identical(self, tmp_path, solve, k, n):
+        rng = np.random.default_rng(23)
+        scenario, chains = random_instance(rng, k=k, n=n, t=2)
+        policy = solve(scenario, chains) if solve is solve_exact else solve(scenario, chains, h=2)
+        path = tmp_path / "policy.npz"
+        save_policy(policy, path)
+        again = load_policy(path)
+
+        for attr in ("method", "horizon", "gamma", "c_th", "scenario_fingerprint",
+                     "initial_state", "stats"):
+            assert getattr(again, attr) == getattr(policy, attr)
+        assert all(_same_bits(a.matrix, b.matrix) for a, b in zip(again.chains, policy.chains))
+        assert len(again.chains) == len(policy.chains)
+        assert len(again.epochs) == len(policy.epochs)
+        for e, (got, want) in enumerate(zip(again.epochs, policy.epochs), start=1):
+            assert [(p.action, p.epoch) for p in got] == [(p.action, e) for p in want]
+            for a, b in zip(got, want):
+                assert _same_bits(a.alpha_r, b.alpha_r)
+                assert _same_bits(a.alpha_c, b.alpha_c)
+        if policy.belief_set is None:
+            assert again.belief_set is None
+        else:
+            assert again.belief_set.h == policy.belief_set.h
+            assert again.belief_set.source_state == policy.belief_set.source_state
+            assert len(again.belief_set) == len(policy.belief_set)
+            for a, b in zip(again.belief_set.points, policy.belief_set.points):
+                assert all(_same_bits(x, y) for x, y in zip(a.per_relay, b.per_relay))
+        assert again.planned_value() == policy.planned_value()
+        ran = monte_carlo(policy, scenario, 200, seed=17, chains=chains)
+        assert dataclasses.asdict(monte_carlo(again, scenario, 200, seed=17, chains=chains)) == (
+            dataclasses.asdict(ran)
+        )
+
     def test_oracle_tree_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)
         scenario, chains = random_instance(rng, k=1, n=2, t=2)
@@ -302,6 +418,77 @@ class TestPersistence:
         path = tmp_path / "oracle.json"
         save_policy(oracle, path)
         again = load_policy(path)
-        assert again.tree is not None
-        assert again.tree.action == oracle.tree.action
-        assert again.stats["oracle_value_r"] == pytest.approx(oracle.stats["oracle_value_r"])
+        assert again.epochs is None and again.belief_set is None
+        assert _tree_items(again.tree) == _tree_items(oracle.tree)
+        assert again.stats == oracle.stats
+        assert again.planned_value() == oracle.planned_value()
+
+    def test_writes_exactly_the_given_path(self, saved, tmp_path):
+        policy, _ = saved
+        target = tmp_path / "sub"
+        target.mkdir()
+        save_policy(policy, target / "x.json")
+        assert sorted(p.name for p in target.iterdir()) == ["x.json"]
+        assert load_policy(target / "x.json").planned_value() == policy.planned_value()
+
+    def test_same_policy_same_bytes(self, saved, tmp_path, monkeypatch):
+        policy, path = saved
+        monkeypatch.setattr(time, "time", lambda: 2e9)
+        later = tmp_path / "later.npz"
+        save_policy(policy, later)
+        assert later.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("format_version"),
+        lambda meta: meta.update(format_version=2),
+    ], ids=["missing", "unknown"])
+    def test_bad_format_version_rejected(self, saved, edit):
+        _, path = saved
+        _rewrite_archive(path, edit)
+        with pytest.raises(ValidationError, match="format version.*relayplan solve"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("cut", [
+        lambda stack: stack[:, :-1],
+        lambda stack: stack[:-1],
+        lambda stack: stack.reshape(-1),
+    ], ids=["length", "rows", "flat"])
+    def test_misshaped_stack_rejected(self, saved, cut):
+        _, path = saved
+        with np.load(path) as archive:
+            stack = archive["alpha_c_2"]
+        _rewrite_archive(path, alpha_c_2=cut(stack))
+        with pytest.raises(ValidationError, match="epoch 2 stack.*relayplan solve"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("cut", [
+        lambda points: points[:, :, :-1],
+        lambda points: points[:, :1],
+        lambda points: points[0],
+    ], ids=["regions", "relays", "ndim"])
+    def test_misshaped_belief_points_rejected(self, saved, cut):
+        _, path = saved
+        with np.load(path) as archive:
+            points = archive["belief_points"]
+        _rewrite_archive(path, belief_points=cut(points))
+        with pytest.raises(ValidationError, match="belief points.*relayplan solve"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("kind", ["old_json", "truncated", "foreign_zip", "empty"])
+    def test_not_a_policy_archive_rejected(self, saved, kind):
+        _, path = saved
+        if kind == "old_json":
+            path.write_text(json.dumps({"method": "gcpbvi", "chains": [[[1.0]]]}) + "\n")
+        elif kind == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif kind == "foreign_zip":
+            with zipfile.ZipFile(path, "w") as archive:
+                archive.writestr("readme.txt", "not a policy")
+        else:
+            path.write_bytes(b"")
+        with pytest.raises(ValidationError, match="relayplan solve"):
+            load_policy(path)
+
+    def test_missing_file_is_an_io_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_policy(tmp_path / "absent.npz")
