@@ -1,6 +1,7 @@
 """Batch front-end: generate | solve | simulate | compare | bench.
 
-Every command is deterministic given identical inputs and ``--seed``
+Every command is deterministic given identical inputs; ``generate``,
+``simulate`` and ``compare`` draw their random numbers from ``--seed``
 (default 12345, a fixed documented constant, never entropy). Outputs are
 comma-separated tables plus a JSON run manifest carrying the command, the
 scenario fingerprint, seeds, and a version stamp.
@@ -341,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--eps", type=float, default=None, help="target value error for belief sizing")
     slv.add_argument("--belief-h", dest="belief_h", type=int, default=None)
     slv.add_argument("--belief-cap", dest="belief_cap", type=int, default=256)
-    slv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     slv.add_argument("--out", required=True)
     slv.set_defaults(func=cmd_solve)
 
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--max-k", dest="max_k", type=int, default=10)
     ben.add_argument("--states", type=int, default=25)
     ben.add_argument("--belief-points", dest="belief_points", type=int, default=32)
-    ben.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ben.add_argument("--out", required=True)
     ben.set_defaults(func=cmd_bench)
 

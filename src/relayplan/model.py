@@ -188,17 +188,6 @@ def validate_action(action: Action, scenario: ScenarioConfig) -> None:
         )
 
 
-def validate_joint_state(state: JointState, scenario: ScenarioConfig) -> None:
-    if len(state) != scenario.n_relays:
-        raise ValidationError(
-            f"joint state has length {len(state)}, expected K={scenario.n_relays}"
-        )
-    n = scenario.n_regions
-    for i, s in enumerate(state):
-        if not 0 <= s < n:
-            raise ValidationError(f"state[{i}]={s} outside [0, {n})")
-
-
 def link_metric(src: Coord, dst: Coord, scenario: ScenarioConfig) -> float:
     """Single-hop throughput of a src->dst link, in kbps/RB.
 

@@ -36,7 +36,8 @@ from .model import (
 from .solvers import (
     PolicySolution,
     _budget_tol,
-    _pareto_indices,
+    _max_ratio_point,
+    _merge_branches,
     select_pair,
     solve_gcpbvi,
 )
@@ -405,21 +406,10 @@ def solve_centralized(
             return None
         if wr is None:
             return rho_r, rho_c
-        r = np.array([rho_r])
-        c = np.array([rho_c])
-        for z in range(wr.shape[1]):
-            cand = _pareto_indices(wr[:, z], wc[:, z])
-            r = (r[:, None] + wr[cand, z][None, :]).ravel()
-            c = (c[:, None] + wc[cand, z][None, :]).ravel()
-            ok = c <= c_th + tol
-            if not ok.any():
-                return None
-            keep = _pareto_indices(r[ok], c[ok])[:512]
-            r, c = r[ok][keep], c[ok][keep]
-        zero = 1e-12 * max(1.0, c_th)
-        ratios = np.where(c > zero, r / np.maximum(c, zero), np.where(r > zero, np.inf, 0.0))
-        best = int(np.lexsort((c, -r, -ratios))[0])
-        return float(r[best]), float(c[best])
+        merge = _merge_branches(rho_r, rho_c, wr, wc, c_th + tol, 512, lowest=True)
+        if merge.r is None:
+            return None
+        return _max_ratio_point(merge.r, merge.c, c_th)
 
     def imm_tensors(assignment):
         alpha_r = np.zeros(shape)

@@ -14,11 +14,17 @@ calculators.
 Cumulative values weight the epoch-t term by ``gamma**(t-1)``; the budget
 constrains the same discounted sum. Point-based backups never materialise
 cross-sums: for each anchor belief the per-branch continuation choices are
-optimised jointly under the budget (a Pareto merge over branches), which
-selects exactly the element of the full cross-sum the printed per-point
-argmax would pick. Actions whose branch count exceeds ``root_branch_cap``
-fall back to per-branch locally-feasible choices; the stats record when
-that happens.
+optimised jointly under the budget (a Pareto merge over branches; branches
+of probability 0 cannot change it and are skipped). The merge selects
+exactly the element of the full cross-sum the printed per-point argmax
+would pick unless an approximation fired, and the stats count each one:
+
+* ``frontier_cap_hits``: a merged frontier longer than ``frontier_cap`` was
+  thinned to evenly spaced points;
+* ``element_frontier_cap_hits``: the same thinning in gcpbvi's per-element
+  candidate frontiers, which steer its ratio-greedy admission;
+* ``local_mode_selections``: an action with more than ``root_branch_cap``
+  branches chose per branch under a local budget instead.
 """
 
 from __future__ import annotations
@@ -141,16 +147,108 @@ def select_pair(
     return best, best.action
 
 
+def _running_records(rs: np.ndarray) -> np.ndarray:
+    """Mask of the entries (along axis 0) above every entry before them."""
+    prev = np.empty_like(rs)
+    prev[:1] = -np.inf
+    prev[1:] = rs[:-1]
+    return rs > np.fmax.accumulate(prev, axis=0)  # fmax: a NaN never becomes the max
+
+
+def _keep_records(idx: np.ndarray, rr: np.ndarray) -> np.ndarray:
+    """The running-max records ``idx`` (rewards ``rr``) that the frontier keeps.
+
+    A point is kept when its reward beats the last kept one by more than
+    1e-15, and only a record can do that. When every record beats the one
+    before it by that margin, all are kept; otherwise the rule runs over the
+    records alone.
+    """
+    if (rr[1:] > rr[:-1] + 1e-15).all():
+        return idx
+    keep = []
+    best = -np.inf
+    for i, v in zip(idx, rr):
+        if v > best + 1e-15:
+            keep.append(i)
+            best = v
+    return np.asarray(keep, dtype=int)
+
+
 def _pareto_indices(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Indices of the (max reward, min cost) Pareto frontier, cost-ascending."""
     order = np.lexsort((np.arange(len(r)), -r, c))
-    keep = []
-    best = -np.inf
-    for i in order:
-        if r[i] > best + 1e-15:
-            keep.append(i)
-            best = r[i]
-    return np.asarray(keep, dtype=int)
+    rs = r[order]
+    rec = _running_records(rs)
+    return _keep_records(order[rec], rs[rec])
+
+
+def _column_frontiers(wr: np.ndarray, wc: np.ndarray) -> list[np.ndarray]:
+    """``_pareto_indices(wr[:, z], wc[:, z])`` for every column ``z``, sorted at once."""
+    rows = np.broadcast_to(np.arange(len(wr))[:, None], wr.shape)
+    order = np.lexsort((rows, -wr, wc), axis=0)
+    rs = np.take_along_axis(wr, order, axis=0)
+    rec = _running_records(rs)
+    return [_keep_records(order[rec[:, z], z], rs[rec[:, z], z]) for z in range(wr.shape[1])]
+
+
+@dataclass
+class _Merge:
+    """Outcome of ``_merge_branches``.
+
+    ``r``/``c`` is the final frontier, or None when some branch had no
+    choice within the limit; ``merged`` counts the branches before that one
+    (all of them otherwise), ``skipped`` the all-zero branches among those.
+    ``steps`` holds ``(branch, parents, choices)`` per merged live branch:
+    frontier point ``i`` extends point ``parents[i]`` of the frontier before
+    that branch with row ``choices[i]``.
+    """
+
+    r: np.ndarray | None
+    c: np.ndarray | None
+    merged: int
+    skipped: int
+    cap_hits: int = 0
+    steps: list = field(default_factory=list)
+
+
+def _merge_branches(r0, c0, wr, wc, limit, cap, lowest=False) -> _Merge:
+    """Pareto frontier of ``(r0 + sum_z wr[j_z, z], c0 + sum_z wc[j_z, z])``
+    over one choice ``j_z`` per branch (column), merged branch by branch.
+
+    After each branch only points with cost within ``limit`` survive, and a
+    frontier longer than ``cap`` is thinned to ``cap`` evenly spaced points
+    (the ``cap`` cheapest with ``lowest``). A branch whose reward and cost
+    columns are all zero is skipped: its own frontier is row 0, adding zero
+    changes no sum, and a frontier merged again is unchanged, so it would
+    pick row 0 and leave the frontier as it was.
+    """
+    n_branches = wr.shape[1]
+    live = np.flatnonzero(wr.any(axis=0) | wc.any(axis=0))
+    out = _Merge(np.array([r0]), np.array([c0]), n_branches, n_branches - len(live))
+    for i, (z, cand) in enumerate(zip(live, _column_frontiers(wr[:, live], wc[:, live]))):
+        rr = (out.r[:, None] + wr[cand, z][None, :]).ravel()
+        cc = (out.c[:, None] + wc[cand, z][None, :]).ravel()
+        ok = np.flatnonzero(cc <= limit)
+        if not len(ok):
+            return _Merge(None, None, int(z), int(z) - i, out.cap_hits)
+        keep = ok[_pareto_indices(rr[ok], cc[ok])]
+        if len(keep) > cap:
+            out.cap_hits += 1
+            if lowest:
+                keep = keep[:cap]
+            else:
+                keep = keep[np.unique(np.linspace(0, len(keep) - 1, cap).round().astype(int))]
+        out.r, out.c = rr[keep], cc[keep]
+        out.steps.append((z, keep // len(cand), cand[keep % len(cand)]))
+    return out
+
+
+def _max_ratio_point(r: np.ndarray, c: np.ndarray, c_th: float) -> tuple[float, float]:
+    """The frontier point with the best reward/cost ratio (zero cost ranks first)."""
+    zero = 1e-12 * max(1.0, c_th)
+    ratios = np.where(c > zero, r / np.maximum(c, zero), np.where(r > zero, np.inf, 0.0))
+    best = int(np.lexsort((c, -r, -ratios))[0])
+    return float(r[best]), float(c[best])
 
 
 class _Engine:
@@ -180,7 +278,9 @@ class _Engine:
             "pair_evaluations": 0,
             "branch_merges": 0,
             "frontier_cap_hits": 0,
+            "element_frontier_cap_hits": 0,
             "local_mode_selections": 0,
+            "zero_branches_skipped": 0,
         }
         self._reward_flat: dict[tuple, np.ndarray] = {}
         self._cost_flat: dict[tuple, np.ndarray] = {}
@@ -274,39 +374,22 @@ class _Engine:
         return self._local_select(rho_r, rho_c, wr, wc, p)
 
     def _root_select(self, rho_r, rho_c, wr, wc):
-        tol = _budget_tol(self.c_th)
-        if rho_c > self.c_th + tol:
+        limit = self.c_th + _budget_tol(self.c_th)
+        if rho_c > limit:
             return None
-        r = np.array([rho_r])
-        c = np.array([rho_c])
-        trace: list[tuple[np.ndarray, np.ndarray]] = []
-        for z in range(wr.shape[1]):
-            col_r, col_c = wr[:, z], wc[:, z]
-            cand = _pareto_indices(col_r, col_c)
-            rr = (r[:, None] + col_r[cand][None, :]).ravel()
-            cc = (c[:, None] + col_c[cand][None, :]).ravel()
-            parents = np.repeat(np.arange(len(r)), len(cand))
-            choices = np.tile(cand, len(r))
-            ok = cc <= self.c_th + tol
-            if not ok.any():
-                return None
-            rr, cc, parents, choices = rr[ok], cc[ok], parents[ok], choices[ok]
-            keep = _pareto_indices(rr, cc)
-            if len(keep) > self.frontier_cap:
-                self.counters["frontier_cap_hits"] += 1
-                sub = np.unique(np.linspace(0, len(keep) - 1, self.frontier_cap).round().astype(int))
-                keep = keep[sub]
-            r, c = rr[keep], cc[keep]
-            trace.append((parents[keep], choices[keep]))
-            self.counters["branch_merges"] += 1
-        best = int(np.lexsort((c, -r))[0])
-        sigma = np.zeros(len(trace), dtype=int)
+        merge = _merge_branches(rho_r, rho_c, wr, wc, limit, self.frontier_cap)
+        self.counters["branch_merges"] += merge.merged
+        self.counters["zero_branches_skipped"] += merge.skipped
+        self.counters["frontier_cap_hits"] += merge.cap_hits
+        if merge.r is None:
+            return None
+        best = int(np.lexsort((merge.c, -merge.r))[0])
+        sigma = np.zeros(wr.shape[1], dtype=int)  # a skipped branch keeps row 0
         idx = best
-        for z in range(len(trace) - 1, -1, -1):
-            parents, choices = trace[z]
+        for z, parents, choices in reversed(merge.steps):
             sigma[z] = choices[idx]
             idx = int(parents[idx])
-        return float(r[best]), float(c[best]), sigma
+        return float(merge.r[best]), float(merge.c[best]), sigma
 
     def _local_select(self, rho_r, rho_c, wr, wc, p):
         tol = _budget_tol(self.c_th)
@@ -431,32 +514,20 @@ def _element_candidates(
 def _element_frontier_best(engine, action, fb, gr, gc):
     """Max-ratio point of one element's own branch frontier at ``fb``."""
     rho_r, rho_c = engine.rho(action, fb)
-    tol = _budget_tol(engine.c_th)
-    if rho_c > engine.c_th + tol:
+    limit = engine.c_th + _budget_tol(engine.c_th)
+    if rho_c > limit:
         return None
     if gr is None:
         return rho_r, rho_c
     sel_axes = tuple(i - 1 for i in action.relays)
     wr = engine.branch_scores(gr, fb, sel_axes)
     wc = engine.branch_scores(gc, fb, sel_axes)
-    r = np.array([rho_r])
-    c = np.array([rho_c])
-    for z in range(wr.shape[1]):
-        cand = _pareto_indices(wr[:, z], wc[:, z])
-        r = (r[:, None] + wr[cand, z][None, :]).ravel()
-        c = (c[:, None] + wc[cand, z][None, :]).ravel()
-        ok = c <= engine.c_th + tol
-        if not ok.any():
-            return None
-        keep = _pareto_indices(r[ok], c[ok])
-        if len(keep) > engine.frontier_cap:
-            sub = np.unique(np.linspace(0, len(keep) - 1, engine.frontier_cap).round().astype(int))
-            keep = keep[sub]
-        r, c = r[ok][keep], c[ok][keep]
-    zero = 1e-12 * max(1.0, engine.c_th)
-    ratios = np.where(c > zero, r / np.maximum(c, zero), np.where(r > zero, np.inf, 0.0))
-    best = int(np.lexsort((c, -r, -ratios))[0])
-    return float(r[best]), float(c[best])
+    merge = _merge_branches(rho_r, rho_c, wr, wc, limit, engine.frontier_cap)
+    engine.counters["zero_branches_skipped"] += merge.skipped
+    engine.counters["element_frontier_cap_hits"] += merge.cap_hits
+    if merge.r is None:
+        return None
+    return _max_ratio_point(merge.r, merge.c, engine.c_th)
 
 
 def greedy_constrained_argmax(

@@ -64,6 +64,15 @@ class TestSolve:
             assert "eta_r_bound=" in report
             assert "eta_c_bound=" in report
             assert "belief_points=" in report
+            for key in ("branch_merges", "zero_branches_skipped", "frontier_cap_hits",
+                        "element_frontier_cap_hits", "local_mode_selections"):
+                assert f"{key}=" in report
+
+    def test_seed_flag_rejected(self, tiny_scenario, tmp_path):
+        # solves are deterministic and read no seed
+        with pytest.raises(SystemExit):
+            run(["solve", "--scenario", tiny_scenario, "--method", "gcpbvi",
+                 "--seed", "1", "--out", tmp_path / "p.npz"])
 
     def test_eps_driven_sizing(self, tiny_scenario, tmp_path):
         out = tmp_path / "eps.json"
@@ -183,6 +192,11 @@ class TestBench:
         manifest = json.loads((tmp_path / "bench_manifest.json").read_text())
         assert manifest["command"] == "bench"
         assert str(out) in manifest["outputs"]
+
+    def test_seed_flag_rejected(self, tmp_path):
+        # the closed-form table draws no random numbers
+        with pytest.raises(SystemExit):
+            run(["bench", "--max-k", "3", "--seed", "1", "--out", tmp_path / "bench.csv"])
 
 
 class TestExitCodes:

@@ -6,16 +6,23 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import line_scenario, random_chain, random_instance
 from relayplan.alpha import AlphaPair, immediate_pair
 from relayplan.belief import FactoredBelief, build_h_belief_set
 from relayplan.errors import CapExceededError, ValidationError
-from relayplan.mobility import MarkovChain
+from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, EMPTY_ACTION, all_actions
 from relayplan.sim import monte_carlo
 from relayplan.solvers import (
     PolicySolution,
+    _column_frontiers,
+    _element_frontier_best,
+    _Engine,
+    _merge_branches,
+    _pareto_indices,
     brute_force_oracle,
     cpbvi_backup,
     discrete_derivative,
@@ -331,6 +338,206 @@ class TestSelectPair:
         pair, action = select_pair(policy, 1, fb)
         assert pair is expected
         assert action == (expected.action if expected is not None else EMPTY_ACTION)
+
+
+def _loop_pareto(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The sequential frontier rule: the reference for ``_pareto_indices``."""
+    order = np.lexsort((np.arange(len(r)), -r, c))
+    keep = []
+    best = -np.inf
+    for i in order:
+        if r[i] > best + 1e-15:
+            keep.append(i)
+            best = r[i]
+    return np.asarray(keep, dtype=int)
+
+
+def _loop_merge(r0, c0, wr, wc, limit, cap, lowest=False):
+    """Every branch merged in turn, zero ones included: the reference merge.
+
+    Returns ``(r, c, trace, merged, cap_hits)``; ``r`` is None when a branch
+    has no choice within ``limit``, and ``merged`` counts the branches before it.
+    """
+    r, c = np.array([r0]), np.array([c0])
+    trace, hits = [], 0
+    for z in range(wr.shape[1]):
+        col_r, col_c = wr[:, z], wc[:, z]
+        cand = _loop_pareto(col_r, col_c)
+        rr = (r[:, None] + col_r[cand][None, :]).ravel()
+        cc = (c[:, None] + col_c[cand][None, :]).ravel()
+        parents = np.repeat(np.arange(len(r)), len(cand))
+        choices = np.tile(cand, len(r))
+        ok = cc <= limit
+        if not ok.any():
+            return None, None, None, z, hits
+        rr, cc, parents, choices = rr[ok], cc[ok], parents[ok], choices[ok]
+        keep = _loop_pareto(rr, cc)
+        if len(keep) > cap:
+            hits += 1
+            if lowest:
+                keep = keep[:cap]
+            else:
+                keep = keep[np.unique(np.linspace(0, len(keep) - 1, cap).round().astype(int))]
+        r, c = rr[keep], cc[keep]
+        trace.append((parents[keep], choices[keep]))
+    return r, c, trace, wr.shape[1], hits
+
+
+# rewards at or near the 1e-15 tie margin, exact duplicates and signed zeros
+_tie_values = st.sampled_from([0.0, -0.0, 3e-16, 1e-15, 1.5e-15, 2e-15, 2.5e-15, 1.0, 2.0])
+_values = st.one_of(
+    _tie_values,
+    st.integers(-3, 3).map(float),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+)
+_costs = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 5.0, allow_subnormal=False))
+
+
+def _random_merge_input(rng: np.random.Generator):
+    """Branch scores with ties, all-zero columns (some with -0.0) and
+    columns where only the cost side is nonzero."""
+    m, n_branches = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+    if rng.random() < 0.5:
+        wr = rng.integers(0, 5, size=(m, n_branches)) * 0.25
+        wc = rng.integers(0, 5, size=(m, n_branches)) * 0.25
+    else:
+        wr = rng.uniform(0.0, 2.0, size=(m, n_branches))
+        wc = rng.uniform(0.0, 2.0, size=(m, n_branches))
+    dead = rng.random(n_branches) < 0.5
+    wr[:, dead] = 0.0
+    wc[:, dead] = 0.0
+    wr[:, dead & (rng.random(n_branches) < 0.3)] = -0.0
+    wr[:, rng.random(n_branches) < 0.1] = 0.0
+    rho_r, rho_c = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+    limit = rho_c + float(rng.uniform(0.3, 1.0)) * float(wc.max(axis=0).sum())
+    cap = int(rng.choice([1, 2, 3, 2048]))
+    return rho_r, rho_c, wr, wc, limit, cap
+
+
+class TestFrontierMerge:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_values, _costs), max_size=40))
+    def test_pareto_indices_matches_loop(self, points):
+        r = np.array([p[0] for p in points], dtype=float)
+        c = np.array([p[1] for p in points], dtype=float)
+        got, expected = _pareto_indices(r, c), _loop_pareto(r, c)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    def test_column_frontiers_match_per_column(self, m, n_cols, data):
+        cells = st.lists(st.tuples(_values, _costs), min_size=m * n_cols, max_size=m * n_cols)
+        flat = data.draw(cells)
+        wr = np.array([p[0] for p in flat], dtype=float).reshape(m, n_cols)
+        wc = np.array([p[1] for p in flat], dtype=float).reshape(m, n_cols)
+        got = _column_frontiers(wr, wc)
+        assert [g.tolist() for g in got] == [
+            _loop_pareto(wr[:, z], wc[:, z]).tolist() for z in range(n_cols)
+        ]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_root_select_matches_full_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        rho_r, rho_c, wr, wc, limit, cap = _random_merge_input(rng)
+        sc = line_scenario(3, (1,))
+        engine = _Engine(sc, chains_for_scenario(sc), c_th=limit, frontier_cap=cap)
+        limit = engine.c_th + 1e-9 * max(1.0, abs(engine.c_th))
+
+        got = engine._root_select(rho_r, rho_c, wr, wc)
+
+        r, c, trace, merged, hits = _loop_merge(rho_r, rho_c, wr, wc, limit, cap)
+        zero = ~(wr.any(axis=0) | wc.any(axis=0))
+        assert engine.counters["branch_merges"] == merged
+        assert engine.counters["frontier_cap_hits"] == hits
+        assert engine.counters["zero_branches_skipped"] == int(zero[:merged].sum())
+        if r is None:
+            assert got is None
+            return
+        best = int(np.lexsort((c, -r))[0])
+        sigma = np.zeros(len(trace), dtype=int)
+        idx = best
+        for z in range(len(trace) - 1, -1, -1):
+            parents, choices = trace[z]
+            sigma[z] = choices[idx]
+            idx = int(parents[idx])
+        assert got[:2] == (float(r[best]), float(c[best]))
+        assert got[2].tolist() == sigma.tolist()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lowest_cost_thinning_matches_full_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        rho_r, rho_c, wr, wc, limit, cap = _random_merge_input(rng)
+        got = _merge_branches(rho_r, rho_c, wr, wc, limit, cap, lowest=True)
+        r, c, _, merged, hits = _loop_merge(rho_r, rho_c, wr, wc, limit, cap, lowest=True)
+        assert (got.merged, got.cap_hits) == (merged, hits)
+        if r is None:
+            assert got.r is None and got.c is None
+        else:
+            assert got.r.tobytes() == r.tobytes() and got.c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_element_frontier_best_matches_full_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 4, 2
+        sc = line_scenario(n, (1, 3), c_th=float(rng.uniform(50.0, 400.0)))
+        cap = int(rng.choice([1, 2, 2048]))
+        engine = _Engine(sc, chains_for_scenario(sc), frontier_cap=cap)
+        per_relay = []
+        for _ in range(k):
+            b = rng.dirichlet(np.ones(n))
+            b[rng.random(n) < 0.5] = 0.0
+            if not b.any():
+                b[int(rng.integers(n))] = 1.0
+            per_relay.append(b / b.sum())
+        fb = FactoredBelief(tuple(per_relay))
+        pairs = int(rng.integers(1, 6))
+        gr = rng.integers(0, 4, size=(pairs, n**k)) * 40.0
+        gc = rng.integers(0, 4, size=(pairs, n**k)) * 30.0
+        limit = engine.c_th + 1e-9 * max(1.0, abs(engine.c_th))
+        zero = 1e-12 * max(1.0, engine.c_th)
+        for e in range(k + 1):
+            action = Action((e,))
+            hits_before = engine.counters["element_frontier_cap_hits"]
+            got = _element_frontier_best(engine, action, fb, gr, gc)
+
+            rho_r, rho_c = engine.rho(action, fb)
+            if rho_c > limit:
+                assert got is None
+                continue
+            sel_axes = tuple(i - 1 for i in action.relays)
+            wr = engine.branch_scores(gr, fb, sel_axes)
+            wc = engine.branch_scores(gc, fb, sel_axes)
+            r, c, _, _, hits = _loop_merge(rho_r, rho_c, wr, wc, limit, cap)
+            assert engine.counters["element_frontier_cap_hits"] - hits_before == hits
+            if r is None:
+                assert got is None
+                continue
+            ratios = np.where(c > zero, r / np.maximum(c, zero), np.where(r > zero, np.inf, 0.0))
+            best = int(np.lexsort((c, -r, -ratios))[0])
+            assert got == (float(r[best]), float(c[best]))
+
+
+class TestTable1Regression:
+    """Planned values and counters of the benchmark's table1 solves (h=2)."""
+
+    def test_gcpbvi_cap_32(self, table1_scenario):
+        policy = solve_gcpbvi(table1_scenario, h=2, cap=32)
+        assert policy.planned_value()[0] == 516.3165516268782
+        stats = policy.stats
+        assert (stats["branch_merges"], stats["frontier_cap_hits"]) == (8466, 21)
+        assert stats["local_mode_selections"] == 32
+        assert stats["element_frontier_cap_hits"] == 81
+        assert stats["zero_branches_skipped"] == 13064
+
+    def test_cpbvi_cap_12(self, table1_scenario):
+        policy = solve_cpbvi(table1_scenario, h=2, cap=12)
+        assert policy.planned_value()[0] == 629.2562396336053
+        stats = policy.stats
+        assert (stats["branch_merges"], stats["frontier_cap_hits"]) == (78432, 0)
+        assert stats["local_mode_selections"] == 96
+        assert stats["element_frontier_cap_hits"] == 0
+        assert stats["zero_branches_skipped"] == 75816
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
