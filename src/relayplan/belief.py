@@ -60,9 +60,6 @@ class FactoredBelief:
     def n_relays(self) -> int:
         return len(self.per_relay)
 
-    def key(self, decimals: int = 12) -> bytes:
-        return b"".join(np.round(b, decimals).tobytes() for b in self.per_relay)
-
     @staticmethod
     def one_hot(state: JointState, n_regions: int) -> "FactoredBelief":
         vecs = []
@@ -96,6 +93,46 @@ def advance_belief(
         selected = (i + 1) in relays
         vecs.append(update_relay_belief(b, chain, selected, obs[i] if selected else None))
     return FactoredBelief(tuple(vecs))
+
+
+class FactorTable:
+    """Filter factors of a known start, keyed by integer ids.
+
+    Every factor the filter reaches is the start one-hot or a row of a
+    matrix power, so each relay's belief is an id ``(s, m)``: ``(s0, 0)`` is
+    the start one-hot, an observation of region ``s`` resets it to ``(s, 1)``
+    and an unobserved epoch advances ``(s, m)`` to ``(s, m + 1)``. Factors are
+    built by ``update_relay_belief``'s prediction, ``factor(s, m) =
+    factor(s, m - 1) @ P``, so they are bitwise those of repeated
+    ``advance_belief``: the one-hot row of region ``s`` times ``P`` is exactly
+    the row ``P[s]`` an observation resets to.
+    """
+
+    def __init__(self, chains: list[MarkovChain]):
+        self.chains = chains
+        self._factors: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def factor(self, relay: int, s: int, m: int) -> np.ndarray:
+        vec = self._factors.get((relay, s, m))
+        if vec is None:
+            chain = self.chains[relay]
+            if m == 0:
+                vec = np.zeros(chain.size)
+                vec[s] = 1.0
+            else:
+                vec = self.factor(relay, s, m - 1) @ chain.matrix
+            self._factors[(relay, s, m)] = vec
+        return vec
+
+    def belief(self, ids: tuple[tuple[int, int], ...]) -> FactoredBelief:
+        return FactoredBelief(tuple(self.factor(i, s, m) for i, (s, m) in enumerate(ids)))
+
+
+def advance_ids(ids: tuple[tuple[int, int], ...], obs: Observation) -> tuple[tuple[int, int], ...]:
+    """``advance_belief`` on belief ids: observed relays reset, the rest advance."""
+    return tuple(
+        (s, m + 1) if obs[i] is None else (obs[i], 1) for i, (s, m) in enumerate(ids)
+    )
 
 
 def joint_belief(fb: FactoredBelief, cap: int = JOINT_CAP) -> np.ndarray:

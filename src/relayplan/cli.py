@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 size cap exceeded, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -30,13 +31,14 @@ from .model import (
     save_scenario,
 )
 from .sim import (
+    METRIC_COLUMNS,
     baseline_cellular,
     complexity_log10,
     complexity_ratio,
     metrics_rows,
     monte_carlo,
     run_multiuser,
-    write_metrics_csv,
+    write_csv,
 )
 from .solvers import (
     brute_force_oracle,
@@ -179,7 +181,7 @@ def cmd_simulate(args) -> int:
     rows = metrics_rows(metrics, scenario.fingerprint(), policy.method)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(rows, out)
+    write_csv(rows, METRIC_COLUMNS, out)
     _write_manifest(out.parent, "simulate", vars(args), [str(out)])
     print(
         f"runs={metrics.runs} avg_cum_reward={metrics.avg_cum_reward!r} "
@@ -194,24 +196,14 @@ def cmd_compare(args) -> int:
     modes = [m.strip() for m in args.modes.split(",")]
     speeds = _parse_speeds(args.speeds)
     rows: list[dict] = []
+
+    def at_speed(v: int) -> ScenarioConfig:
+        relays = tuple(dataclasses.replace(r, speed=v) for r in scenario.relays)
+        return dataclasses.replace(scenario, relays=relays)
+
     if set(modes) == {"d2d", "cellular"}:
         for v in speeds:
-            sped = ScenarioConfig(
-                grid_x=scenario.grid_x,
-                grid_y=scenario.grid_y,
-                relays=tuple(
-                    RelaySpec(eps_fix=r.eps_fix, speed=v, initial_state=r.initial_state)
-                    for r in scenario.relays
-                ),
-                ues=scenario.ues,
-                bs_position=scenario.bs_position,
-                r_max=scenario.r_max,
-                c_max=scenario.c_max,
-                c_th=scenario.c_th,
-                horizon=scenario.horizon,
-                gamma=scenario.gamma,
-                direct_link=scenario.direct_link,
-            )
+            sped = at_speed(v)
             chains = chains_for_scenario(sped)
             policy = solve_gcpbvi(sped, chains, h=args.belief_h, cap=args.belief_cap)
             d2d = monte_carlo(policy, sped, args.runs, args.seed, chains)
@@ -234,22 +226,7 @@ def cmd_compare(args) -> int:
             )
     elif set(modes) == {"centralized", "distributed"}:
         for v in speeds:
-            sped = ScenarioConfig(
-                grid_x=scenario.grid_x,
-                grid_y=scenario.grid_y,
-                relays=tuple(
-                    RelaySpec(eps_fix=r.eps_fix, speed=v, initial_state=r.initial_state)
-                    for r in scenario.relays
-                ),
-                ues=scenario.ues,
-                bs_position=scenario.bs_position,
-                r_max=scenario.r_max,
-                c_max=scenario.c_max,
-                c_th=scenario.c_th,
-                horizon=scenario.horizon,
-                gamma=scenario.gamma,
-                direct_link=scenario.direct_link,
-            )
+            sped = at_speed(v)
             cent = run_multiuser(sped, "centralized", args.runs, args.seed, h=args.belief_h, cap=args.belief_cap)
             dist = run_multiuser(sped, "distributed", args.runs, args.seed, h=args.belief_h, cap=args.belief_cap)
             gap = (
@@ -276,10 +253,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     columns = ["speed", "mode_a", "value_a", "mode_b", "value_b", "relative_gain", "stderr_a"]
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
+    write_csv(rows, columns, out)
     _write_manifest(out.parent, "compare", vars(args), [str(out)])
     for row in rows:
         print(row)
@@ -304,11 +278,7 @@ def cmd_bench(args) -> int:
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    columns = list(rows[0].keys())
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
+    write_csv(rows, list(rows[0]), out)
     _write_manifest(out.parent, "bench", vars(args), [str(out)])
     for row in rows:
         print(row)

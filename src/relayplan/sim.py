@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import FactoredBelief, Observation, advance_belief
+from .belief import (
+    FactoredBelief,
+    FactorTable,
+    Observation,
+    advance_belief,
+    advance_ids,
+    joint_belief,
+)
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
 from .model import (
@@ -35,6 +42,7 @@ from .model import (
 )
 from .solvers import (
     PolicySolution,
+    _AnchorScores,
     _budget_tol,
     _max_ratio_point,
     _merge_branches,
@@ -99,6 +107,7 @@ class _SimContext:
         }
         self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
         self.cum_rows = [np.cumsum(c.matrix, axis=1) for c in chains]
+        self.factors = FactorTable(chains)
 
     def reward(self, state: JointState, action: Action) -> float:
         total = self.scenario.direct_reward(self.ue) if 0 in action else 0.0
@@ -127,20 +136,15 @@ def _observe(state: JointState, action: Action, k: int) -> Observation:
     return tuple(z)
 
 
-def _policy_action(
-    policy, epoch: int, fb: FactoredBelief, cursor, cache: dict | None = None
-) -> tuple[Action, object]:
+def _policy_action(policy, epoch: int, cursor, decide) -> tuple[Action, object]:
+    """The action of a static, tree or alpha policy; ``decide()`` runs the
+    execution rule of an alpha policy."""
     if isinstance(policy, StaticPolicy):
         return policy.action, cursor
     if policy.tree is not None:
         node = cursor
         return (node.action if node is not None else EMPTY_ACTION), node
-    if cache is None:
-        return select_pair(policy, epoch, fb)[1], cursor
-    key = (epoch, fb.key())
-    if key not in cache:
-        cache[key] = select_pair(policy, epoch, fb)[1]
-    return cache[key], cursor
+    return decide(), cursor
 
 
 def run_episode(
@@ -153,8 +157,10 @@ def run_episode(
 ) -> EpisodeTrace:
     """One seeded episode; identical seeds produce identical traces.
 
-    ``action_cache`` memoises the execution rule per (epoch, belief); safe
-    because the selection is a pure function of those two.
+    The belief is carried as per-relay ids (see ``belief.FactorTable``);
+    ``action_cache`` memoises the execution rule per (epoch, ids), safe
+    because the selection is a pure function of those two, and a
+    ``FactoredBelief`` is built only when the rule runs.
     """
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = getattr(policy, "horizon", scenario.horizon)
@@ -166,13 +172,20 @@ def run_episode(
     rng = np.random.default_rng(seed)
     gamma = scenario.gamma
     state = scenario.initial_states
-    fb = FactoredBelief.one_hot(state, scenario.n_regions)
+    ids = tuple((s, 0) for s in state)
     cursor = policy.tree if isinstance(policy, PolicySolution) and policy.tree is not None else None
+    cache = {} if action_cache is None else action_cache
+
+    def decide():
+        key = (epoch, ids)
+        if key not in cache:
+            cache[key] = select_pair(policy, epoch, ctx.factors.belief(ids))[1]
+        return cache[key]
 
     records = []
     cum_r = cum_c = cum_ee = 0.0
     for epoch in range(1, horizon + 1):
-        action, cursor = _policy_action(policy, epoch, fb, cursor, action_cache)
+        action, cursor = _policy_action(policy, epoch, cursor, decide)
         reward = ctx.reward(state, action)
         cost = ctx.cost(state, action)
         obs = _observe(state, action, scenario.n_relays)
@@ -182,7 +195,7 @@ def run_episode(
         cum_ee += gamma ** (horizon - epoch) * (reward / cost if cost > 0 else 0.0)
         if cursor is not None:
             cursor = cursor.children.get(obs)
-        fb = advance_belief(fb, chains, action, obs)
+        ids = advance_ids(ids, obs)
         state = ctx.step_states(state, rng)
     return EpisodeTrace(records=records, cum_reward=cum_r, cum_cost=cum_c, cum_ee=cum_ee)
 
@@ -294,7 +307,9 @@ def exact_policy_value(
     def recurse(epoch: int, fb: FactoredBelief, cursor) -> tuple[float, float]:
         if epoch > horizon:
             return 0.0, 0.0
-        action, cursor = _policy_action(policy, epoch, fb, cursor)
+        action, cursor = _policy_action(
+            policy, epoch, cursor, lambda: select_pair(policy, epoch, fb)[1]
+        )
         r = scenario.direct_reward() if 0 in action else 0.0
         c = scenario.direct_cost() if 0 in action else 0.0
         for i in action.relays:
@@ -337,14 +352,6 @@ class _MultiPair:
     alpha_r: np.ndarray
     alpha_cs: np.ndarray  # (N, flat)
     assignment: tuple[tuple[int, ...], ...]  # per-UE selected options
-
-
-def _flat_eval(vecs: np.ndarray, fb: FactoredBelief) -> np.ndarray:
-    """Contract stacked joint-space vectors with a factored belief."""
-    t = vecs.reshape((len(vecs),) + tuple(b.shape[0] for b in fb.per_relay))
-    for b in fb.per_relay:
-        t = np.tensordot(t, b, axes=(1, 0))
-    return t
 
 
 def solve_centralized(
@@ -391,15 +398,6 @@ def solve_centralized(
             )
         return gamma * t.reshape(len(stack), -1)
 
-    def branch_scores(g: np.ndarray, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
-        t = g.reshape((-1,) + shape)
-        for ax in sorted(set(range(k)) - set(sel_axes), reverse=True):
-            t = np.tensordot(t, fb.per_relay[ax], axes=(ax + 1, 0))
-        m = len(sel_axes)
-        for pos, ax in enumerate(sel_axes):
-            t = t * fb.per_relay[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
-        return t.reshape(len(g), -1)
-
     def element_merge(rho_r, rho_c, wr, wc):
         """Best ratio point of one element's branch frontier at a belief."""
         if rho_c > c_th + tol:
@@ -428,15 +426,17 @@ def solve_centralized(
             alpha_cs[u] = acc.reshape(-1)
         return alpha_r.reshape(-1), alpha_cs
 
-    def assemble(fb, assignment, gr, gcs):
+    def assemble(fb, b, assignment, gr, gcs):
+        """The pair of ``assignment`` at ``fb`` (joint belief ``b``), or None
+        when it breaks some UE's budget."""
         observed = sorted({e for options in assignment for e in options if e >= 1})
         sel_axes = tuple(e - 1 for e in observed)
         imm_r, imm_cs = imm_tensors(assignment)
         if gr is None:
             pair = _MultiPair(imm_r, imm_cs, assignment)
         else:
-            wr = branch_scores(gr, fb, sel_axes)
-            wcs = np.stack([branch_scores(gcs[u], fb, sel_axes) for u in range(n_ues)])
+            wr = _AnchorScores(gr, fb).scores(sel_axes)
+            wcs = np.stack([_AnchorScores(g, fb).scores(sel_axes) for g in gcs])
             p = np.ones(1)
             for ax in sel_axes:
                 p = np.kron(p, fb.per_relay[ax])
@@ -453,8 +453,7 @@ def solve_centralized(
             alpha_r = imm_r + gr[sig_full, cells]
             alpha_cs = imm_cs + np.stack([gcs[u][sig_full, cells] for u in range(n_ues)])
             pair = _MultiPair(alpha_r, alpha_cs, assignment)
-        costs = _flat_eval(pair.alpha_cs, fb)
-        if np.max(costs) > c_th + tol:
+        if np.max(pair.alpha_cs @ b) > c_th + tol:
             return None
         return pair
 
@@ -468,13 +467,16 @@ def solve_centralized(
             gcs_stacked = np.concatenate(gcs, axis=0)
         new_v = []
         for fb in belief_set.points:
+            sr = sc_all = None
+            if gr is not None:
+                sr, sc_all = _AnchorScores(gr, fb), _AnchorScores(gcs_stacked, fb)
             scored = []
             for e in range(k + 1):
                 sel_axes = () if e == 0 else (e - 1,)
                 wr = wc_all = None
                 if gr is not None:
-                    wr = branch_scores(gr, fb, sel_axes)
-                    wc_all = branch_scores(gcs_stacked, fb, sel_axes)
+                    wr = sr.scores(sel_axes)
+                    wc_all = sc_all.scores(sel_axes)
                 n_pairs = len(v)
                 for u in range(n_ues):
                     if e == 0:
@@ -494,6 +496,7 @@ def solve_centralized(
                         scored.append(((0, -r, 0.0, u, e), u, e, c))
                     else:
                         scored.append(((1, -r / c, -r, u, e), u, e, c))
+            del sr, sc_all  # pairs are allocated after the element contractions are freed
             scored.sort(key=lambda item: item[0])
             v_sums = [0.0] * n_ues
             admitted: list[tuple[int, int]] = []
@@ -501,12 +504,13 @@ def solve_centralized(
                 if v_sums[u] + c < c_th:
                     admitted.append((u, e))
                     v_sums[u] += c
+            b = joint_belief(fb)
             pair = None
             while True:
                 assignment = tuple(
                     tuple(sorted(e for uu, e in admitted if uu == u)) for u in range(n_ues)
                 )
-                pair = assemble(fb, assignment, gr, gcs)
+                pair = assemble(fb, b, assignment, gr, gcs)
                 if pair is not None or not admitted:
                     break
                 admitted.pop()
@@ -524,14 +528,18 @@ def solve_centralized(
 def _select_multi(
     epoch_pairs: list[_MultiPair], fb: FactoredBelief, c_th: float
 ) -> _MultiPair | None:
+    """Multi-UE execution rule: the pair feasible for every UE with the best
+    total reward at ``fb``; ties break toward lower summed cost, then the
+    smallest assignment. The joint belief is built once per call."""
     tol = _budget_tol(c_th)
+    b = joint_belief(fb)
     best = None
     best_key = None
     for pair in epoch_pairs:
-        costs = _flat_eval(pair.alpha_cs, fb)
+        costs = pair.alpha_cs @ b
         if np.max(costs) > c_th + tol:
             continue
-        r = float(_flat_eval(pair.alpha_r[None, :], fb)[0])
+        r = float(pair.alpha_r @ b)
         key = (-r, float(costs.sum()), pair.assignment)
         if best_key is None or key < best_key:
             best, best_key = pair, key
@@ -577,37 +585,38 @@ def run_multiuser(
     per_ue_r = [[] for _ in range(n_ues)]
     per_ue_c = [[] for _ in range(n_ues)]
     per_ue_ee = [[] for _ in range(n_ues)]
+    factors = FactorTable(chains)
     cache: dict = {}
 
-    def centralized_assignment(epoch, fb):
-        key = (epoch, fb.key())
+    def centralized_assignment(epoch, ids):
+        key = (epoch, ids)
         if key not in cache:
-            pair = _select_multi(epochs[epoch - 1], fb, scenario.c_th)
+            pair = _select_multi(epochs[epoch - 1], factors.belief(ids), scenario.c_th)
             cache[key] = (
                 pair.assignment if pair is not None else tuple(() for _ in range(n_ues))
             )
         return cache[key]
 
-    def distributed_assignment(u, epoch, fb):
-        key = (u, epoch, fb.key())
+    def distributed_assignment(u, epoch, ids):
+        key = (u, epoch, ids)
         if key not in cache:
-            cache[key] = select_pair(policies[u], epoch, fb)[1].selected
+            cache[key] = select_pair(policies[u], epoch, factors.belief(ids))[1].selected
         return cache[key]
 
     for child in seeds:
         rng = np.random.default_rng(child)
         state = scenario.initial_states
-        shared_fb = FactoredBelief.one_hot(state, scenario.n_regions)
-        ue_fbs = [shared_fb] * n_ues
+        shared_ids = tuple((s, 0) for s in state)
+        ue_ids = [shared_ids] * n_ues
         run_r = [0.0] * n_ues
         run_c = [0.0] * n_ues
         run_ee = [0.0] * n_ues
         for epoch in range(1, horizon + 1):
             if mode == "centralized":
-                assignment = centralized_assignment(epoch, shared_fb)
+                assignment = centralized_assignment(epoch, shared_ids)
             else:
                 assignment = tuple(
-                    distributed_assignment(u, epoch, ue_fbs[u]) for u in range(n_ues)
+                    distributed_assignment(u, epoch, ue_ids[u]) for u in range(n_ues)
                 )
             for u in range(n_ues):
                 act = Action(assignment[u])
@@ -619,13 +628,10 @@ def run_multiuser(
             if mode == "centralized":
                 observed = {e for options in assignment for e in options if e >= 1}
                 joint = Action(tuple(sorted(observed)))
-                obs = _observe(state, joint, k)
-                shared_fb = advance_belief(shared_fb, chains, joint, obs)
+                shared_ids = advance_ids(shared_ids, _observe(state, joint, k))
             else:
                 for u in range(n_ues):
-                    act = Action(assignment[u])
-                    obs = _observe(state, act, k)
-                    ue_fbs[u] = advance_belief(ue_fbs[u], chains, act, obs)
+                    ue_ids[u] = advance_ids(ue_ids[u], _observe(state, Action(assignment[u]), k))
             state = contexts[0].step_states(state, rng)
         totals_r.append(math.fsum(run_r))
         totals_c.append(math.fsum(run_c))
@@ -763,8 +769,9 @@ def metrics_rows(metrics: SimulationMetrics, scenario_id: str, method: str) -> l
     return rows
 
 
-def write_metrics_csv(rows: list[dict], path) -> None:
+def write_csv(rows: list[dict], columns: list[str], path) -> None:
+    """Comma-separated table of ``columns``; floats are written with ``repr``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(METRIC_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in METRIC_COLUMNS) + "\n")
+            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")

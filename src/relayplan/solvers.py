@@ -243,6 +243,42 @@ def _merge_branches(r0, c0, wr, wc, limit, cap, lowest=False) -> _Merge:
     return out
 
 
+class _AnchorScores:
+    """Belief-weighted branch contributions of one predicted stack at one anchor.
+
+    ``scores(sel_axes)`` entry ``[j, z]`` is the term the cross-sum element
+    choosing source ``j`` at observation branch ``z`` adds to the value at
+    ``fb``. The unselected axes are contracted in descending order, and every
+    contraction prefix is kept, so scores for different ``sel_axes`` at the
+    same anchor share their leading ``tensordot`` calls. The object lives for
+    one anchor belief only.
+    """
+
+    def __init__(self, g: np.ndarray, fb: FactoredBelief, counters: dict | None = None):
+        self.fb = fb
+        self.counters = counters
+        self._contracted = {(): g.reshape((-1,) + tuple(b.shape[0] for b in fb.per_relay))}
+
+    def _contract(self, axes: tuple[int, ...]) -> np.ndarray:
+        t = self._contracted.get(axes)
+        if t is None:
+            ax = axes[-1]
+            t = np.tensordot(self._contract(axes[:-1]), self.fb.per_relay[ax], axes=(ax + 1, 0))
+            self._contracted[axes] = t
+        return t
+
+    def scores(self, sel_axes: tuple[int, ...]) -> np.ndarray:
+        unselected = set(range(self.fb.n_relays)) - set(sel_axes)
+        t = self._contract(tuple(sorted(unselected, reverse=True)))
+        m = len(sel_axes)
+        for pos, ax in enumerate(sel_axes):
+            t = t * self.fb.per_relay[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
+        out = t.reshape(len(t), -1)
+        if self.counters is not None:
+            self.counters["pair_evaluations"] += out.size
+        return out
+
+
 def _max_ratio_point(r: np.ndarray, c: np.ndarray, c_th: float) -> tuple[float, float]:
     """The frontier point with the best reward/cost ratio (zero cost ranks first)."""
     zero = 1e-12 * max(1.0, c_th)
@@ -321,23 +357,11 @@ class _Engine:
         self.counters["predictions"] += len(vecs)
         return flat[: len(pairs)], flat[len(pairs) :]
 
-    def branch_scores(
-        self, g: np.ndarray, fb: FactoredBelief, sel_axes: tuple[int, ...]
-    ) -> np.ndarray:
-        """Belief-weighted branch contributions of predicted vectors.
-
-        Entry ``[j, z]`` is the term the cross-sum element choosing source
-        ``j`` at observation branch ``z`` adds to the value at ``fb``.
-        """
-        t = g.reshape((-1,) + self.shape)
-        for ax in sorted(set(range(self.k)) - set(sel_axes), reverse=True):
-            t = np.tensordot(t, fb.per_relay[ax], axes=(ax + 1, 0))
-        m = len(sel_axes)
-        for pos, ax in enumerate(sel_axes):
-            t = t * fb.per_relay[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
-        out = t.reshape(len(g), -1)
-        self.counters["pair_evaluations"] += out.size
-        return out
+    def anchor(self, fb: FactoredBelief, gr: np.ndarray | None, gc: np.ndarray | None):
+        """The reward and cost scorers of one anchor belief (None with no future)."""
+        if gr is None:
+            return None
+        return _AnchorScores(gr, fb, self.counters), _AnchorScores(gc, fb, self.counters)
 
     def branch_probs(self, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
         p = np.ones(1)
@@ -345,27 +369,21 @@ class _Engine:
             p = np.kron(p, fb.per_relay[ax])
         return p
 
-    def select(
-        self,
-        action: Action,
-        fb: FactoredBelief,
-        gr: np.ndarray | None,
-        gc: np.ndarray | None,
-    ):
+    def select(self, action: Action, fb: FactoredBelief, anchor):
         """Best budget-feasible continuation assignment for ``action`` at ``fb``.
 
-        Returns ``(r, c, sigma)`` or None when the action cannot stay within
-        the budget at this belief; ``sigma`` is None when there is no future.
+        ``anchor`` is ``self.anchor(fb, gr, gc)``. Returns ``(r, c, sigma)`` or
+        None when the action cannot stay within the budget at this belief;
+        ``sigma`` is None when there is no future.
         """
         rho_r, rho_c = self.rho(action, fb)
         tol = _budget_tol(self.c_th)
-        if gr is None:
+        if anchor is None:
             if rho_c > self.c_th + tol:
                 return None
             return rho_r, rho_c, None
         sel_axes = tuple(i - 1 for i in action.relays)
-        wr = self.branch_scores(gr, fb, sel_axes)
-        wc = self.branch_scores(gc, fb, sel_axes)
+        wr, wc = (scorer.scores(sel_axes) for scorer in anchor)
         n_branches = wr.shape[1]
         if n_branches <= self.root_branch_cap:
             return self._root_select(rho_r, rho_c, wr, wc)
@@ -463,10 +481,11 @@ def cpbvi_backup(
         )
     out = []
     for fb in belief_set.points:
+        anchor = engine.anchor(fb, gr, gc)
         best = None
         best_key = None
         for action in actions:
-            picked = engine.select(action, fb, gr, gc)
+            picked = engine.select(action, fb, anchor)
             if picked is None:
                 continue
             r, c, sigma = picked
@@ -474,6 +493,7 @@ def cpbvi_backup(
             if best_key is None or key < best_key:
                 best_key = key
                 best = (action, sigma)
+        del anchor  # the stored pair is allocated after the contractions are freed
         if best is None:
             out.append(engine.zero_pair(epoch))
         else:
@@ -481,12 +501,7 @@ def cpbvi_backup(
     return out
 
 
-def _element_candidates(
-    engine: _Engine,
-    fb: FactoredBelief,
-    gr: np.ndarray | None,
-    gc: np.ndarray | None,
-):
+def _element_candidates(engine: _Engine, fb: FactoredBelief, anchor):
     """Best ratio-scored candidate per selectable element at ``fb``.
 
     Element candidates come from the element's own observation-branch
@@ -497,7 +512,7 @@ def _element_candidates(
     tol = 1e-12 * max(1.0, engine.c_th)
     for e in range(engine.k + 1):
         action = Action((e,))
-        picked = _element_frontier_best(engine, action, fb, gr, gc)
+        picked = _element_frontier_best(engine, action, fb, anchor)
         if picked is None:
             continue
         r, c = picked
@@ -511,17 +526,16 @@ def _element_candidates(
     return [(e, r, c) for _, e, r, c in ranked]
 
 
-def _element_frontier_best(engine, action, fb, gr, gc):
+def _element_frontier_best(engine, action, fb, anchor):
     """Max-ratio point of one element's own branch frontier at ``fb``."""
     rho_r, rho_c = engine.rho(action, fb)
     limit = engine.c_th + _budget_tol(engine.c_th)
     if rho_c > limit:
         return None
-    if gr is None:
+    if anchor is None:
         return rho_r, rho_c
     sel_axes = tuple(i - 1 for i in action.relays)
-    wr = engine.branch_scores(gr, fb, sel_axes)
-    wc = engine.branch_scores(gc, fb, sel_axes)
+    wr, wc = (scorer.scores(sel_axes) for scorer in anchor)
     merge = _merge_branches(rho_r, rho_c, wr, wc, limit, engine.frontier_cap)
     engine.counters["zero_branches_skipped"] += merge.skipped
     engine.counters["element_frontier_cap_hits"] += merge.cap_hits
@@ -601,7 +615,8 @@ def gcpbvi_backup(
     tol = _budget_tol(engine.c_th)
     out = []
     for fb in belief_set.points:
-        candidates = _element_candidates(engine, fb, gr, gc)
+        anchor = engine.anchor(fb, gr, gc)
+        candidates = _element_candidates(engine, fb, anchor)
         v_sum = 0.0
         admitted: list[int] = []
         for e, r, c in candidates:
@@ -609,15 +624,17 @@ def gcpbvi_backup(
             if fits:
                 admitted.append(e)
                 v_sum += c
-        pair = None
-        while admitted:
+        picked = None
+        while admitted and picked is None:
             action = Action(tuple(sorted(admitted)))
-            picked = engine.select(action, fb, gr, gc)
-            if picked is not None:
-                pair = engine.assemble(action, picked[2], gr, gc, epoch)
-                break
-            admitted.pop()
-        out.append(pair if pair is not None else engine.zero_pair(epoch))
+            picked = engine.select(action, fb, anchor)
+            if picked is None:
+                admitted.pop()
+        del anchor  # the stored pair is allocated after the contractions are freed
+        if picked is None:
+            out.append(engine.zero_pair(epoch))
+        else:
+            out.append(engine.assemble(action, picked[2], gr, gc, epoch))
     return out
 
 

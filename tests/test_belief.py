@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from conftest import line_scenario, random_chain
 from relayplan.belief import (
     FactoredBelief,
+    FactorTable,
     advance_belief,
+    advance_ids,
     attainable_beliefs,
     belief_cost,
     belief_reward,
@@ -175,6 +177,34 @@ class TestFilterEquivalence:
             )
 
 
+class TestFactorTable:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ids_match_repeated_advance_belief(self, seed):
+        """Along random action/observation sequences the id of each relay
+        names, bit for bit, the factor repeated ``advance_belief`` computes."""
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        chains = [random_chain(rng, n) for _ in range(k)]
+        state = tuple(int(s) for s in rng.integers(n, size=k))
+        table = FactorTable(chains)
+        fb = FactoredBelief.one_hot(state, n)
+        ids = tuple((s, 0) for s in state)
+        for _ in range(15):
+            for i, (s, m) in enumerate(ids):
+                assert table.factor(i, s, m).tobytes() == fb.per_relay[i].tobytes()
+            assert all(
+                a.tobytes() == b.tobytes()
+                for a, b in zip(table.belief(ids).per_relay, fb.per_relay)
+            )
+            options = [e for e in range(k + 1) if rng.random() < 0.4]
+            action = Action(tuple(options))
+            obs = tuple(
+                int(rng.integers(n)) if i + 1 in action.relays else None for i in range(k)
+            )
+            fb = advance_belief(fb, chains, action, obs)
+            ids = advance_ids(ids, obs)
+
+
 class TestBeliefSetConstruction:
     def test_initial_one_hot_first(self):
         bs = build_h_belief_set((0,), 3, [TWO_STATE])
@@ -197,7 +227,7 @@ class TestBeliefSetConstruction:
         capped = build_h_belief_set((0, 1), 4, chains, cap=5)
         assert len(capped) == 5
         for a, b in zip(capped.points, full.points[:5]):
-            assert a.key() == b.key()
+            assert all(np.array_equal(x, y) for x, y in zip(a.per_relay, b.per_relay))
 
     def test_dedup(self):
         # rank-one chain: all rows identical, so the family is tiny

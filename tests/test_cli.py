@@ -199,6 +199,35 @@ class TestBench:
             run(["bench", "--max-k", "3", "--seed", "1", "--out", tmp_path / "bench.csv"])
 
 
+class TestCsvFormat:
+    """The ``compare`` and ``bench`` tables, byte for byte: header line, then
+    one line per row, floats written with ``repr`` and the rest with ``str``."""
+
+    def test_compare_csv(self, tmp_path):
+        sc = tmp_path / "sc.json"
+        run(["generate", "--grid", "3x3", "--relays", "2", "--seed", "3", "--out", sc])
+        out = tmp_path / "cmp.csv"
+        assert run([
+            "compare", "--scenario", sc, "--modes", "d2d,cellular",
+            "--speeds", "1..2", "--runs", "30", "--belief-h", "2", "--out", out,
+        ]) == 0
+        assert out.read_text() == (
+            "speed,mode_a,value_a,mode_b,value_b,relative_gain,stderr_a\n"
+            "1,d2d,1147.4537037037037,cellular,833.3333333333333,0.3769444444444446,10.28780087816877\n"
+            "2,d2d,1176.6203703703702,cellular,833.3333333333333,0.4119444444444444,16.894867506384163\n"
+        )
+
+    def test_bench_csv(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--max-k", "3", "--out", out]) == 0
+        assert out.read_text() == (
+            "k,log10_exact,log10_cpbvi,log10_gcpbvi,ratio_cpbvi_gcpbvi,ratio_centralized_distributed\n"
+            "1,37.92977945366163,37.92977945366163,39.02668946666969,2.0,1.0\n"
+            "2,941.3207964412692,941.3207964412692,39.62874945799765,1.0,4.0\n"
+            "3,23518.87150123552,23518.87150123552,39.98093197610901,0.8888888888888888,9.0\n"
+        )
+
+
 class TestExitCodes:
     def test_io_error_exits_4(self, tiny_scenario, tmp_path):
         blocker = tmp_path / "blocker"

@@ -1,14 +1,16 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from conftest import line_scenario, random_instance
-from relayplan.belief import build_h_belief_set
+from relayplan.belief import FactoredBelief, build_h_belief_set, joint_belief
 from relayplan.errors import ValidationError
 from relayplan.mobility import chains_for_scenario
 from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec
 from relayplan.sim import (
+    METRIC_COLUMNS,
     StaticPolicy,
     baseline_cellular,
     complexity_model,
@@ -16,9 +18,12 @@ from relayplan.sim import (
     exact_policy_value,
     metrics_rows,
     monte_carlo,
+    _MultiPair,
+    _select_multi,
     run_episode,
     run_multiuser,
-    write_metrics_csv,
+    solve_centralized,
+    write_csv,
 )
 from relayplan.solvers import brute_force_oracle, solve_gcpbvi
 
@@ -187,6 +192,93 @@ class TestMultiUser:
             run_multiuser(sc, "federated")
 
 
+class TestSelectMulti:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_reference_loop_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 3))
+        n = int(rng.integers(2, 4))
+        n_ues = int(rng.integers(1, 4))
+        count = int(rng.integers(1, 9))
+        rewards = rng.uniform(0.0, 10.0, size=(count, n**k))
+        costs = rng.uniform(0.0, 10.0, size=(count, n_ues, n**k))
+        assignments = [
+            tuple(tuple(e for e in range(k + 1) if rng.random() < 0.5) for _ in range(n_ues))
+            for _ in range(count)
+        ]
+        for j in range(1, count):
+            src = int(rng.integers(j))
+            tie = rng.random()
+            if tie < 0.3:
+                rewards[j] = rewards[src]  # equal reward, the summed cost decides
+            elif tie < 0.6:
+                rewards[j], costs[j] = rewards[src], costs[src]  # the assignment decides
+        pairs = [_MultiPair(r, cs, a) for r, cs, a in zip(rewards, costs, assignments)]
+        fb = FactoredBelief(tuple(
+            np.eye(n)[int(rng.integers(n))] if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
+            for _ in range(k)
+        ))
+        b = joint_belief(fb)
+        worst = [float(np.max(pair.alpha_cs @ b)) for pair in pairs]
+        c_th = float(rng.choice(worst)) if rng.random() < 0.8 else -1.0
+
+        tol = 1e-9 * max(1.0, abs(c_th))
+        scored = [
+            ((-float(pair.alpha_r @ b), float(c.sum()), pair.assignment), pair)
+            for pair in pairs
+            for c in [pair.alpha_cs @ b]
+            if all(float(x) <= c_th + tol for x in c)
+        ]
+        expected = min(scored, key=lambda item: item[0])[1] if scored else None
+
+        assert _select_multi(pairs, fb, c_th) is expected
+
+
+def _scenario_8b() -> ScenarioConfig:
+    """The five-UE, four-relay scenario of acceptance criterion 8b."""
+    return ScenarioConfig(
+        grid_x=4, grid_y=4,
+        relays=(
+            RelaySpec(0.7, 1, (2, 2)),
+            RelaySpec(0.7, 1, (3, 3)),
+            RelaySpec(0.7, 1, (2, 3)),
+            RelaySpec(0.7, 1, (3, 2)),
+        ),
+        ues=(UeSpec((1, 1)), UeSpec((1, 3)), UeSpec((2, 1)), UeSpec((1, 2)), UeSpec((2, 2))),
+        bs_position=(4, 4),
+        r_max=500.0, c_max=250.0, c_th=1000.0, horizon=5, gamma=1.0,
+    )
+
+
+class TestMultiUser8bRegression:
+    """Criterion 8b's scenario at h=2 and belief cap 4, pinned: the stored
+    centralized vectors and the seeded metrics of both modes."""
+
+    def test_centralized_vectors(self):
+        epochs, _ = solve_centralized(_scenario_8b(), h=2, cap=4)
+        digest = hashlib.sha256()
+        for pairs in epochs:
+            for pair in pairs:
+                digest.update(pair.alpha_r.tobytes())
+                digest.update(pair.alpha_cs.tobytes())
+                digest.update(repr(pair.assignment).encode())
+        assert digest.hexdigest() == (
+            "5fa7bd26c3d3eb3ef00ab62024ec158ca97af69f96bb98033a15b8ee4d636f90"
+        )
+
+    @pytest.mark.parametrize("mode, reward, costs", [
+        ("centralized", 2929.340277777778, [499.8115079365079] * 5),
+        ("distributed", 3111.7476851851848, [
+            525.327380952381, 522.8571428571428, 528.6607142857142,
+            529.077380952381, 523.6904761904761,
+        ]),
+    ])
+    def test_seeded_metrics(self, mode, reward, costs):
+        metrics = run_multiuser(_scenario_8b(), mode, n_runs=30, seed=3, h=2, cap=4)
+        assert metrics.avg_cum_reward == reward
+        assert [entry["avg_cum_cost"] for entry in metrics.per_ue] == costs
+
+
 class TestComplexityModel:
     def test_cpbvi_to_gcpbvi_ratio_at_k10(self):
         assert complexity_ratio("cpbvi", "gcpbvi", 10) == pytest.approx(10.24)
@@ -236,7 +328,7 @@ class TestMetricsTable:
         assert len(rows) == scenario.horizon
         assert rows[-1]["avg_cum_reward"] == pytest.approx(metrics.avg_cum_reward)
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, path)
+        write_csv(rows, METRIC_COLUMNS, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario_id,method,epoch,avg_cum_reward,avg_cum_cost,avg_cum_ee,stderr_reward,runs"
         assert len(lines) == 1 + len(rows)

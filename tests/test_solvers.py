@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -18,6 +19,7 @@ from relayplan.model import Action, EMPTY_ACTION, all_actions
 from relayplan.sim import monte_carlo
 from relayplan.solvers import (
     PolicySolution,
+    _AnchorScores,
     _column_frontiers,
     _element_frontier_best,
     _Engine,
@@ -499,15 +501,15 @@ class TestFrontierMerge:
         for e in range(k + 1):
             action = Action((e,))
             hits_before = engine.counters["element_frontier_cap_hits"]
-            got = _element_frontier_best(engine, action, fb, gr, gc)
+            got = _element_frontier_best(engine, action, fb, engine.anchor(fb, gr, gc))
 
             rho_r, rho_c = engine.rho(action, fb)
             if rho_c > limit:
                 assert got is None
                 continue
             sel_axes = tuple(i - 1 for i in action.relays)
-            wr = engine.branch_scores(gr, fb, sel_axes)
-            wc = engine.branch_scores(gc, fb, sel_axes)
+            wr = _AnchorScores(gr, fb).scores(sel_axes)
+            wc = _AnchorScores(gc, fb).scores(sel_axes)
             r, c, _, _, hits = _loop_merge(rho_r, rho_c, wr, wc, limit, cap)
             assert engine.counters["element_frontier_cap_hits"] - hits_before == hits
             if r is None:
@@ -516,6 +518,47 @@ class TestFrontierMerge:
             ratios = np.where(c > zero, r / np.maximum(c, zero), np.where(r > zero, np.inf, 0.0))
             best = int(np.lexsort((c, -r, -ratios))[0])
             assert got == (float(r[best]), float(c[best]))
+
+
+def _fresh_scores(g: np.ndarray, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
+    """Branch scores from scratch: the unselected axes contracted in descending
+    order, then the selected factors multiplied in. The reference scorer."""
+    t = g.reshape((-1,) + tuple(b.shape[0] for b in fb.per_relay))
+    for ax in sorted(set(range(fb.n_relays)) - set(sel_axes), reverse=True):
+        t = np.tensordot(t, fb.per_relay[ax], axes=(ax + 1, 0))
+    m = len(sel_axes)
+    for pos, ax in enumerate(sel_axes):
+        t = t * fb.per_relay[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
+    return t.reshape(len(g), -1)
+
+
+class TestAnchorScores:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_memoised_scores_match_fresh_contraction(self, k, n, seed):
+        """Every subset, queried in random order and again, scores bit for bit
+        as a fresh contraction, and each query counts its scores once."""
+        rng = np.random.default_rng(seed)
+        fb = FactoredBelief(tuple(
+            np.eye(n)[int(rng.integers(n))] if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
+            for _ in range(k)
+        ))
+        g = rng.uniform(-10.0, 10.0, size=(int(rng.integers(1, 6)), n**k))
+        g[:, rng.random(n**k) < 0.2] = 0.0
+        subsets = [sel for m in range(k + 1) for sel in itertools.combinations(range(k), m)]
+        queries = np.concatenate([
+            rng.permutation(len(subsets)), rng.integers(len(subsets), size=len(subsets))
+        ])
+        counters = {"pair_evaluations": 0}
+        scorer = _AnchorScores(g, fb, counters)
+        counted = 0
+        for i in queries:
+            sel_axes = subsets[i]
+            got = scorer.scores(sel_axes)
+            expected = _fresh_scores(g, fb, sel_axes)
+            assert np.array_equal(got, expected) and _same_bits(got, expected)
+            counted += expected.size
+        assert counters["pair_evaluations"] == counted
 
 
 class TestTable1Regression:
