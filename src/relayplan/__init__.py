@@ -29,26 +29,20 @@ from .mobility import (  # noqa: F401
 from .belief import (  # noqa: F401
     BeliefSet,
     FactoredBelief,
-    belief_cost,
-    belief_reward,
     build_h_belief_set,
     density_bound,
     empirical_density,
     epsilon_belief_set,
     joint_belief,
-    observation_prob,
     update_relay_belief,
 )
-from .alpha import AlphaPair, backproject, cross_sum, immediate_pair  # noqa: F401
+from .alpha import AlphaPair  # noqa: F401
 from .solvers import (  # noqa: F401
     PolicySolution,
     brute_force_oracle,
     cpbvi_backup,
-    discrete_derivative,
-    evaluate_q,
     exact_backup,
     gcpbvi_backup,
-    greedy_constrained_argmax,
     load_policy,
     pbvi_error_bound,
     save_policy,
@@ -63,6 +57,7 @@ from .sim import (  # noqa: F401
     complexity_log10,
     complexity_model,
     complexity_ratio,
+    discrete_derivative,
     exact_policy_value,
     monte_carlo,
     run_episode,

@@ -12,7 +12,6 @@ the family the h-belief set enumerates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain
-from .model import Action, JointState, ScenarioConfig
+from .model import Action, JointState, ScenarioConfig, value_ranges
 
 # Per-relay entry of an observation vector: a region index for selected
 # relays, None for unselected ones (their only observation is "nothing").
@@ -147,66 +146,6 @@ def joint_belief(fb: FactoredBelief, cap: int = JOINT_CAP) -> np.ndarray:
     for b in fb.per_relay:
         out = np.kron(out, b)
     return out
-
-
-def belief_reward(fb: FactoredBelief, action: Action, scenario: ScenarioConfig, ue: int = 0) -> float:
-    """Expected immediate reward, computed factored: sum of per-option means."""
-    from .model import reward_vector  # local import avoids cycle at module load
-
-    total = 0.0
-    for i in action:
-        if i == 0:
-            total += scenario.direct_reward(ue)
-        else:
-            total += float(fb.per_relay[i - 1] @ reward_vector(scenario, i, ue))
-    return total
-
-
-def belief_cost(fb: FactoredBelief, action: Action, scenario: ScenarioConfig) -> float:
-    from .model import cost_vector
-
-    total = 0.0
-    for i in action:
-        if i == 0:
-            total += scenario.direct_cost()
-        else:
-            total += float(fb.per_relay[i - 1] @ cost_vector(scenario, i))
-    return total
-
-
-def observation_prob(z: Observation, action: Action, fb: FactoredBelief) -> float:
-    """Probability of observation vector ``z`` when taking ``action`` at ``fb``.
-
-    Selected relays report their current region, so each contributes its
-    belief mass at the reported region; unselected relays contribute 1
-    through their single empty observation.
-    """
-    relays = set(action.relays)
-    prob = 1.0
-    for i, b in enumerate(fb.per_relay):
-        if (i + 1) in relays:
-            if z[i] is None:
-                raise ValidationError(f"relay {i + 1} is selected but has no observation")
-            prob *= float(b[z[i]])
-        elif z[i] is not None:
-            raise ValidationError(f"relay {i + 1} is unselected but has observation {z[i]}")
-    return prob
-
-
-def enumerate_observations(action: Action, n_regions: int) -> list[Observation]:
-    """All observation vectors consistent with an action, in index order."""
-    relays = action.relays
-    out = []
-    for combo in itertools.product(range(n_regions), repeat=len(relays)):
-        z: list[int | None] = [None] * _obs_len(action)
-        for rel, region in zip(relays, combo):
-            z[rel - 1] = region
-        out.append(tuple(z))
-    return out
-
-
-def _obs_len(action: Action) -> int:
-    return max(action.relays, default=0)
 
 
 @dataclass
@@ -447,23 +386,13 @@ def horizon_for_eps(
     target_eps: float, scenario: ScenarioConfig, chains: list[MarkovChain]
 ) -> int:
     """Belief-set horizon needed for a value-error target on a scenario."""
-    from .model import cost_vector, reward_vector
-
     lam = max(chain.slem for chain in chains)
     if lam <= 0.0:
         return 1
     pi_min = min(float(chain.stationary.min()) for chain in chains)
-    k = len(chains)
-    r_range = max(
-        scenario.direct_reward(ue)
-        + sum(float(reward_vector(scenario, i, ue).max()) for i in range(1, k + 1))
-        for ue in range(scenario.n_ues)
-    )
-    c_range = scenario.direct_cost() + sum(
-        float(cost_vector(scenario, i).max()) for i in range(1, k + 1)
-    )
+    r_range, c_range = value_ranges(scenario)
     return horizon_for_target(
-        target_eps, scenario.gamma, scenario.horizon, k, lam, pi_min, r_range, c_range
+        target_eps, scenario.gamma, scenario.horizon, len(chains), lam, pi_min, r_range, c_range
     )
 
 

@@ -72,10 +72,6 @@ class Action:
         """Selected relay indices (excludes the direct link)."""
         return tuple(i for i in self.selected if i >= 1)
 
-    @property
-    def uses_direct(self) -> bool:
-        return 0 in self.selected
-
     def __contains__(self, index: int) -> bool:
         return index in self.selected
 
@@ -256,6 +252,17 @@ def total_cost(state: JointState, action: Action, scenario: ScenarioConfig) -> f
     for i in action:
         total += relay_cost(state[i - 1], i, scenario) if i >= 1 else scenario.direct_cost()
     return total
+
+
+def value_ranges(scenario: ScenarioConfig) -> tuple[float, float]:
+    """Spread between the best and worst one-epoch total reward and cost."""
+    relays = range(1, scenario.n_relays + 1)
+    r_hi = max(
+        scenario.direct_reward(u) + sum(float(reward_vector(scenario, i, u).max()) for i in relays)
+        for u in range(scenario.n_ues)
+    )
+    c_hi = scenario.direct_cost() + sum(float(cost_vector(scenario, i).max()) for i in relays)
+    return r_hi, c_hi
 
 
 # --- scenario file schema ------------------------------------------------

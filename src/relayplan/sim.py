@@ -43,7 +43,9 @@ from .model import (
 from .solvers import (
     PolicySolution,
     _AnchorScores,
+    _branch_obs,
     _budget_tol,
+    _Engine,
     _max_ratio_point,
     _merge_branches,
     select_pair,
@@ -106,7 +108,7 @@ class _SimContext:
             i: reward_vector(scenario, i, ue) for i in range(1, scenario.n_relays + 1)
         }
         self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
-        self.cum_rows = [np.cumsum(c.matrix, axis=1) for c in chains]
+        self.cum_rows = [_sampling_rows(c.matrix) for c in chains]
         self.factors = FactorTable(chains)
 
     def reward(self, state: JointState, action: Action) -> float:
@@ -129,11 +131,15 @@ class _SimContext:
         )
 
 
-def _observe(state: JointState, action: Action, k: int) -> Observation:
-    z: list[int | None] = [None] * k
-    for i in action.relays:
-        z[i - 1] = state[i - 1]
-    return tuple(z)
+def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums for inverse-CDF sampling, infinite from each
+    row's last positive column on: a row may sum to 1 - 1e-9, and a draw past
+    its sum then lands on that column instead of past the grid. A draw below
+    the sum picks the same column as with the plain sums."""
+    cum = np.cumsum(matrix, axis=1)
+    last = matrix.shape[1] - 1 - np.argmax(matrix[:, ::-1] > 0.0, axis=1)
+    cum[np.arange(matrix.shape[1]) >= last[:, None]] = np.inf
+    return cum
 
 
 def _policy_action(policy, epoch: int, cursor, decide) -> tuple[Action, object]:
@@ -188,7 +194,7 @@ def run_episode(
         action, cursor = _policy_action(policy, epoch, cursor, decide)
         reward = ctx.reward(state, action)
         cost = ctx.cost(state, action)
-        obs = _observe(state, action, scenario.n_relays)
+        obs = _branch_obs(action, [state[i - 1] for i in action.relays], scenario.n_relays)
         records.append(EpochRecord(epoch, action, state, obs, reward, cost))
         cum_r += gamma ** (epoch - 1) * reward
         cum_c += gamma ** (epoch - 1) * cost
@@ -289,12 +295,19 @@ def exact_policy_value(
     policy,
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
+    fb: FactoredBelief | None = None,
+    epoch: int = 1,
+    action: Action | None = None,
 ) -> tuple[float, float]:
-    """Expected cumulative discounted (reward, cost) of executing a policy,
-    by exhaustive enumeration of observation paths (capped instances only).
+    """Expected cumulative discounted (reward, cost) of executing a policy
+    from ``fb`` at ``epoch`` (by default the initial one-hot at epoch 1), by
+    exhaustive enumeration of observation paths (capped instances only).
 
-    The belief doubles as the true conditional state distribution, so one
-    recursion covers both filtering and probability weighting.
+    With ``action`` given, that action is taken at ``epoch`` and the policy
+    followed after it, so the result is the action's Q-value. The belief
+    doubles as the true conditional state distribution, so one recursion
+    covers both filtering and probability weighting. A tree policy is
+    followed from its root only.
     """
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = scenario.horizon
@@ -302,46 +315,52 @@ def exact_policy_value(
     k = scenario.n_relays
     if scenario.n_regions**k > 4096:
         raise CapExceededError("exact policy evaluation needs |S|^K <= 4096")
-    ctx = _SimContext(scenario, chains)
+    cursor = policy.tree if isinstance(policy, PolicySolution) and policy.tree is not None else None
+    if cursor is not None and (fb is not None or epoch != 1 or action is not None):
+        raise ValidationError("a tree policy is evaluated from its root only")
+    engine = _Engine(scenario, chains)
 
-    def recurse(epoch: int, fb: FactoredBelief, cursor) -> tuple[float, float]:
-        if epoch > horizon:
+    def recurse(e: int, b: FactoredBelief, cursor, act: Action | None) -> tuple[float, float]:
+        if e > horizon:
             return 0.0, 0.0
-        action, cursor = _policy_action(
-            policy, epoch, cursor, lambda: select_pair(policy, epoch, fb)[1]
-        )
-        r = scenario.direct_reward() if 0 in action else 0.0
-        c = scenario.direct_cost() if 0 in action else 0.0
-        for i in action.relays:
-            r += float(fb.per_relay[i - 1] @ ctx.r_vecs[i])
-            c += float(fb.per_relay[i - 1] @ ctx.c_vecs[i])
-        total_r, total_c = r, c
-        sel = action.relays
+        if act is None:
+            act, cursor = _policy_action(policy, e, cursor, lambda: select_pair(policy, e, b)[1])
+        total_r, total_c = engine.rho(act, b)
+        sel = act.relays
         # with no selected relays the product yields the single empty branch
-        supports = [np.flatnonzero(fb.per_relay[i - 1] > 0.0) for i in sel]
+        supports = [np.flatnonzero(b.per_relay[i - 1] > 0.0) for i in sel]
         for combo in itertools.product(*supports):
             p_z = 1.0
             for i, region in zip(sel, combo):
-                p_z *= float(fb.per_relay[i - 1][region])
-            obs = _observe_combo(sel, combo, k)
+                p_z *= float(b.per_relay[i - 1][region])
+            obs = _branch_obs(act, combo, k)
             child = cursor.children.get(obs) if cursor is not None else None
-            nxt = advance_belief(fb, chains, action, obs)
-            fr, fc = recurse(epoch + 1, nxt, child)
+            fr, fc = recurse(e + 1, advance_belief(b, chains, act, obs), child, None)
             total_r += gamma * p_z * fr
             total_c += gamma * p_z * fc
         return total_r, total_c
 
-    state = scenario.initial_states
-    fb0 = FactoredBelief.one_hot(state, scenario.n_regions)
-    cursor = policy.tree if isinstance(policy, PolicySolution) and policy.tree is not None else None
-    return recurse(1, fb0, cursor)
+    if fb is None:
+        fb = FactoredBelief.one_hot(scenario.initial_states, scenario.n_regions)
+    return recurse(epoch, fb, cursor, action)
 
 
-def _observe_combo(sel: tuple[int, ...], combo, k: int) -> Observation:
-    z: list[int | None] = [None] * k
-    for i, region in zip(sel, combo):
-        z[i - 1] = int(region)
-    return tuple(z)
+def discrete_derivative(
+    scenario: ScenarioConfig,
+    chains: list[MarkovChain],
+    policy: PolicySolution,
+    fb: FactoredBelief,
+    epoch: int,
+    element: int,
+    base: Action,
+) -> tuple[float, float]:
+    """Marginal Q gain of adding ``element`` to ``base`` at ``fb``."""
+    if element in base.selected:
+        raise ValidationError(f"element {element} already in the base action {base.selected}")
+    with_e = Action(tuple(sorted(base.selected + (element,))))
+    q1 = exact_policy_value(policy, scenario, chains, fb, epoch, with_e)
+    q0 = exact_policy_value(policy, scenario, chains, fb, epoch, base)
+    return q1[0] - q0[0], q1[1] - q0[1]
 
 
 # --- multi-user ---------------------------------------------------------------
@@ -373,12 +392,11 @@ def solve_centralized(
 
     chains = chains if chains is not None else chains_for_scenario(scenario)
     belief_set = _resolve_belief_set(scenario, chains, None, eps, h, cap)
+    engine = _Engine(scenario, chains)
     n_ues = scenario.n_ues
     k = scenario.n_relays
-    n = scenario.n_regions
-    flat = n**k
-    shape = (n,) * k
-    gamma = scenario.gamma
+    flat = engine.flat
+    shape = engine.shape
     c_th = scenario.c_th
     tol = _budget_tol(c_th)
     horizon = scenario.horizon
@@ -387,16 +405,6 @@ def solve_centralized(
         (u, e): reward_vector(scenario, e, u) for u in range(n_ues) for e in range(1, k + 1)
     }
     c_vecs = {e: cost_vector(scenario, e) for e in range(1, k + 1)}
-
-    def predict(stack: np.ndarray) -> np.ndarray:
-        t = stack.reshape((-1,) + shape)
-        for axis, chain in enumerate(chains):
-            t = np.moveaxis(
-                np.tensordot(chain.matrix, np.moveaxis(t, axis + 1, 0), axes=(1, 0)),
-                0,
-                axis + 1,
-            )
-        return gamma * t.reshape(len(stack), -1)
 
     def element_merge(rho_r, rho_c, wr, wc):
         """Best ratio point of one element's branch frontier at a belief."""
@@ -437,21 +445,10 @@ def solve_centralized(
         else:
             wr = _AnchorScores(gr, fb).scores(sel_axes)
             wcs = np.stack([_AnchorScores(g, fb).scores(sel_axes) for g in gcs])
-            p = np.ones(1)
-            for ax in sel_axes:
-                p = np.kron(p, fb.per_relay[ax])
-            budget = gamma * p * c_th + tol
-            feasible = (wcs <= budget[None, None, :]).all(axis=0)
-            masked = np.where(feasible, wr, -np.inf)
-            sigma = np.argmax(masked, axis=0)
-            orphan = ~feasible.any(axis=0)
-            if orphan.any():
-                sigma[orphan] = np.argmin(wcs.sum(axis=0)[:, orphan], axis=0)
-            dims = tuple(n if ax in sel_axes else 1 for ax in range(k))
-            sig_full = np.broadcast_to(sigma.reshape(dims), shape).reshape(-1)
-            cells = np.arange(flat)
-            alpha_r = imm_r + gr[sig_full, cells]
-            alpha_cs = imm_cs + np.stack([gcs[u][sig_full, cells] for u in range(n_ues)])
+            sigma = engine._local_select(wr, wcs, engine.branch_probs(fb, sel_axes))
+            at = engine.branch_index(sigma, sel_axes)
+            alpha_r = imm_r + gr[at]
+            alpha_cs = imm_cs + np.stack([g[at] for g in gcs])
             pair = _MultiPair(alpha_r, alpha_cs, assignment)
         if np.max(pair.alpha_cs @ b) > c_th + tol:
             return None
@@ -462,8 +459,8 @@ def solve_centralized(
     for tau in range(1, horizon + 1):
         gr = gcs = gcs_stacked = None
         if v:
-            gr = predict(np.array([p.alpha_r for p in v]))
-            gcs = [predict(np.array([p.alpha_cs[u] for p in v])) for u in range(n_ues)]
+            gr = engine.predict(np.array([p.alpha_r for p in v]))
+            gcs = [engine.predict(np.array([p.alpha_cs[u] for p in v])) for u in range(n_ues)]
             gcs_stacked = np.concatenate(gcs, axis=0)
         new_v = []
         for fb in belief_set.points:
@@ -626,12 +623,14 @@ def run_multiuser(
                 run_c[u] += gamma ** (epoch - 1) * c
                 run_ee[u] += gamma ** (horizon - epoch) * (r / c if c > 0 else 0.0)
             if mode == "centralized":
-                observed = {e for options in assignment for e in options if e >= 1}
-                joint = Action(tuple(sorted(observed)))
-                shared_ids = advance_ids(shared_ids, _observe(state, joint, k))
+                observed = sorted({e for options in assignment for e in options if e >= 1})
+                obs = _branch_obs(Action(tuple(observed)), [state[e - 1] for e in observed], k)
+                shared_ids = advance_ids(shared_ids, obs)
             else:
                 for u in range(n_ues):
-                    ue_ids[u] = advance_ids(ue_ids[u], _observe(state, Action(assignment[u]), k))
+                    act = Action(assignment[u])
+                    obs = _branch_obs(act, [state[i - 1] for i in act.relays], k)
+                    ue_ids[u] = advance_ids(ue_ids[u], obs)
             state = contexts[0].step_states(state, rng)
         totals_r.append(math.fsum(run_r))
         totals_c.append(math.fsum(run_c))

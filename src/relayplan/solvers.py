@@ -4,7 +4,8 @@ Three solvers share one backup engine:
 
 * exact value iteration (enumerated cross-sums, safe dominance pruning),
 * CPBVI (point-based backups anchored to a finite belief set),
-* GCPBVI (the action argmax replaced by ratio-greedy element addition).
+* GCPBVI (the action argmax replaced by ratio-greedy element addition,
+  with the printed algorithm's strict ``<`` budget test).
 
 plus a brute-force oracle (observation-contingent plan enumeration by
 multi-objective dynamic programming over forward-filtered distributions,
@@ -19,11 +20,11 @@ of probability 0 cannot change it and are skipped). The merge selects
 exactly the element of the full cross-sum the printed per-point argmax
 would pick unless an approximation fired, and the stats count each one:
 
-* ``frontier_cap_hits``: a merged frontier longer than ``frontier_cap`` was
+* ``frontier_cap_hits``: a merged frontier longer than ``FRONTIER_CAP`` was
   thinned to evenly spaced points;
 * ``element_frontier_cap_hits``: the same thinning in gcpbvi's per-element
   candidate frontiers, which steer its ratio-greedy admission;
-* ``local_mode_selections``: an action with more than ``root_branch_cap``
+* ``local_mode_selections``: an action with more than ``ROOT_BRANCH_CAP``
   branches chose per branch under a local budget instead.
 """
 
@@ -57,6 +58,7 @@ from .model import (
     all_actions,
     cost_vector,
     reward_vector,
+    value_ranges,
 )
 from .alpha import AlphaPair, cost_tensor, reward_tensor
 
@@ -64,18 +66,11 @@ ORACLE_STATE_CAP = 64
 ORACLE_HORIZON_CAP = 3
 ORACLE_RELAY_CAP = 2
 EXACT_ACTION_CAP = 64
+EXACT_STATE_CAP = 4096
+EXACT_CROSS_CAP = 100_000
 ROOT_BRANCH_CAP = 1024
 FRONTIER_CAP = 2048
 POLICY_FORMAT_VERSION = 1
-
-
-@dataclass
-class QEvaluation:
-    belief: FactoredBelief
-    action: Action
-    epoch: int
-    q_r: float
-    q_c: float
 
 
 @dataclass
@@ -294,20 +289,17 @@ class _Engine:
         self,
         scenario: ScenarioConfig,
         chains: list[MarkovChain],
-        gamma: float | None = None,
         c_th: float | None = None,
-        root_branch_cap: int = ROOT_BRANCH_CAP,
         frontier_cap: int = FRONTIER_CAP,
     ):
         self.scenario = scenario
         self.chains = chains
-        self.gamma = scenario.gamma if gamma is None else gamma
+        self.gamma = scenario.gamma
         self.c_th = scenario.c_th if c_th is None else c_th
         self.k = scenario.n_relays
         self.n = scenario.n_regions
         self.shape = (self.n,) * self.k
         self.flat = self.n**self.k
-        self.root_branch_cap = root_branch_cap
         self.frontier_cap = frontier_cap
         self.counters = {
             "predictions": 0,
@@ -336,6 +328,8 @@ class _Engine:
         return self._cost_flat[key]
 
     def rho(self, action: Action, fb: FactoredBelief) -> tuple[float, float]:
+        """Expected immediate (reward, cost) of ``action`` at ``fb``: the sum
+        of the selected options' means under their own belief factors."""
         r = self.scenario.direct_reward() if 0 in action else 0.0
         c = self.scenario.direct_cost() if 0 in action else 0.0
         for i in action.relays:
@@ -343,18 +337,21 @@ class _Engine:
             c += float(fb.per_relay[i - 1] @ self.c_vecs[i])
         return r, c
 
-    def predict_stack(self, pairs: list[AlphaPair]) -> tuple[np.ndarray, np.ndarray]:
-        """``gamma * T @ alpha`` for both vectors of every pair, stacked."""
-        vecs = np.array([p.alpha_r for p in pairs] + [p.alpha_c for p in pairs])
-        t = vecs.reshape((-1,) + self.shape)
+    def predict(self, stack: np.ndarray) -> np.ndarray:
+        """``gamma * T @ alpha`` for every row ``alpha`` of ``stack``."""
+        t = stack.reshape((-1,) + self.shape)
         for axis, chain in enumerate(self.chains):
             t = np.moveaxis(
                 np.tensordot(chain.matrix, np.moveaxis(t, axis + 1, 0), axes=(1, 0)),
                 0,
                 axis + 1,
             )
-        flat = self.gamma * t.reshape(len(vecs), -1)
-        self.counters["predictions"] += len(vecs)
+        self.counters["predictions"] += len(stack)
+        return self.gamma * t.reshape(len(stack), -1)
+
+    def predict_stack(self, pairs: list[AlphaPair]) -> tuple[np.ndarray, np.ndarray]:
+        """``predict`` of both vectors of every pair, stacked in one call."""
+        flat = self.predict(np.array([p.alpha_r for p in pairs] + [p.alpha_c for p in pairs]))
         return flat[: len(pairs)], flat[len(pairs) :]
 
     def anchor(self, fb: FactoredBelief, gr: np.ndarray | None, gc: np.ndarray | None):
@@ -384,12 +381,18 @@ class _Engine:
             return rho_r, rho_c, None
         sel_axes = tuple(i - 1 for i in action.relays)
         wr, wc = (scorer.scores(sel_axes) for scorer in anchor)
-        n_branches = wr.shape[1]
-        if n_branches <= self.root_branch_cap:
+        if wr.shape[1] <= ROOT_BRANCH_CAP:
             return self._root_select(rho_r, rho_c, wr, wc)
         self.counters["local_mode_selections"] += 1
-        p = self.branch_probs(fb, sel_axes)
-        return self._local_select(rho_r, rho_c, wr, wc, p)
+        if rho_c > self.c_th + tol:
+            return None
+        sigma = self._local_select(wr, wc[None], self.branch_probs(fb, sel_axes))
+        cols = np.arange(wr.shape[1])
+        r = rho_r + float(wr[sigma, cols].sum())
+        c = rho_c + float(wc[sigma, cols].sum())
+        if c > self.c_th + tol:
+            return None
+        return r, c, sigma
 
     def _root_select(self, rho_r, rho_c, wr, wc):
         limit = self.c_th + _budget_tol(self.c_th)
@@ -409,23 +412,24 @@ class _Engine:
             idx = int(parents[idx])
         return float(merge.r[best]), float(merge.c[best]), sigma
 
-    def _local_select(self, rho_r, rho_c, wr, wc, p):
-        tol = _budget_tol(self.c_th)
-        if rho_c > self.c_th + tol:
-            return None
-        budget = self.gamma * p * self.c_th + tol
-        feasible = wc <= budget[None, :]
-        masked = np.where(feasible, wr, -np.inf)
-        sigma = np.argmax(masked, axis=0)
+    def _local_select(self, wr: np.ndarray, wcs: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Per-branch choices under a local budget: at each branch ``z`` the
+        best reward among the sources whose cost stays within ``gamma * p[z]
+        * c_th`` for every budget (rows of the (N, P, Z) stack ``wcs``), or
+        the lowest summed cost when none does."""
+        budget = self.gamma * p * self.c_th + _budget_tol(self.c_th)
+        feasible = (wcs <= budget[None, None, :]).all(axis=0)
+        sigma = np.argmax(np.where(feasible, wr, -np.inf), axis=0)
         orphan = ~feasible.any(axis=0)
         if orphan.any():
-            sigma[orphan] = np.argmin(wc[:, orphan], axis=0)
-        cols = np.arange(wr.shape[1])
-        r = rho_r + float(wr[sigma, cols].sum())
-        c = rho_c + float(wc[sigma, cols].sum())
-        if c > self.c_th + tol:
-            return None
-        return r, c, sigma
+            sigma[orphan] = np.argmin(wcs.sum(axis=0)[:, orphan], axis=0)
+        return sigma
+
+    def branch_index(self, sigma: np.ndarray, sel_axes: tuple[int, ...]) -> tuple:
+        """Index of a predicted stack ``g`` such that ``g[index]`` takes, at each
+        joint state, the row the per-branch choices ``sigma`` pick there."""
+        dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
+        return np.broadcast_to(sigma.reshape(dims), self.shape).reshape(-1), np.arange(self.flat)
 
     def assemble(
         self,
@@ -439,12 +443,9 @@ class _Engine:
         alpha_r = self.reward_flat(action).copy()
         alpha_c = self.cost_flat(action).copy()
         if sigma is not None:
-            sel_axes = tuple(i - 1 for i in action.relays)
-            dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
-            sig_full = np.broadcast_to(sigma.reshape(dims), self.shape).reshape(-1)
-            cells = np.arange(self.flat)
-            alpha_r += gr[sig_full, cells]
-            alpha_c += gc[sig_full, cells]
+            at = self.branch_index(sigma, tuple(i - 1 for i in action.relays))
+            alpha_r += gr[at]
+            alpha_c += gc[at]
         return AlphaPair(alpha_r=alpha_r, alpha_c=alpha_c, action=action, epoch=epoch)
 
     def zero_pair(self, epoch: int) -> AlphaPair:
@@ -544,57 +545,6 @@ def _element_frontier_best(engine, action, fb, anchor):
     return _max_ratio_point(merge.r, merge.c, engine.c_th)
 
 
-def greedy_constrained_argmax(
-    per_relay_gammas: dict[int, list[AlphaPair]],
-    fb: FactoredBelief,
-    c_th: float,
-    strict: bool = True,
-) -> tuple[AlphaPair, Action]:
-    """Ratio-greedy selection over per-element pair sets at one belief.
-
-    Iteratively admits the element whose best pair maximises the
-    reward/cost ratio at ``fb``; a candidate that would break the budget is
-    skipped and its element permanently removed. Admitted pairs accumulate
-    additively. The budget test is strict (``<``) by default, matching the
-    printed algorithm; pass ``strict=False`` for the ``<=`` variant.
-    """
-    scored = []
-    tol = 1e-12 * max(1.0, abs(c_th))
-    shape = None
-    for e, pairs in per_relay_gammas.items():
-        if not pairs:
-            raise ValidationError(f"element {e} has an empty pair set")
-        best = None
-        for pair in pairs:
-            r, c = pair.evaluate(fb)
-            shape = pair.alpha_r.shape
-            if c <= tol:
-                key = (0, -r, 0.0) if r > tol else (2, 0.0, 0.0)
-            else:
-                key = (1, -r / c, -r)
-            if best is None or key < best[0]:
-                best = (key, pair, r, c)
-        key, pair, r, c = best
-        if key[0] == 2:
-            continue
-        scored.append((key + (e,), e, pair, r, c))
-    scored.sort(key=lambda item: item[0])
-
-    v_sum = 0.0
-    total_r = np.zeros(shape) if shape is not None else np.zeros(1)
-    total_c = np.zeros_like(total_r)
-    admitted: list[int] = []
-    for _, e, pair, r, c in scored:
-        fits = v_sum + c < c_th if strict else v_sum + c <= c_th + tol
-        if fits:
-            admitted.append(e)
-            v_sum += c
-            total_r = total_r + pair.alpha_r
-            total_c = total_c + pair.alpha_c
-    action = Action(tuple(sorted(admitted)))
-    return AlphaPair(alpha_r=total_r, alpha_c=total_c, action=action), action
-
-
 def gcpbvi_backup(
     v_next: list[AlphaPair],
     belief_set: BeliefSet,
@@ -602,7 +552,6 @@ def gcpbvi_backup(
     chains: list[MarkovChain],
     epoch: int = 0,
     engine: _Engine | None = None,
-    strict: bool = True,
 ) -> list[AlphaPair]:
     """Greedy point-based iteration: per anchor belief, pick the action by
     ratio-greedy element addition (never enumerating the 2^K action set),
@@ -612,7 +561,6 @@ def gcpbvi_backup(
     gr = gc = None
     if v_next:
         gr, gc = engine.predict_stack(v_next)
-    tol = _budget_tol(engine.c_th)
     out = []
     for fb in belief_set.points:
         anchor = engine.anchor(fb, gr, gc)
@@ -620,8 +568,7 @@ def gcpbvi_backup(
         v_sum = 0.0
         admitted: list[int] = []
         for e, r, c in candidates:
-            fits = v_sum + c < engine.c_th if strict else v_sum + c <= engine.c_th + tol
-            if fits:
+            if v_sum + c < engine.c_th:
                 admitted.append(e)
                 v_sum += c
         picked = None
@@ -647,23 +594,17 @@ def exact_backup(
     chains: list[MarkovChain],
     epoch: int = 0,
     engine: _Engine | None = None,
-    cross_cap: int = 100_000,
-    prune: str = "dominance",
-    grid_resolution: int = 21,
-    state_cap: int = 4096,
 ) -> list[AlphaPair]:
     """One enumerated dynamic-programming update over all actions.
 
     Pruning: exact duplicates and pointwise-dominated pairs are removed per
     observation branch and again after the action union; this never changes
-    the constrained maximum at any belief. ``prune="grid"`` additionally
-    keeps only pairs that are feasible and best somewhere on a deterministic
-    belief grid (approximate, off by default).
+    the constrained maximum at any belief.
     """
     engine = engine or _Engine(scenario, chains)
-    if engine.flat > state_cap:
+    if engine.flat > EXACT_STATE_CAP:
         raise CapExceededError(
-            f"joint space {engine.flat} exceeds the exact-solver cap {state_cap}; "
+            f"joint space {engine.flat} exceeds the exact-solver cap {EXACT_STATE_CAP}; "
             "use cpbvi or gcpbvi"
         )
     actions = all_actions(engine.k)
@@ -702,24 +643,21 @@ def exact_backup(
             slice_c = gc_t[index].reshape(len(v_t), -1)
             branch_choices.append(_pointwise_undominated(slice_r, slice_c))
         n_combos = math.prod(len(c) for c in branch_choices)
-        if n_combos > cross_cap:
+        if n_combos > EXACT_CROSS_CAP:
             raise CapExceededError(
                 f"action {action.selected} cross-sum would produce {n_combos} pairs "
-                f"(cap {cross_cap}); reduce the horizon or use a point-based solver"
+                f"(cap {EXACT_CROSS_CAP}); reduce the horizon or use a point-based solver"
             )
-        dims = tuple(engine.n if ax in sel_axes else 1 for ax in range(engine.k))
-        cells = np.arange(engine.flat)
         for sigma in itertools.product(*branch_choices):
-            sig = np.asarray(sigma, dtype=int)
-            sig_full = np.broadcast_to(sig.reshape(dims), engine.shape).reshape(-1)
+            at = engine.branch_index(np.asarray(sigma, dtype=int), sel_axes)
             children = {
                 _branch_obs(action, combo, engine.k): v_t[j]
                 for combo, j in zip(branch_states, sigma)
             }
             out.append(
                 AlphaPair(
-                    alpha_r=engine.reward_flat(action) + gr[sig_full, cells],
-                    alpha_c=engine.cost_flat(action) + gc[sig_full, cells],
+                    alpha_r=engine.reward_flat(action) + gr[at],
+                    alpha_c=engine.cost_flat(action) + gc[at],
                     action=action,
                     epoch=epoch,
                     children=children,
@@ -730,16 +668,14 @@ def exact_backup(
     keep = _pointwise_undominated(
         np.array([p.alpha_r for p in out]), np.array([p.alpha_c for p in out])
     )
-    out = [out[i] for i in keep]
-    if prune == "grid":
-        out = _grid_prune(out, engine, grid_resolution)
-    return out
+    return [out[i] for i in keep]
 
 
-def _branch_obs(action: Action, combo: tuple[int, ...], k: int) -> Observation:
+def _branch_obs(action: Action, regions, k: int) -> Observation:
+    """The observation of ``action`` when its relays, in order, report ``regions``."""
     z: list[int | None] = [None] * k
-    for rel, region in zip(action.relays, combo):
-        z[rel - 1] = region
+    for rel, region in zip(action.relays, regions):
+        z[rel - 1] = int(region)
     return tuple(z)
 
 
@@ -779,42 +715,6 @@ def _pointwise_undominated(r: np.ndarray, c: np.ndarray, chunk: int = 32) -> np.
     return np.flatnonzero(~dominated)
 
 
-def _belief_grid(engine: _Engine, resolution: int, cap: int = 20_000) -> np.ndarray:
-    """Deterministic product grid over the per-relay simplices, flattened."""
-    n = engine.n
-    steps = resolution - 1
-    compositions = [
-        np.array(c, dtype=float) / steps
-        for c in itertools.product(range(steps + 1), repeat=n - 1)
-        if sum(c) <= steps
-    ] if n > 1 else [np.array([])]
-    per_relay = [np.concatenate([c, [1.0 - c.sum()]]) for c in compositions]
-    points = []
-    for combo in itertools.product(per_relay, repeat=engine.k):
-        flat = np.ones(1)
-        for b in combo:
-            flat = np.kron(flat, b)
-        points.append(flat)
-        if len(points) >= cap:
-            break
-    return np.array(points)
-
-
-def _grid_prune(pairs: list[AlphaPair], engine: _Engine, resolution: int) -> list[AlphaPair]:
-    grid = _belief_grid(engine, resolution)
-    r = np.array([p.alpha_r for p in pairs]) @ grid.T
-    c = np.array([p.alpha_c for p in pairs]) @ grid.T
-    tol = _budget_tol(engine.c_th)
-    feasible = c <= engine.c_th + tol
-    r_masked = np.where(feasible, r, -np.inf)
-    winners = set()
-    for col in range(grid.shape[0]):
-        if np.isfinite(r_masked[:, col]).any():
-            winners.add(int(np.argmax(r_masked[:, col])))
-    keep = sorted(winners)
-    return [pairs[i] for i in keep] if keep else pairs[:1]
-
-
 # --- top-level solves --------------------------------------------------------
 
 
@@ -837,8 +737,6 @@ def solve_exact(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
     horizon: int | None = None,
-    prune: str = "dominance",
-    cross_cap: int = 100_000,
 ) -> PolicySolution:
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
@@ -847,10 +745,7 @@ def solve_exact(
     epochs: list[list[AlphaPair] | None] = [None] * horizon
     v: list[AlphaPair] = []
     for tau in range(1, horizon + 1):
-        v = exact_backup(
-            v, scenario, chains, epoch=horizon - tau + 1, engine=engine,
-            cross_cap=cross_cap, prune=prune,
-        )
+        v = exact_backup(v, scenario, chains, epoch=horizon - tau + 1, engine=engine)
         epochs[horizon - tau] = v
     stats = {"pairs_per_epoch": [len(e) for e in epochs]}
     return PolicySolution(
@@ -874,33 +769,23 @@ def _solve_point_based(
     eps: float | None,
     h: int | None,
     cap: int,
-    strict: bool,
-    root_branch_cap: int,
-    frontier_cap: int,
 ) -> PolicySolution:
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     belief_set = _resolve_belief_set(scenario, chains, belief_set, eps, h, cap)
-    engine = _Engine(
-        scenario, chains, root_branch_cap=root_branch_cap, frontier_cap=frontier_cap
-    )
+    engine = _Engine(scenario, chains)
+    backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
     horizon = scenario.horizon
     epochs: list[list[AlphaPair] | None] = [None] * horizon
     v: list[AlphaPair] = []
     for tau in range(1, horizon + 1):
-        if method == "cpbvi":
-            v = cpbvi_backup(v, belief_set, scenario, chains, epoch=horizon - tau + 1, engine=engine)
-        else:
-            v = gcpbvi_backup(
-                v, belief_set, scenario, chains, epoch=horizon - tau + 1,
-                engine=engine, strict=strict,
-            )
+        v = backup(v, belief_set, scenario, chains, epoch=horizon - tau + 1, engine=engine)
         epochs[horizon - tau] = v
 
     stats = {"belief_points": len(belief_set), "belief_h": belief_set.h}
     try:
         bound = density_bound(chains, belief_set.h)
-        r_range, c_range = _value_ranges(scenario)
+        r_range, c_range = value_ranges(scenario)
         eta_r, eta_c = pbvi_error_bound(bound, scenario.gamma, horizon, r_range, c_range)
         stats.update(density_bound=bound, eta_r_bound=eta_r, eta_c_bound=eta_c)
     except SpectralError:
@@ -927,13 +812,8 @@ def solve_cpbvi(
     eps: float | None = None,
     h: int | None = None,
     cap: int = 5000,
-    root_branch_cap: int = ROOT_BRANCH_CAP,
-    frontier_cap: int = FRONTIER_CAP,
 ) -> PolicySolution:
-    return _solve_point_based(
-        "cpbvi", scenario, chains, belief_set, eps, h, cap, True,
-        root_branch_cap, frontier_cap,
-    )
+    return _solve_point_based("cpbvi", scenario, chains, belief_set, eps, h, cap)
 
 
 def solve_gcpbvi(
@@ -943,27 +823,8 @@ def solve_gcpbvi(
     eps: float | None = None,
     h: int | None = None,
     cap: int = 5000,
-    strict_budget_test: bool = True,
-    root_branch_cap: int = ROOT_BRANCH_CAP,
-    frontier_cap: int = FRONTIER_CAP,
 ) -> PolicySolution:
-    return _solve_point_based(
-        "gcpbvi", scenario, chains, belief_set, eps, h, cap, strict_budget_test,
-        root_branch_cap, frontier_cap,
-    )
-
-
-def _value_ranges(scenario: ScenarioConfig) -> tuple[float, float]:
-    """Spread between the best and worst one-epoch total reward and cost."""
-    r_hi = max(
-        scenario.direct_reward(u)
-        + sum(float(reward_vector(scenario, i, u).max()) for i in range(1, scenario.n_relays + 1))
-        for u in range(scenario.n_ues)
-    )
-    c_hi = scenario.direct_cost() + sum(
-        float(cost_vector(scenario, i).max()) for i in range(1, scenario.n_relays + 1)
-    )
-    return r_hi, c_hi
+    return _solve_point_based("gcpbvi", scenario, chains, belief_set, eps, h, cap)
 
 
 def pbvi_error_bound(
@@ -1117,70 +978,6 @@ def _pareto_plans(items: list) -> list:
             out.append((r, c, plan))
             best = r
     return out
-
-
-# --- Q evaluation and discrete derivatives -----------------------------------
-
-
-def evaluate_q(
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain],
-    policy: PolicySolution,
-    fb: FactoredBelief,
-    epoch: int,
-    action: Action,
-) -> QEvaluation:
-    """Exact Q of taking ``action`` at ``fb`` and following ``policy`` after,
-    by full enumeration of observation branches down to the horizon."""
-    from .belief import advance_belief, belief_cost, belief_reward
-
-    horizon = policy.horizon
-    gamma = policy.gamma
-
-    def follow(e: int, b: FactoredBelief) -> tuple[float, float]:
-        if e > horizon:
-            return 0.0, 0.0
-        _, act = select_pair(policy, e, b)
-        return q_of(e, b, act)
-
-    def q_of(e: int, b: FactoredBelief, act: Action) -> tuple[float, float]:
-        r = belief_reward(b, act, scenario)
-        c = belief_cost(b, act, scenario)
-        if e == horizon:
-            return r, c
-        sel = act.relays
-        supports = [np.flatnonzero(b.per_relay[i - 1] > 0.0) for i in sel]
-        for combo in itertools.product(*supports):
-            p_z = 1.0
-            for i, region in zip(sel, combo):
-                p_z *= float(b.per_relay[i - 1][region])
-            obs = _branch_obs(act, tuple(int(x) for x in combo), scenario.n_relays)
-            nxt = advance_belief(b, chains, act, obs)
-            fr, fc = follow(e + 1, nxt)
-            r += gamma * p_z * fr
-            c += gamma * p_z * fc
-        return r, c
-
-    q_r, q_c = q_of(epoch, fb, action)
-    return QEvaluation(belief=fb, action=action, epoch=epoch, q_r=q_r, q_c=q_c)
-
-
-def discrete_derivative(
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain],
-    policy: PolicySolution,
-    fb: FactoredBelief,
-    epoch: int,
-    element: int,
-    base: Action,
-) -> tuple[float, float]:
-    """Marginal Q gain of adding ``element`` to ``base`` at ``fb``."""
-    if element in base.selected:
-        raise ValidationError(f"element {element} already in the base action {base.selected}")
-    with_e = Action(tuple(sorted(base.selected + (element,))))
-    q1 = evaluate_q(scenario, chains, policy, fb, epoch, with_e)
-    q0 = evaluate_q(scenario, chains, policy, fb, epoch, base)
-    return q1.q_r - q0.q_r, q1.q_c - q0.q_c
 
 
 # --- persistence --------------------------------------------------------------

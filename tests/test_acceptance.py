@@ -30,18 +30,18 @@ from relayplan.model import (
     UeSpec,
     load_scenario,
     scenario_to_dict,
+    value_ranges,
 )
 from relayplan.sim import (
     baseline_cellular,
     complexity_ratio,
+    discrete_derivative,
     exact_policy_value,
     monte_carlo,
     run_multiuser,
 )
 from relayplan.solvers import (
-    _value_ranges,
     brute_force_oracle,
-    discrete_derivative,
     select_pair,
     solve_cpbvi,
     solve_exact,
@@ -135,7 +135,7 @@ def test_criterion_3_point_based_error_within_prop_bound():
         point_based = solve_cpbvi(scenario, chains, belief_set=belief_set)
         oracle = brute_force_oracle(scenario, chains)
         density = empirical_density(belief_set, chains)
-        r_range, _ = _value_ranges(scenario)
+        r_range, _ = value_ranges(scenario)
         bound = t * (t + 1) / 2 * r_range * density
         diff = abs(point_based.planned_value()[0] - oracle.stats["oracle_value_r"])
         assert diff <= bound + 1e-9, f"diff {diff} > bound {bound}\n{scenario_to_dict(scenario)}"

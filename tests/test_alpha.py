@@ -1,21 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import line_scenario, random_instance
-from relayplan.alpha import (
-    AlphaPair,
-    backproject,
-    cost_tensor,
-    cross_sum,
-    immediate_pair,
-    predict_vector,
-    reward_tensor,
-)
-from relayplan.belief import FactoredBelief, advance_belief, belief_cost, belief_reward
+from relayplan import solvers
+from relayplan.alpha import AlphaPair, cost_tensor, reward_tensor
+from relayplan.belief import FactoredBelief, advance_belief, joint_belief
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain
 from relayplan.model import Action, EMPTY_ACTION, total_cost, total_reward
-from relayplan.solvers import solve_exact
+from relayplan.solvers import _Engine, exact_backup, solve_exact
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
@@ -23,113 +18,130 @@ TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 class TestImmediatePair:
     def test_empty_action_is_zero(self):
         sc = line_scenario(3, [1, 2])
-        pair = immediate_pair(EMPTY_ACTION, sc)
-        assert not pair.alpha_r.any()
-        assert not pair.alpha_c.any()
+        assert not reward_tensor(sc, EMPTY_ACTION).any()
+        assert not cost_tensor(sc, EMPTY_ACTION).any()
 
     def test_singleton_tabulation(self):
         sc = line_scenario(3, [2])
-        pair = immediate_pair(Action((1,)), sc)
+        alpha_r = reward_tensor(sc, Action((1,)))
         for s in range(3):
-            assert pair.alpha_r[s] == pytest.approx(total_reward((s,), Action((1,)), sc))
+            assert alpha_r[s] == pytest.approx(total_reward((s,), Action((1,)), sc))
 
     def test_two_relay_modularity_vs_joint_enumeration(self):
         sc = line_scenario(3, [1, 3])
         action = Action((0, 1, 2))
-        pair = immediate_pair(action, sc)
+        alpha_r, alpha_c = reward_tensor(sc, action), cost_tensor(sc, action)
         for i in range(3):
             for j in range(3):
                 flat = i * 3 + j
-                assert pair.alpha_r[flat] == pytest.approx(total_reward((i, j), action, sc))
-                assert pair.alpha_c[flat] == pytest.approx(total_cost((i, j), action, sc))
+                assert alpha_r[flat] == pytest.approx(total_reward((i, j), action, sc))
+                assert alpha_c[flat] == pytest.approx(total_cost((i, j), action, sc))
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValidationError):
             AlphaPair(np.zeros(2), np.array([-1.0, 0.0]), EMPTY_ACTION)
 
 
+def _branch_part(engine: _Engine, vec, action: Action, sigma) -> np.ndarray:
+    """What a pair of ``action`` assembled by the engine continues with: in
+    branch ``z``, the prediction of ``vec`` where ``sigma[z] == 0`` and of the
+    zero vector where ``sigma[z] == 1``."""
+    vec = np.asarray(vec, dtype=float)
+    g = engine.predict(np.array([vec, np.zeros_like(vec)]))
+    sel_axes = tuple(i - 1 for i in action.relays)
+    return g[engine.branch_index(np.asarray(sigma), sel_axes)]
+
+
 class TestBackproject:
+    """A branch continuation is the one-step prediction masked to the joint
+    states whose selected relays sit in the observed regions."""
+
+    @staticmethod
+    def _engine(gamma: float) -> _Engine:
+        return _Engine(line_scenario(2, [1], gamma=gamma), [TWO_STATE])
+
     def test_myopic_limit_is_zero(self):
-        src = AlphaPair(np.array([1.0, 2.0]), np.array([0.5, 0.5]), EMPTY_ACTION)
-        out = backproject(src, Action((1,)), (0,), [TWO_STATE], gamma=0.0)
-        assert not out.alpha_r.any()
-        assert not out.alpha_c.any()
+        out = _branch_part(self._engine(0.0), [1.0, 2.0], Action((1,)), [0, 1])
+        assert not out.any()
 
     def test_selected_branch_masks_prediction(self):
         # observing the relay's current region keeps only the matching slice
         # of the one-step prediction
-        src = AlphaPair(np.array([1.0, 0.0]), np.zeros(2), EMPTY_ACTION)
-        out = backproject(src, Action((1,)), (0,), [TWO_STATE], gamma=1.0)
-        np.testing.assert_allclose(out.alpha_r, [0.9, 0.0], atol=1e-15)
-        other = backproject(src, Action((1,)), (1,), [TWO_STATE], gamma=1.0)
-        np.testing.assert_allclose(other.alpha_r, [0.0, 0.2], atol=1e-15)
+        engine = self._engine(1.0)
+        out = _branch_part(engine, [1.0, 0.0], Action((1,)), [0, 1])
+        np.testing.assert_allclose(out, [0.9, 0.0], atol=1e-15)
+        other = _branch_part(engine, [1.0, 0.0], Action((1,)), [1, 0])
+        np.testing.assert_allclose(other, [0.0, 0.2], atol=1e-15)
 
     def test_unselected_is_pure_prediction(self):
-        src = AlphaPair(np.array([1.0, 0.0]), np.zeros(2), EMPTY_ACTION)
-        out = backproject(src, EMPTY_ACTION, (None,), [TWO_STATE], gamma=1.0)
-        np.testing.assert_allclose(out.alpha_r, TWO_STATE.matrix @ np.array([1.0, 0.0]), atol=1e-15)
+        out = _branch_part(self._engine(1.0), [1.0, 0.0], EMPTY_ACTION, [0])
+        np.testing.assert_allclose(out, TWO_STATE.matrix @ np.array([1.0, 0.0]), atol=1e-15)
 
     def test_branches_partition_the_prediction(self):
         rng = np.random.default_rng(0)
         vec = rng.uniform(0, 5, size=2)
-        src = AlphaPair(vec, vec, EMPTY_ACTION)
-        parts = [
-            backproject(src, Action((1,)), (z,), [TWO_STATE], gamma=0.9).alpha_r
-            for z in range(2)
-        ]
-        np.testing.assert_allclose(
-            sum(parts), predict_vector(vec, [TWO_STATE], 0.9), atol=1e-12
-        )
+        engine = self._engine(0.9)
+        parts = [_branch_part(engine, vec, Action((1,)), sigma) for sigma in ([0, 1], [1, 0])]
+        np.testing.assert_allclose(sum(parts), 0.9 * TWO_STATE.matrix @ vec, atol=1e-12)
 
     def test_linear_in_alpha(self):
         rng = np.random.default_rng(1)
         a = rng.uniform(0, 3, size=2)
         b = rng.uniform(0, 3, size=2)
-        mk = lambda v: AlphaPair(v, np.zeros(2), EMPTY_ACTION)
-        combined = backproject(mk(a + b), Action((1,)), (1,), [TWO_STATE], 0.9).alpha_r
+        engine = self._engine(0.9)
+        combined = _branch_part(engine, a + b, Action((1,)), [1, 0])
         separate = (
-            backproject(mk(a), Action((1,)), (1,), [TWO_STATE], 0.9).alpha_r
-            + backproject(mk(b), Action((1,)), (1,), [TWO_STATE], 0.9).alpha_r
+            _branch_part(engine, a, Action((1,)), [1, 0])
+            + _branch_part(engine, b, Action((1,)), [1, 0])
         )
         np.testing.assert_allclose(combined, separate, atol=1e-12)
 
-    def test_inconsistent_observation(self):
-        src = AlphaPair(np.zeros(2), np.zeros(2), EMPTY_ACTION)
-        with pytest.raises(ValidationError):
-            backproject(src, Action((1,)), (None,), [TWO_STATE], 1.0)
-        with pytest.raises(ValidationError):
-            backproject(src, EMPTY_ACTION, (0,), [TWO_STATE], 1.0)
-
 
 class TestCrossSum:
-    def _pair(self, r, c=None):
-        r = np.asarray(r, dtype=float)
-        return AlphaPair(r, np.zeros_like(r) if c is None else np.asarray(c, float), EMPTY_ACTION)
+    """``exact_backup`` enumerates the cross-sum: one pair per combination of
+    per-branch choices, each the immediate pair plus its branch parts."""
+
+    @staticmethod
+    def _setup(direct=(0.0, 0.0)):
+        sc = line_scenario(2, [1], c_th=1e6, direct=direct)
+        # the two sources trade reward against cost, so no choice dominates
+        sources = [
+            AlphaPair(np.full(2, 10.0), np.full(2, 10.0), EMPTY_ACTION),
+            AlphaPair(np.zeros(2), np.zeros(2), EMPTY_ACTION),
+        ]
+        return sc, [TWO_STATE], sources
 
     def test_single_branch_elementwise(self):
-        imm = self._pair([1.0, 1.0])
-        out = cross_sum([[self._pair([2.0, 0.0])]], imm)
-        assert len(out) == 1
-        np.testing.assert_array_equal(out[0].alpha_r, [3.0, 1.0])
+        sc, chains, _ = self._setup()
+        src = AlphaPair(np.array([2.0, 0.0]), np.array([1.0, 3.0]), EMPTY_ACTION)
+        by_action = {p.action.selected: p for p in exact_backup([src], sc, chains)}
+        pair = by_action[()]  # one branch, one choice: no immediate, all prediction
+        np.testing.assert_allclose(pair.alpha_r, TWO_STATE.matrix @ src.alpha_r, atol=1e-15)
+        np.testing.assert_allclose(pair.alpha_c, TWO_STATE.matrix @ src.alpha_c, atol=1e-15)
 
     def test_cardinality(self):
-        branches = [[self._pair([i, 0]) for i in range(2)], [self._pair([0, j]) for j in range(3)]]
-        assert len(cross_sum(branches, self._pair([0, 0]))) == 6
+        sc, chains, sources = self._setup()
+        out = exact_backup(sources, sc, chains)
+        # two branches with two undominated choices each
+        assert sum(p.action.relays == (1,) for p in out) == 4
 
     def test_numeric(self):
-        out = cross_sum(
-            [[self._pair([1.0, 0.0])], [self._pair([0.0, 1.0])]], self._pair([1.0, 1.0])
-        )
-        np.testing.assert_array_equal(out[0].alpha_r, [2.0, 2.0])
+        sc, chains, sources = self._setup(direct=(5.0, 0.0))
+        for pair in exact_backup(sources, sc, chains):
+            expected_r = reward_tensor(sc, pair.action)
+            expected_c = cost_tensor(sc, pair.action)
+            for z, child in pair.children.items():
+                mask = np.ones(2) if z[0] is None else np.eye(2)[z[0]]
+                expected_r = expected_r + mask * (TWO_STATE.matrix @ child.alpha_r)
+                expected_c = expected_c + mask * (TWO_STATE.matrix @ child.alpha_c)
+            np.testing.assert_allclose(pair.alpha_r, expected_r, atol=1e-12)
+            np.testing.assert_allclose(pair.alpha_c, expected_c, atol=1e-12)
 
-    def test_cap(self):
-        branch = [self._pair([i, 0]) for i in range(40)]
+    def test_cap(self, monkeypatch):
+        sc, chains, sources = self._setup()
+        monkeypatch.setattr(solvers, "EXACT_CROSS_CAP", 3)
         with pytest.raises(CapExceededError):
-            cross_sum([branch, branch, branch], self._pair([0, 0]), cap=1000)
-
-    def test_empty_branch_rejected(self):
-        with pytest.raises(ValidationError):
-            cross_sum([[]], self._pair([0, 0]))
+            exact_backup(sources, sc, chains)
 
 
 class TestPiecewiseLinearConsistency:
@@ -137,14 +149,13 @@ class TestPiecewiseLinearConsistency:
         """Independent Bellman evaluation of a pair's plan via its branch
         lineage: immediate belief reward plus probability-weighted child
         values at the updated beliefs."""
-        r = belief_reward(fb, pair.action, scenario)
-        c = belief_cost(fb, pair.action, scenario)
+        b = joint_belief(fb)
+        r = float(reward_tensor(scenario, pair.action) @ b)
+        c = float(cost_tensor(scenario, pair.action) @ b)
         if not pair.children:
             return r, c
         sel = pair.action.relays
         k = scenario.n_relays
-        import itertools
-
         supports = [range(scenario.n_regions) for _ in sel] or [()]
         if sel:
             for combo in itertools.product(*supports):

@@ -1,0 +1,78 @@
+"""The package surface: no dead top-level code, and every export resolves."""
+
+import ast
+
+import relayplan
+from conftest import REPO_ROOT
+
+PACKAGE = REPO_ROOT / "src" / "relayplan"
+
+# Validation entry points: the tests and the acceptance gate call them, the
+# solvers and the simulator do not.
+ENTRY_POINTS = {
+    "exact_policy_value",
+    "discrete_derivative",
+    "empirical_density",
+    "distance_function",
+    "belief_monotonicity_counterexamples",
+    "total_reward",
+    "total_cost",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(tree: ast.AST, skip: set[ast.AST]) -> set[str]:
+    """Names loaded or read as attributes anywhere in ``tree`` outside ``skip``."""
+    out = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_top_level_definition_is_used():
+    modules = _modules()
+    del modules["__init__.py"]
+    unused = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = set(ast.walk(node))
+            used = any(
+                node.name in _used_names(other, own if other_name == name else set())
+                for other_name, other in modules.items()
+            )
+            if not used and node.name not in ENTRY_POINTS:
+                unused.append(f"{name}:{node.name}")
+    assert unused == []
+
+
+def test_entry_points_exist():
+    defined = {
+        node.name
+        for tree in _modules().values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert ENTRY_POINTS <= defined
+
+
+def test_every_export_resolves():
+    tree = _modules()["__init__.py"]
+    exports = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exports
+    missing = [name for name in exports if not hasattr(relayplan, name)]
+    assert missing == []

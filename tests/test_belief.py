@@ -10,22 +10,19 @@ from relayplan.belief import (
     advance_belief,
     advance_ids,
     attainable_beliefs,
-    belief_cost,
-    belief_reward,
     build_h_belief_set,
     density_bound,
     empirical_density,
-    enumerate_observations,
     epsilon_belief_set,
     horizon_for_eps,
     horizon_for_target,
     joint_belief,
-    observation_prob,
     update_relay_belief,
 )
 from relayplan.errors import CapExceededError, ValidationError
-from relayplan.mobility import MarkovChain
+from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, EMPTY_ACTION, total_cost, total_reward
+from relayplan.solvers import _Engine
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
@@ -81,20 +78,25 @@ class TestJointBelief:
             FactoredBelief((np.array([0.5, 0.4]),))
 
 
+def _rho(sc, fb, action):
+    """Expected immediate (reward, cost) of ``action`` at ``fb``, factored."""
+    return _Engine(sc, chains_for_scenario(sc)).rho(action, fb)
+
+
 class TestBeliefRewardCost:
     def test_empty_action(self):
         sc = line_scenario(3, [1, 2])
         fb = FactoredBelief(tuple(np.ones(3) / 3 for _ in range(2)))
-        assert belief_reward(fb, EMPTY_ACTION, sc) == 0.0
-        assert belief_cost(fb, EMPTY_ACTION, sc) == 0.0
+        assert _rho(sc, fb, EMPTY_ACTION) == (0.0, 0.0)
 
     def test_one_hot_equals_state_totals(self):
         sc = line_scenario(3, [1, 2])
         state = (2, 0)
         fb = FactoredBelief.one_hot(state, 3)
         for action in (Action((1,)), Action((0, 1, 2))):
-            assert belief_reward(fb, action, sc) == pytest.approx(total_reward(state, action, sc))
-            assert belief_cost(fb, action, sc) == pytest.approx(total_cost(state, action, sc))
+            r, c = _rho(sc, fb, action)
+            assert r == pytest.approx(total_reward(state, action, sc))
+            assert c == pytest.approx(total_cost(state, action, sc))
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -116,34 +118,36 @@ class TestBeliefRewardCost:
             for i in range(3)
             for j in range(3)
         )
-        assert belief_reward(fb, action, sc) == pytest.approx(expected_r, abs=1e-9)
-        assert belief_cost(fb, action, sc) == pytest.approx(expected_c, abs=1e-9)
+        r, c = _rho(sc, fb, action)
+        assert r == pytest.approx(expected_r, abs=1e-9)
+        assert c == pytest.approx(expected_c, abs=1e-9)
 
 
 class TestObservationProb:
+    """Branch probabilities: selecting a relay reveals its current region, so
+    a branch's probability is the product of the selected relays' masses at
+    the observed regions, and an action without relays has one sure branch."""
+
+    @staticmethod
+    def _probs(fb, sel_axes):
+        sc = line_scenario(fb.per_relay[0].shape[0], [1] * fb.n_relays)
+        return _Engine(sc, chains_for_scenario(sc)).branch_probs(fb, sel_axes)
+
     def test_empty_action_single_observation(self):
         fb = FactoredBelief((np.array([0.4, 0.6]),))
-        assert observation_prob((None,), EMPTY_ACTION, fb) == 1.0
+        assert self._probs(fb, ()).tolist() == [1.0]
 
     def test_selected_relay_mass(self):
         fb = FactoredBelief((np.array([0.3, 0.7]),))
-        assert observation_prob((0,), Action((1,)), fb) == pytest.approx(0.3)
-        assert observation_prob((1,), Action((1,)), fb) == pytest.approx(0.7)
+        assert self._probs(fb, (0,)) == pytest.approx([0.3, 0.7])
 
     def test_two_relays_product_and_normalised(self):
         rng = np.random.default_rng(5)
         fb = FactoredBelief((rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))))
-        action = Action((1, 2))
-        probs = [observation_prob(z, action, fb) for z in enumerate_observations(action, 3)]
-        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+        probs = self._probs(fb, (0, 1))
+        assert len(probs) == 9
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert probs[0] == pytest.approx(fb.per_relay[0][0] * fb.per_relay[1][0])
-
-    def test_inconsistent_observation(self):
-        fb = FactoredBelief((np.array([1.0, 0.0]),))
-        with pytest.raises(ValidationError):
-            observation_prob((None,), Action((1,)), fb)
-        with pytest.raises(ValidationError):
-            observation_prob((0,), EMPTY_ACTION, fb)
 
 
 class TestFilterEquivalence:

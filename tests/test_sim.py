@@ -7,7 +7,7 @@ import pytest
 from conftest import line_scenario, random_instance
 from relayplan.belief import FactoredBelief, build_h_belief_set, joint_belief
 from relayplan.errors import ValidationError
-from relayplan.mobility import chains_for_scenario
+from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec
 from relayplan.sim import (
     METRIC_COLUMNS,
@@ -20,6 +20,7 @@ from relayplan.sim import (
     monte_carlo,
     _MultiPair,
     _select_multi,
+    _SimContext,
     run_episode,
     run_multiuser,
     solve_centralized,
@@ -67,6 +68,36 @@ class TestRunEpisode:
             for i in range(1, scenario.n_relays + 1):
                 if i not in rec.action.relays:
                     assert rec.observation[i - 1] is None
+
+
+class _LargestDraws:
+    """A generator stub whose every draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestStepStates:
+    # rows may sum to 1 - 5e-10; the last positive column of row 0 is 1
+    CHAIN = MarkovChain(np.array([[0.5, 0.5 - 5e-10, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]]))
+
+    def test_draw_past_row_sum_stays_on_grid(self):
+        ctx = _SimContext(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN])
+        assert ctx.step_states((0, 1), _LargestDraws()) == (1, 2)
+
+    def test_draws_in_range_unchanged(self):
+        ctx = _SimContext(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN])
+        rng = np.random.default_rng(8)
+        cum = np.cumsum(self.CHAIN.matrix, axis=1)
+        state = (0, 2)
+        for _ in range(200):
+            seed = int(rng.integers(2**32))
+            draws = np.random.default_rng(seed).random(2)
+            expected = tuple(
+                int(np.searchsorted(cum[s], d, side="right")) for s, d in zip(state, draws)
+            )
+            state = ctx.step_states(state, np.random.default_rng(seed))
+            assert state == expected
 
 
 class TestMonteCarlo:
@@ -144,6 +175,15 @@ class TestOraclePolicyExecution:
         assert exact_r == pytest.approx(oracle.stats["oracle_value_r"], abs=1e-9)
         metrics = monte_carlo(oracle, scenario, 3000, seed=7, chains=chains)
         assert abs(metrics.avg_cum_reward - exact_r) <= 3.5 * metrics.stderr_reward + 1e-9
+
+    def test_tree_evaluated_from_its_root_only(self):
+        rng = np.random.default_rng(12)
+        scenario, chains = random_instance(rng, k=1, n=2, t=2, gamma=1.0)
+        oracle = brute_force_oracle(scenario, chains)
+        with pytest.raises(ValidationError, match="root"):
+            exact_policy_value(oracle, scenario, chains, action=Action((1,)))
+        with pytest.raises(ValidationError, match="root"):
+            exact_policy_value(oracle, scenario, chains, epoch=2)
 
 
 class TestMultiUser:

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 import time
 import zipfile
 
@@ -11,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_scenario, random_chain, random_instance
-from relayplan.alpha import AlphaPair, immediate_pair
-from relayplan.belief import FactoredBelief, build_h_belief_set
+from relayplan.alpha import AlphaPair, reward_tensor
+from relayplan.belief import BeliefSet, FactoredBelief, build_h_belief_set
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
-from relayplan.model import Action, EMPTY_ACTION, all_actions
-from relayplan.sim import monte_carlo
+from relayplan.model import Action, EMPTY_ACTION, all_actions, cost_vector, reward_vector
+from relayplan.sim import discrete_derivative, exact_policy_value, monte_carlo
 from relayplan.solvers import (
     PolicySolution,
     _AnchorScores,
@@ -27,10 +26,8 @@ from relayplan.solvers import (
     _pareto_indices,
     brute_force_oracle,
     cpbvi_backup,
-    discrete_derivative,
-    evaluate_q,
     exact_backup,
-    greedy_constrained_argmax,
+    gcpbvi_backup,
     load_policy,
     pbvi_error_bound,
     save_policy,
@@ -48,9 +45,10 @@ class TestExactBackup:
         pairs = exact_backup([], sc, chains)
         by_action = {p.action.selected: p for p in pairs}
         for action in all_actions(1):
-            imm = immediate_pair(action, sc)
             if action.selected in by_action:
-                np.testing.assert_allclose(by_action[action.selected].alpha_r, imm.alpha_r)
+                np.testing.assert_allclose(
+                    by_action[action.selected].alpha_r, reward_tensor(sc, action)
+                )
         # the best action's pair must survive pruning
         assert (0, 1) in by_action
 
@@ -76,14 +74,6 @@ class TestExactBackup:
         sc = line_scenario(5, [1, 1, 1, 1, 1, 1], c_th=1e6)
         with pytest.raises(CapExceededError):
             solve_exact(sc)
-
-    def test_grid_prune_mode_keeps_value_at_grid_anchors(self):
-        rng = np.random.default_rng(5)
-        scenario, chains = random_instance(rng, k=1, n=2, t=2, gamma=1.0)
-        full = solve_exact(scenario, chains)
-        pruned = solve_exact(scenario, chains, prune="grid")
-        fb = FactoredBelief.one_hot(scenario.initial_states, scenario.n_regions)
-        assert pruned.planned_value(fb)[0] == pytest.approx(full.planned_value(fb)[0], abs=1e-9)
 
 
 class TestCpbviBackup:
@@ -116,48 +106,58 @@ class TestCpbviBackup:
 
 
 class TestGreedyArgmax:
-    def _pairs(self):
-        p1 = AlphaPair(np.array([10.0]), np.array([5.0]), Action((1,)))
-        p2 = AlphaPair(np.array([6.0]), np.array([2.0]), Action((2,)))
-        return {1: [p1], 2: [p2]}
+    """gcpbvi's ratio-greedy admission at horizon 1, where no continuation
+    can change it: elements enter best ratio first while the strict ``<``
+    budget test holds, and an element that would break the budget is skipped."""
+
+    @staticmethod
+    def _greedy(sc) -> tuple[AlphaPair, FactoredBelief]:
+        fb = FactoredBelief.one_hot(sc.initial_states, sc.n_regions)
+        points = BeliefSet(points=[fb], h=1, source_state=sc.initial_states)
+        (pair,) = gcpbvi_backup([], points, sc, chains_for_scenario(sc))
+        return pair, fb
+
+    @staticmethod
+    def _element(sc, i: int) -> tuple[float, float]:
+        s = sc.initial_states[i - 1]
+        return float(reward_vector(sc, i)[s]), float(cost_vector(sc, i)[s])
 
     def test_ratio_selection_skips_budget_violator(self):
-        fb = FactoredBelief((np.array([1.0]),))
-        pair, action = greedy_constrained_argmax(self._pairs(), fb, c_th=6.0)
-        # ratios are 2 vs 3: relay 2 admitted first, relay 1 then violates
-        assert action.selected == (2,)
-        assert pair.evaluate(fb) == (6.0, 2.0)
-        assert 6.0 >= (1 - 1 / math.e) ** 2 * 10.0
+        sc = line_scenario(4, [2, 4], horizon=1, direct=(0.0, 0.0))
+        (r1, c1), (r2, c2) = self._element(sc, 1), self._element(sc, 2)
+        assert r1 / c1 != r2 / c2
+        first, second = (1, 2) if r1 / c1 > r2 / c2 else (2, 1)
+        c_th = self._element(sc, first)[1] + 0.5 * self._element(sc, second)[1]
+        pair, fb = self._greedy(dataclasses.replace(sc, c_th=c_th))
+        assert pair.action.selected == (first,)
+        assert pair.evaluate(fb) == self._element(sc, first)
 
     def test_zero_budget_empty_selection(self):
-        fb = FactoredBelief((np.array([1.0]),))
-        pair, action = greedy_constrained_argmax(self._pairs(), fb, c_th=0.0)
-        assert action == EMPTY_ACTION
+        sc = line_scenario(3, [1, 2], horizon=1, c_th=0.0, direct=(10.0, 0.0))
+        pair, fb = self._greedy(sc)
+        assert pair.action == EMPTY_ACTION
         assert pair.evaluate(fb) == (0.0, 0.0)
 
     def test_single_relay_under_budget(self):
-        fb = FactoredBelief((np.array([1.0]),))
-        pairs = {1: [AlphaPair(np.array([4.0]), np.array([1.0]), Action((1,)))]}
-        _, action = greedy_constrained_argmax(pairs, fb, c_th=10.0)
-        assert action.selected == (1,)
+        sc = line_scenario(3, [2], horizon=1, c_th=1e6, direct=(0.0, 0.0))
+        pair, _ = self._greedy(sc)
+        assert pair.action.selected == (1,)
 
     def test_strict_vs_nonstrict_boundary(self):
-        fb = FactoredBelief((np.array([1.0]),))
-        pairs = {2: [AlphaPair(np.array([6.0]), np.array([2.0]), Action((2,)))]}
-        _, strict_action = greedy_constrained_argmax(pairs, fb, c_th=2.0, strict=True)
-        assert strict_action == EMPTY_ACTION
-        _, loose_action = greedy_constrained_argmax(pairs, fb, c_th=2.0, strict=False)
-        assert loose_action.selected == (2,)
+        # a cost equal to the budget fails the strict test a non-strict one passes
+        sc = line_scenario(3, [2], horizon=1, direct=(0.0, 0.0))
+        _, c1 = self._element(sc, 1)
+        at_budget, _ = self._greedy(dataclasses.replace(sc, c_th=c1))
+        assert at_budget.action == EMPTY_ACTION
+        above, _ = self._greedy(dataclasses.replace(sc, c_th=float(np.nextafter(c1, np.inf))))
+        assert above.action.selected == (1,)
 
     def test_zero_cost_positive_reward_admitted_first(self):
-        fb = FactoredBelief((np.array([1.0]),))
-        pairs = {
-            1: [AlphaPair(np.array([3.0]), np.array([1.0]), Action((1,)))],
-            0: [AlphaPair(np.array([0.5]), np.array([0.0]), Action((0,)))],
-        }
-        pair, action = greedy_constrained_argmax(pairs, fb, c_th=1.5)
-        assert action.selected == (0, 1)
-        assert pair.evaluate(fb) == (3.5, 1.0)
+        sc = line_scenario(3, [2], horizon=1, direct=(0.5, 0.0))
+        r1, c1 = self._element(sc, 1)
+        pair, fb = self._greedy(dataclasses.replace(sc, c_th=1.5 * c1))
+        assert pair.action.selected == (0, 1)
+        assert pair.evaluate(fb) == pytest.approx((0.5 + r1, c1))
 
 
 class TestGcpbvi:
@@ -291,10 +291,44 @@ class TestQEvaluation:
         policy = solve_gcpbvi(sc, chains, h=3)
         fb = FactoredBelief.one_hot(sc.initial_states, 3)
         pair, action = select_pair(policy, 1, fb)
-        q = evaluate_q(sc, chains, policy, fb, 1, action)
+        q_r, q_c = exact_policy_value(policy, sc, chains, fb, 1, action)
         r, c = pair.evaluate(fb)
-        assert q.q_r == pytest.approx(r, abs=1e-9)
-        assert q.q_c == pytest.approx(c, abs=1e-9)
+        assert q_r == pytest.approx(r, abs=1e-9)
+        assert q_c == pytest.approx(c, abs=1e-9)
+
+    # seed -> (action, its Q, the Q of selecting everything, the policy's
+    # value), recorded from the two evaluators this one replaces
+    # (``evaluate_q`` and ``exact_policy_value``) on criterion 5's instances
+    RECORDED = {
+        0: ((), (312.32857524277904, 212.37491264563965), (486.36595670884526, 334.6036719481817), (361.0426924941678, 218.4812314043868)),
+        1: ((0, 1), (319.6055367387059, 158.28378565268804), (425.22207854350563, 202.23039474396546), (423.8441228813522, 203.2953546070161)),
+        2: ((), (85.83296255474518, 43.22331992634534), (181.3573493921402, 82.36479418437021), (174.3503795629307, 78.29784273482841)),
+        3: ((0,), (151.06793375823017, 53.71676611372923), (359.53292869326197, 103.42841425846619), (413.5040098856489, 95.30130990072581)),
+        4: ((0, 2), (316.61604828270526, 99.40754495140504), (419.3299340686086, 127.70939936100696), (643.2681996746521, 186.28156548863132)),
+        5: ((1,), (148.16875430229402, 47.889127845116896), (274.2100123822936, 72.85521935590354), (183.46552903810056, 18.53368375565206)),
+        6: ((0, 1), (460.25306714185604, 229.5789615099864), (548.6145093236114, 282.1225709557219), (548.6145093236115, 271.28714181176673)),
+        7: ((0, 1), (32.124978817937475, 107.12284183827663), (46.09632236384524, 184.87846344405375), (101.67122580150044, 155.72632768633122)),
+        8: ((2,), (113.63209353736279, 93.51711211938479), (178.75484006304188, 155.79200242832007), (86.54433815790408, 40.235068593577815)),
+        9: ((2,), (201.11374894777833, 102.80801850605683), (366.5652372269488, 192.90967130512658), (65.5872000194263, 0.0)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_matches_recorded_values(self, seed):
+        rng = np.random.default_rng(seed)
+        n, t = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        scenario, chains = random_instance(rng, k=2, n=n, t=t)
+        bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=12)
+        solve = solve_gcpbvi if seed % 2 else solve_cpbvi
+        policy = solve(scenario, chains, belief_set=bs)
+        fb = bs.points[int(rng.integers(len(bs)))]
+        epoch = int(rng.integers(1, scenario.horizon + 1))
+        actions = all_actions(2)
+        action = actions[int(rng.integers(len(actions)))]
+        selected, q, q_all, value = self.RECORDED[seed]
+        assert action.selected == selected
+        assert exact_policy_value(policy, scenario, chains, fb, epoch, action) == q
+        assert exact_policy_value(policy, scenario, chains, fb, epoch, actions[-1]) == q_all
+        assert exact_policy_value(policy, scenario, chains) == value
 
 
 class TestSelectPair:
