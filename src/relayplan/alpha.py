@@ -48,11 +48,11 @@ class AlphaPair:
         b = joint_belief(fb)
         return float(self.alpha_r @ b), float(self.alpha_c @ b)
 
-    def key(self, decimals: int = 12) -> tuple:
+    def key(self) -> tuple:
         return (
             self.action.selected,
-            np.round(self.alpha_r, decimals).tobytes(),
-            np.round(self.alpha_c, decimals).tobytes(),
+            np.round(self.alpha_r, 12).tobytes(),
+            np.round(self.alpha_c, 12).tobytes(),
         )
 
 

@@ -134,12 +134,12 @@ def advance_ids(ids: tuple[tuple[int, int], ...], obs: Observation) -> tuple[tup
     )
 
 
-def joint_belief(fb: FactoredBelief, cap: int = JOINT_CAP) -> np.ndarray:
+def joint_belief(fb: FactoredBelief) -> np.ndarray:
     """Outer product of the factors, flattened in row-major relay order."""
     size = math.prod(b.shape[0] for b in fb.per_relay)
-    if size > cap:
+    if size > JOINT_CAP:
         raise CapExceededError(
-            f"joint belief would have {size} entries (cap {cap}); "
+            f"joint belief would have {size} entries (cap {JOINT_CAP}); "
             "keep the factored form instead"
         )
     out = np.ones(1)
@@ -166,7 +166,7 @@ class BeliefSet:
         return len(self.points)
 
 
-def _relay_family(chain: MarkovChain, s0: int, h: int, tol: float) -> list[tuple[int, np.ndarray]]:
+def _relay_family(chain: MarkovChain, s0: int, h: int) -> list[tuple[int, np.ndarray]]:
     """Attainable-belief family for one relay: (earliest epoch, vector) pairs.
 
     Contains the initial one-hot plus the rows ``P^n(S_j, :)`` for every
@@ -197,7 +197,7 @@ def _relay_family(chain: MarkovChain, s0: int, h: int, tol: float) -> list[tuple
     family.sort(key=lambda item: item[0])
     kept: list[tuple[int, np.ndarray]] = []
     for epoch, vec in family:
-        if all(np.abs(vec - v).sum() > tol for _, v in kept):
+        if all(np.abs(vec - v).sum() > DEDUP_TOL for _, v in kept):
             kept.append((epoch, vec))
     return kept
 
@@ -230,7 +230,6 @@ def build_h_belief_set(
     h: int,
     chains: list[MarkovChain],
     cap: int = PRODUCT_CAP,
-    dedup_tol: float = DEDUP_TOL,
 ) -> BeliefSet:
     """Depth-h belief set anchored at a known start state.
 
@@ -244,7 +243,7 @@ def build_h_belief_set(
         raise ValidationError(f"h must be >= 1, got {h}")
     if len(s0) != len(chains):
         raise ValidationError("initial state length must match the number of relays")
-    families = [_relay_family(chain, s, h, dedup_tol) for chain, s in zip(chains, s0)]
+    families = [_relay_family(chain, s, h) for chain, s in zip(chains, s0)]
 
     total = math.prod(len(f) for f in families)
     if total > 10**12:

@@ -111,7 +111,7 @@ def chains_for_scenario(scenario: ScenarioConfig) -> list[MarkovChain]:
     return out
 
 
-def stationary_distribution(chain: MarkovChain, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     """Unique stationary distribution, by power iteration with step doubling.
 
     Raises SpectralError for reducible or periodic chains (detected through
@@ -125,13 +125,13 @@ def stationary_distribution(chain: MarkovChain, tol: float = 1e-12) -> np.ndarra
     m = chain.matrix
     for _ in range(80):
         x_next = x @ m
-        if np.abs(x_next - x).sum() < tol:
+        if np.abs(x_next - x).sum() < 1e-12:
             x = x_next
             break
         x = x_next
         m = m @ m
     pi = x / x.sum()
-    if np.abs(pi @ chain.matrix - pi).sum() > max(tol, 1e-11):
+    if np.abs(pi @ chain.matrix - pi).sum() > 1e-11:
         raise SpectralError("power iteration failed to converge to a stationary distribution")
     return pi
 

@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -423,10 +422,9 @@ def with_single_ue(scenario: ScenarioConfig, ue: int) -> ScenarioConfig:
     return dataclasses.replace(scenario, ues=(scenario.ues[ue],))
 
 
-def all_actions(n_relays: int, include_direct: bool = True) -> list[Action]:
-    """Every subset of the selectable options, in deterministic order."""
-    options: Sequence[int] = range(0 if include_direct else 1, n_relays + 1)
+def all_actions(n_relays: int) -> list[Action]:
+    """Every subset of the options 0..K, in deterministic order."""
     out = [EMPTY_ACTION]
-    for opt in options:
+    for opt in range(n_relays + 1):
         out.extend(Action(a.selected + (opt,)) for a in list(out))
     return sorted(out, key=lambda a: (len(a.selected), a.selected))

@@ -10,14 +10,17 @@ of execution order; metric reductions use compensated summation.
 The multi-user entry point supports a centralized mode (one joint greedy
 solve, a relay observed when any UE selects it, budgets per UE) and a
 distributed mode (independent single-UE solves and private beliefs in a
-shared world).
+shared world). Single-user runs and both modes share one episode loop,
+``run_episode``, and one metric reduction.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .model import (
     with_single_ue,
 )
 from .solvers import (
+    OracleTree,
     PolicySolution,
     _AnchorScores,
     _branch_obs,
@@ -48,27 +52,34 @@ from .solvers import (
     _Engine,
     _max_ratio_point,
     _merge_branches,
+    _resolve_belief_set,
     select_pair,
     solve_gcpbvi,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochRecord:
+    """One epoch of an episode: per-UE actions, rewards and costs, and the
+    observation of each agent (see ``run_episode``)."""
+
     epoch: int
-    action: Action
     state: JointState
-    observation: Observation
-    reward: float
-    cost: float
+    actions: tuple[Action, ...]
+    observations: tuple[Observation, ...]
+    rewards: tuple[float, ...]
+    costs: tuple[float, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeTrace:
+    """Epoch records and per-UE cumulative discounted reward, cost and
+    energy efficiency."""
+
     records: list[EpochRecord]
-    cum_reward: float
-    cum_cost: float
-    cum_ee: float
+    cum_reward: tuple[float, ...]
+    cum_cost: tuple[float, ...]
+    cum_ee: tuple[float, ...]
 
     def __post_init__(self):
         for t, rec in enumerate(self.records, start=1):
@@ -78,6 +89,9 @@ class EpisodeTrace:
 
 @dataclass
 class SimulationMetrics:
+    """Averages over episodes, summed over UEs; ``per_epoch`` holds the
+    running averages after each epoch and ``per_ue`` each UE's averages."""
+
     runs: int
     horizon: int
     gamma: float
@@ -100,35 +114,27 @@ class StaticPolicy:
 
 
 class _SimContext:
-    def __init__(self, scenario: ScenarioConfig, chains: list[MarkovChain], ue: int = 0):
+    """One UE's reward and cost tables, and the relay-state sampler."""
+
+    def __init__(self, scenario: ScenarioConfig, chains: list[MarkovChain]):
         self.scenario = scenario
-        self.chains = chains
-        self.ue = ue
-        self.r_vecs = {
-            i: reward_vector(scenario, i, ue) for i in range(1, scenario.n_relays + 1)
-        }
+        self.r_vecs = {i: reward_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
         self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
-        self.cum_rows = [_sampling_rows(c.matrix) for c in chains]
-        self.factors = FactorTable(chains)
+        self.cum_rows = [_sampling_rows(c.matrix).tolist() for c in chains]
 
-    def reward(self, state: JointState, action: Action) -> float:
-        total = self.scenario.direct_reward(self.ue) if 0 in action else 0.0
+    def outcome(self, state: JointState, action: Action) -> tuple[float, float]:
+        """The (reward, cost) of ``action`` in ``state``."""
+        r = self.scenario.direct_reward() if 0 in action else 0.0
+        c = self.scenario.direct_cost() if 0 in action else 0.0
         for i in action.relays:
-            total += float(self.r_vecs[i][state[i - 1]])
-        return total
-
-    def cost(self, state: JointState, action: Action) -> float:
-        total = self.scenario.direct_cost() if 0 in action else 0.0
-        for i in action.relays:
-            total += float(self.c_vecs[i][state[i - 1]])
-        return total
+            r += float(self.r_vecs[i][state[i - 1]])
+            c += float(self.c_vecs[i][state[i - 1]])
+        return r, c
 
     def step_states(self, state: JointState, rng: np.random.Generator) -> JointState:
-        draws = rng.random(len(state))
-        return tuple(
-            int(np.searchsorted(self.cum_rows[i][s], draws[i], side="right"))
-            for i, s in enumerate(state)
-        )
+        # bisect_right on Python floats is searchsorted(side="right"), minus numpy's call cost
+        draws = rng.random(len(state)).tolist()
+        return tuple(bisect.bisect_right(self.cum_rows[i][s], draws[i]) for i, s in enumerate(state))
 
 
 def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
@@ -142,68 +148,116 @@ def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _policy_action(policy, epoch: int, cursor, decide) -> tuple[Action, object]:
-    """The action of a static, tree or alpha policy; ``decide()`` runs the
-    execution rule of an alpha policy."""
-    if isinstance(policy, StaticPolicy):
-        return policy.action, cursor
-    if policy.tree is not None:
-        node = cursor
-        return (node.action if node is not None else EMPTY_ACTION), node
-    return decide(), cursor
+@dataclass
+class _Agent:
+    """A decision maker for the UEs ``ues``: either an oracle ``tree`` or an
+    execution ``rule(epoch, fb)`` that returns one action per UE.
 
-
-def run_episode(
-    policy,
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain] | None = None,
-    seed: int | np.random.SeedSequence = 0,
-    context: _SimContext | None = None,
-    action_cache: dict | None = None,
-) -> EpisodeTrace:
-    """One seeded episode; identical seeds produce identical traces.
-
-    The belief is carried as per-relay ids (see ``belief.FactorTable``);
-    ``action_cache`` memoises the execution rule per (epoch, ids), safe
-    because the selection is a pure function of those two, and a
-    ``FactoredBelief`` is built only when the rule runs.
+    ``decide`` memoises the rule per (epoch, belief ids), safe because the
+    selection is a pure function of those two, and builds a
+    ``FactoredBelief`` from ``factors`` only on a miss.
     """
-    chains = chains if chains is not None else chains_for_scenario(scenario)
+
+    ues: tuple[int, ...]
+    factors: FactorTable | None
+    rule: Callable[[int, FactoredBelief], tuple[Action, ...]] | None = None
+    tree: OracleTree | None = None
+    memo: dict = field(default_factory=dict)
+
+    def act(self, epoch: int, fb: FactoredBelief, node) -> tuple[Action, ...]:
+        if self.tree is not None:
+            return (node.action if node is not None else EMPTY_ACTION,)
+        return self.rule(epoch, fb)
+
+    def decide(self, epoch: int, ids, node) -> tuple[Action, ...]:
+        if self.tree is not None:
+            return self.act(epoch, None, node)
+        key = (epoch, ids)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self.rule(epoch, self.factors.belief(ids))
+        return got
+
+
+def _policy_agent(policy, factors: FactorTable | None, ue: int = 0) -> _Agent:
+    """The agent of UE ``ue`` playing a static, oracle-tree or alpha policy."""
+    if isinstance(policy, StaticPolicy):
+        return _Agent((ue,), factors, rule=lambda epoch, fb: (policy.action,))
+    if policy.tree is not None:
+        return _Agent((ue,), factors, tree=policy.tree)
+    return _Agent((ue,), factors, rule=lambda epoch, fb: (select_pair(policy, epoch, fb)[1],))
+
+
+def _single_user(
+    policy, scenario: ScenarioConfig, chains: list[MarkovChain]
+) -> tuple[list[_Agent], list[_SimContext]]:
+    """The agent and context of one UE playing ``policy`` (UE 0 of ``scenario``)."""
     horizon = getattr(policy, "horizon", scenario.horizon)
     if horizon != scenario.horizon:
         raise ValidationError(
             f"policy horizon {horizon} does not match scenario horizon {scenario.horizon}"
         )
-    ctx = context or _SimContext(scenario, chains)
-    rng = np.random.default_rng(seed)
+    return [_policy_agent(policy, FactorTable(chains))], [_SimContext(scenario, chains)]
+
+
+def run_episode(
+    agents: list[_Agent],
+    contexts: list[_SimContext],
+    seed: int | np.random.SeedSequence = 0,
+) -> EpisodeTrace:
+    """One seeded episode; identical seeds produce identical traces.
+
+    ``contexts`` holds one context per UE; ``agents`` are one agent for a
+    single user, one per UE (distributed) or one for all UEs (centralized).
+    Each agent carries its own belief ids (see ``belief.FactorTable``) and
+    oracle-tree cursor, and observes the relays its UEs selected.
+    """
+    scenario = contexts[0].scenario
+    horizon = scenario.horizon
     gamma = scenario.gamma
+    rng = np.random.default_rng(seed)
     state = scenario.initial_states
-    ids = tuple((s, 0) for s in state)
-    cursor = policy.tree if isinstance(policy, PolicySolution) and policy.tree is not None else None
-    cache = {} if action_cache is None else action_cache
-
-    def decide():
-        key = (epoch, ids)
-        if key not in cache:
-            cache[key] = select_pair(policy, epoch, ctx.factors.belief(ids))[1]
-        return cache[key]
-
+    ids = [tuple((s, 0) for s in state)] * len(agents)
+    cursors = [agent.tree for agent in agents]
+    n_ues = len(contexts)
+    cum_r = [0.0] * n_ues
+    cum_c = [0.0] * n_ues
+    cum_ee = [0.0] * n_ues
     records = []
-    cum_r = cum_c = cum_ee = 0.0
     for epoch in range(1, horizon + 1):
-        action, cursor = _policy_action(policy, epoch, cursor, decide)
-        reward = ctx.reward(state, action)
-        cost = ctx.cost(state, action)
-        obs = _branch_obs(action, [state[i - 1] for i in action.relays], scenario.n_relays)
-        records.append(EpochRecord(epoch, action, state, obs, reward, cost))
-        cum_r += gamma ** (epoch - 1) * reward
-        cum_c += gamma ** (epoch - 1) * cost
-        cum_ee += gamma ** (horizon - epoch) * (reward / cost if cost > 0 else 0.0)
-        if cursor is not None:
-            cursor = cursor.children.get(obs)
-        ids = advance_ids(ids, obs)
-        state = ctx.step_states(state, rng)
-    return EpisodeTrace(records=records, cum_reward=cum_r, cum_cost=cum_c, cum_ee=cum_ee)
+        actions = [EMPTY_ACTION] * n_ues
+        for a, agent in enumerate(agents):
+            for u, action in zip(agent.ues, agent.decide(epoch, ids[a], cursors[a])):
+                actions[u] = action
+        rewards, costs = zip(*(ctx.outcome(state, act) for ctx, act in zip(contexts, actions)))
+        w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
+        for u, (r, c) in enumerate(zip(rewards, costs)):
+            cum_r[u] += w * r
+            cum_c[u] += w * c
+            cum_ee[u] += w_ee * (r / c if c > 0 else 0.0)
+        observations = []
+        for a, agent in enumerate(agents):
+            seen = {i - 1 for u in agent.ues for i in actions[u].relays}
+            obs = tuple(s if i in seen else None for i, s in enumerate(state))
+            observations.append(obs)
+            ids[a] = advance_ids(ids[a], obs)
+            if cursors[a] is not None:
+                cursors[a] = cursors[a].children.get(obs)
+        records.append(
+            EpochRecord(epoch, state, tuple(actions), tuple(observations), rewards, costs)
+        )
+        state = contexts[0].step_states(state, rng)
+    return EpisodeTrace(records, tuple(cum_r), tuple(cum_c), tuple(cum_ee))
+
+
+def _simulate(
+    agents: list[_Agent], contexts: list[_SimContext], n_runs: int, seed: int
+) -> SimulationMetrics:
+    """``run_episode`` over ``n_runs`` seeds spawned from ``seed``, reduced."""
+    if n_runs < 1:
+        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+    seeds = np.random.SeedSequence(seed).spawn(n_runs)
+    return _reduce_traces([run_episode(agents, contexts, s) for s in seeds], contexts[0].scenario)
 
 
 def monte_carlo(
@@ -214,38 +268,35 @@ def monte_carlo(
     chains: list[MarkovChain] | None = None,
 ) -> SimulationMetrics:
     """Averages over independent seeded episodes."""
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    ctx = _SimContext(scenario, chains)
-    seeds = np.random.SeedSequence(seed).spawn(n_runs)
-    action_cache: dict = {}
-    traces = [
-        run_episode(policy, scenario, chains, s, context=ctx, action_cache=action_cache)
-        for s in seeds
-    ]
-    return _reduce_traces(traces, scenario.horizon, scenario.gamma)
+    return _simulate(*_single_user(policy, scenario, chains), n_runs, seed)
 
 
-def _reduce_traces(traces: list[EpisodeTrace], horizon: int, gamma: float) -> SimulationMetrics:
+def _reduce_traces(traces: list[EpisodeTrace], scenario: ScenarioConfig) -> SimulationMetrics:
+    """Compensated averages over episodes: totals and running per-epoch
+    values summed over UEs, and each UE's own."""
     n = len(traces)
-    rewards = [t.cum_reward for t in traces]
-    costs = [t.cum_cost for t in traces]
-    ees = [t.cum_ee for t in traces]
+    horizon = scenario.horizon
+    gamma = scenario.gamma
+    rewards = [math.fsum(t.cum_reward) for t in traces]
+    costs = [math.fsum(t.cum_cost) for t in traces]
+    ees = [math.fsum(t.cum_ee) for t in traces]
     per_epoch = []
     for e in range(1, horizon + 1):
+        # each episode's discounted terms over epochs 1..e, summed over UEs
         cr = [
-            math.fsum(gamma ** (rec.epoch - 1) * rec.reward for rec in t.records[:e])
+            math.fsum(gamma ** (rec.epoch - 1) * r for rec in t.records[:e] for r in rec.rewards)
             for t in traces
         ]
         cc = [
-            math.fsum(gamma ** (rec.epoch - 1) * rec.cost for rec in t.records[:e])
+            math.fsum(gamma ** (rec.epoch - 1) * c for rec in t.records[:e] for c in rec.costs)
             for t in traces
         ]
         cee = [
             math.fsum(
-                gamma ** (horizon - rec.epoch) * (rec.reward / rec.cost if rec.cost > 0 else 0.0)
+                gamma ** (horizon - rec.epoch) * (r / c if c > 0 else 0.0)
                 for rec in t.records[:e]
+                for r, c in zip(rec.rewards, rec.costs)
             )
             for t in traces
         ]
@@ -258,6 +309,16 @@ def _reduce_traces(traces: list[EpisodeTrace], horizon: int, gamma: float) -> Si
                 "stderr_reward": _stderr(cr),
             }
         )
+    per_ue = [
+        {
+            "ue": u,
+            "avg_cum_reward": math.fsum(t.cum_reward[u] for t in traces) / n,
+            "avg_cum_cost": math.fsum(t.cum_cost[u] for t in traces) / n,
+            "avg_cum_ee": math.fsum(t.cum_ee[u] for t in traces) / n,
+            "stderr_cost": _stderr([t.cum_cost[u] for t in traces]),
+        }
+        for u in range(len(traces[0].cum_reward))
+    ]
     return SimulationMetrics(
         runs=n,
         horizon=horizon,
@@ -268,6 +329,7 @@ def _reduce_traces(traces: list[EpisodeTrace], horizon: int, gamma: float) -> Si
         stderr_reward=_stderr(rewards),
         stderr_cost=_stderr(costs),
         per_epoch=per_epoch,
+        per_ue=per_ue,
     )
 
 
@@ -315,7 +377,8 @@ def exact_policy_value(
     k = scenario.n_relays
     if scenario.n_regions**k > 4096:
         raise CapExceededError("exact policy evaluation needs |S|^K <= 4096")
-    cursor = policy.tree if isinstance(policy, PolicySolution) and policy.tree is not None else None
+    agent = _policy_agent(policy, None)
+    cursor = agent.tree
     if cursor is not None and (fb is not None or epoch != 1 or action is not None):
         raise ValidationError("a tree policy is evaluated from its root only")
     engine = _Engine(scenario, chains)
@@ -324,7 +387,7 @@ def exact_policy_value(
         if e > horizon:
             return 0.0, 0.0
         if act is None:
-            act, cursor = _policy_action(policy, e, cursor, lambda: select_pair(policy, e, b)[1])
+            (act,) = agent.act(e, b, cursor)
         total_r, total_c = engine.rho(act, b)
         sel = act.relays
         # with no selected relays the product yields the single empty branch
@@ -388,23 +451,20 @@ def solve_centralized(
     per-branch rule with all-UE feasibility; a pair that still breaks some
     UE's budget drops its latest elements until it fits.
     """
-    from .solvers import _resolve_belief_set
-
     chains = chains if chains is not None else chains_for_scenario(scenario)
     belief_set = _resolve_belief_set(scenario, chains, None, eps, h, cap)
-    engine = _Engine(scenario, chains)
     n_ues = scenario.n_ues
+    # one engine per UE for its immediates; engine 0 also predicts and picks
+    # branches, which depends on no UE
+    engines = [_Engine(with_single_ue(scenario, u), chains) for u in range(n_ues)]
+    engine = engines[0]
     k = scenario.n_relays
     flat = engine.flat
-    shape = engine.shape
     c_th = scenario.c_th
     tol = _budget_tol(c_th)
+    zero = 1e-12 * max(1.0, c_th)
     horizon = scenario.horizon
-
-    r_vecs = {
-        (u, e): reward_vector(scenario, e, u) for u in range(n_ues) for e in range(1, k + 1)
-    }
-    c_vecs = {e: cost_vector(scenario, e) for e in range(1, k + 1)}
+    elements = [Action((e,)) for e in range(k + 1)]
 
     def element_merge(rho_r, rho_c, wr, wc):
         """Best ratio point of one element's branch frontier at a belief."""
@@ -418,21 +478,13 @@ def solve_centralized(
         return _max_ratio_point(merge.r, merge.c, c_th)
 
     def imm_tensors(assignment):
-        alpha_r = np.zeros(shape)
+        alpha_r = np.zeros(flat)
         alpha_cs = np.zeros((n_ues, flat))
         for u, options in enumerate(assignment):
-            acc = np.zeros(shape)
             for e in options:
-                if e == 0:
-                    alpha_r += scenario.direct_reward(u)
-                    acc += scenario.direct_cost(u)
-                else:
-                    vec_r = r_vecs[(u, e)].reshape((1,) * (e - 1) + (-1,) + (1,) * (k - e))
-                    vec_c = c_vecs[e].reshape((1,) * (e - 1) + (-1,) + (1,) * (k - e))
-                    alpha_r += vec_r
-                    acc += vec_c
-            alpha_cs[u] = acc.reshape(-1)
-        return alpha_r.reshape(-1), alpha_cs
+                alpha_r += engines[u].reward_flat(elements[e])
+                alpha_cs[u] += engines[u].cost_flat(elements[e])
+        return alpha_r, alpha_cs
 
     def assemble(fb, b, assignment, gr, gcs):
         """The pair of ``assignment`` at ``fb`` (joint belief ``b``), or None
@@ -476,17 +528,12 @@ def solve_centralized(
                     wc_all = sc_all.scores(sel_axes)
                 n_pairs = len(v)
                 for u in range(n_ues):
-                    if e == 0:
-                        rho_r, rho_c = scenario.direct_reward(u), scenario.direct_cost(u)
-                    else:
-                        rho_r = float(fb.per_relay[e - 1] @ r_vecs[(u, e)])
-                        rho_c = float(fb.per_relay[e - 1] @ c_vecs[e])
+                    rho_r, rho_c = engines[u].rho(elements[e], fb)
                     wc = wc_all[u * n_pairs : (u + 1) * n_pairs] if wc_all is not None else None
                     got = element_merge(rho_r, rho_c, wr, wc)
                     if got is None:
                         continue
                     r, c = got
-                    zero = 1e-12 * max(1.0, c_th)
                     if c <= zero:
                         if r <= zero:
                             continue
@@ -498,7 +545,7 @@ def solve_centralized(
             v_sums = [0.0] * n_ues
             admitted: list[tuple[int, int]] = []
             for _, u, e, c in scored:
-                if v_sums[u] + c < c_th:
+                if v_sums[u] + c < c_th or c <= zero:
                     admitted.append((u, e))
                     v_sums[u] += c
             b = joint_belief(fb)
@@ -543,6 +590,41 @@ def _select_multi(
     return best
 
 
+def _multi_user(
+    scenario: ScenarioConfig,
+    mode: str,
+    chains: list[MarkovChain],
+    h: int | None,
+    eps: float | None,
+    cap: int,
+) -> tuple[list[_Agent], list[_SimContext]]:
+    """The solved agents and per-UE contexts of a multi-user run: one agent
+    for all UEs (centralized) or one single-user agent per UE (distributed)."""
+    n_ues = scenario.n_ues
+    factors = FactorTable(chains)
+    if mode == "centralized":
+        epochs, _ = solve_centralized(scenario, chains, h=h, eps=eps, cap=cap)
+
+        def rule(epoch, fb):
+            pair = _select_multi(epochs[epoch - 1], fb, scenario.c_th)
+            if pair is None:
+                return (EMPTY_ACTION,) * n_ues
+            return tuple(Action(options) for options in pair.assignment)
+
+        agents = [_Agent(tuple(range(n_ues)), factors, rule=rule)]
+    else:
+        agents = [
+            _policy_agent(
+                solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, eps=eps, cap=cap),
+                factors,
+                u,
+            )
+            for u in range(n_ues)
+        ]
+    contexts = [_SimContext(with_single_ue(scenario, u), chains) for u in range(n_ues)]
+    return agents, contexts
+
+
 def run_multiuser(
     scenario: ScenarioConfig,
     mode: str,
@@ -561,107 +643,7 @@ def run_multiuser(
     if mode not in ("centralized", "distributed"):
         raise ValidationError(f"mode must be centralized or distributed, got {mode!r}")
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    n_ues = scenario.n_ues
-    horizon = scenario.horizon
-    gamma = scenario.gamma
-    k = scenario.n_relays
-
-    if mode == "centralized":
-        epochs, _ = solve_centralized(scenario, chains, h=h, eps=eps, cap=cap)
-        policies = None
-    else:
-        policies = [
-            solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, eps=eps, cap=cap)
-            for u in range(n_ues)
-        ]
-        epochs = None
-
-    contexts = [_SimContext(with_single_ue(scenario, u), chains) for u in range(n_ues)]
-    seeds = np.random.SeedSequence(seed).spawn(n_runs)
-    totals_r, totals_c, totals_ee = [], [], []
-    per_ue_r = [[] for _ in range(n_ues)]
-    per_ue_c = [[] for _ in range(n_ues)]
-    per_ue_ee = [[] for _ in range(n_ues)]
-    factors = FactorTable(chains)
-    cache: dict = {}
-
-    def centralized_assignment(epoch, ids):
-        key = (epoch, ids)
-        if key not in cache:
-            pair = _select_multi(epochs[epoch - 1], factors.belief(ids), scenario.c_th)
-            cache[key] = (
-                pair.assignment if pair is not None else tuple(() for _ in range(n_ues))
-            )
-        return cache[key]
-
-    def distributed_assignment(u, epoch, ids):
-        key = (u, epoch, ids)
-        if key not in cache:
-            cache[key] = select_pair(policies[u], epoch, factors.belief(ids))[1].selected
-        return cache[key]
-
-    for child in seeds:
-        rng = np.random.default_rng(child)
-        state = scenario.initial_states
-        shared_ids = tuple((s, 0) for s in state)
-        ue_ids = [shared_ids] * n_ues
-        run_r = [0.0] * n_ues
-        run_c = [0.0] * n_ues
-        run_ee = [0.0] * n_ues
-        for epoch in range(1, horizon + 1):
-            if mode == "centralized":
-                assignment = centralized_assignment(epoch, shared_ids)
-            else:
-                assignment = tuple(
-                    distributed_assignment(u, epoch, ue_ids[u]) for u in range(n_ues)
-                )
-            for u in range(n_ues):
-                act = Action(assignment[u])
-                r = contexts[u].reward(state, act)
-                c = contexts[u].cost(state, act)
-                run_r[u] += gamma ** (epoch - 1) * r
-                run_c[u] += gamma ** (epoch - 1) * c
-                run_ee[u] += gamma ** (horizon - epoch) * (r / c if c > 0 else 0.0)
-            if mode == "centralized":
-                observed = sorted({e for options in assignment for e in options if e >= 1})
-                obs = _branch_obs(Action(tuple(observed)), [state[e - 1] for e in observed], k)
-                shared_ids = advance_ids(shared_ids, obs)
-            else:
-                for u in range(n_ues):
-                    act = Action(assignment[u])
-                    obs = _branch_obs(act, [state[i - 1] for i in act.relays], k)
-                    ue_ids[u] = advance_ids(ue_ids[u], obs)
-            state = contexts[0].step_states(state, rng)
-        totals_r.append(math.fsum(run_r))
-        totals_c.append(math.fsum(run_c))
-        totals_ee.append(math.fsum(run_ee))
-        for u in range(n_ues):
-            per_ue_r[u].append(run_r[u])
-            per_ue_c[u].append(run_c[u])
-            per_ue_ee[u].append(run_ee[u])
-
-    n = len(seeds)
-    per_ue = [
-        {
-            "ue": u,
-            "avg_cum_reward": math.fsum(per_ue_r[u]) / n,
-            "avg_cum_cost": math.fsum(per_ue_c[u]) / n,
-            "avg_cum_ee": math.fsum(per_ue_ee[u]) / n,
-            "stderr_cost": _stderr(per_ue_c[u]),
-        }
-        for u in range(n_ues)
-    ]
-    return SimulationMetrics(
-        runs=n,
-        horizon=horizon,
-        gamma=gamma,
-        avg_cum_reward=math.fsum(totals_r) / n,
-        avg_cum_cost=math.fsum(totals_c) / n,
-        avg_cum_ee=math.fsum(totals_ee) / n,
-        stderr_reward=_stderr(totals_r),
-        stderr_cost=_stderr(totals_c),
-        per_ue=per_ue,
-    )
+    return _simulate(*_multi_user(scenario, mode, chains, h, eps, cap), n_runs, seed)
 
 
 # --- complexity model ----------------------------------------------------------
@@ -737,35 +719,11 @@ METRIC_COLUMNS = [
 
 
 def metrics_rows(metrics: SimulationMetrics, scenario_id: str, method: str) -> list[dict]:
-    rows = []
-    if metrics.per_epoch:
-        for entry in metrics.per_epoch:
-            rows.append(
-                {
-                    "scenario_id": scenario_id,
-                    "method": method,
-                    "epoch": entry["epoch"],
-                    "avg_cum_reward": entry["avg_cum_reward"],
-                    "avg_cum_cost": entry["avg_cum_cost"],
-                    "avg_cum_ee": entry["avg_cum_ee"],
-                    "stderr_reward": entry["stderr_reward"],
-                    "runs": metrics.runs,
-                }
-            )
-    else:
-        rows.append(
-            {
-                "scenario_id": scenario_id,
-                "method": method,
-                "epoch": metrics.horizon,
-                "avg_cum_reward": metrics.avg_cum_reward,
-                "avg_cum_cost": metrics.avg_cum_cost,
-                "avg_cum_ee": metrics.avg_cum_ee,
-                "stderr_reward": metrics.stderr_reward,
-                "runs": metrics.runs,
-            }
-        )
-    return rows
+    """One ``METRIC_COLUMNS`` row per epoch."""
+    return [
+        {"scenario_id": scenario_id, "method": method, **entry, "runs": metrics.runs}
+        for entry in metrics.per_epoch
+    ]
 
 
 def write_csv(rows: list[dict], columns: list[str], path) -> None:

@@ -5,7 +5,8 @@ Three solvers share one backup engine:
 * exact value iteration (enumerated cross-sums, safe dominance pruning),
 * CPBVI (point-based backups anchored to a finite belief set),
 * GCPBVI (the action argmax replaced by ratio-greedy element addition,
-  with the printed algorithm's strict ``<`` budget test).
+  with the printed algorithm's strict ``<`` budget test; a free element is
+  admitted even at a zero budget).
 
 plus a brute-force oracle (observation-contingent plan enumeration by
 multi-objective dynamic programming over forward-filtered distributions,
@@ -561,6 +562,7 @@ def gcpbvi_backup(
     gr = gc = None
     if v_next:
         gr, gc = engine.predict_stack(v_next)
+    free = 1e-12 * max(1.0, engine.c_th)  # a free element enters even at a zero budget
     out = []
     for fb in belief_set.points:
         anchor = engine.anchor(fb, gr, gc)
@@ -568,7 +570,7 @@ def gcpbvi_backup(
         v_sum = 0.0
         admitted: list[int] = []
         for e, r, c in candidates:
-            if v_sum + c < engine.c_th:
+            if v_sum + c < engine.c_th or c <= free:
                 admitted.append(e)
                 v_sum += c
         picked = None
@@ -690,7 +692,7 @@ def _dedup_pairs(pairs: list[AlphaPair]) -> list[AlphaPair]:
     return out
 
 
-def _pointwise_undominated(r: np.ndarray, c: np.ndarray, chunk: int = 32) -> np.ndarray:
+def _pointwise_undominated(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Indices not pointwise-dominated by any other row pair.
 
     Row j dominates row i when ``r[j] >= r[i]`` and ``c[j] <= c[i]``
@@ -700,6 +702,7 @@ def _pointwise_undominated(r: np.ndarray, c: np.ndarray, chunk: int = 32) -> np.
     if m <= 1:
         return np.arange(m)
     dominated = np.zeros(m, dtype=bool)
+    chunk = 32  # rows per block: the comparisons hold chunk * m * flat booleans
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
         ge = (r[None, :, :] >= r[start:stop, None, :]).all(-1)
@@ -736,11 +739,10 @@ def _finish_stats(engine: _Engine, stats: dict, started: float) -> dict:
 def solve_exact(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
-    horizon: int | None = None,
 ) -> PolicySolution:
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    horizon = horizon or scenario.horizon
+    horizon = scenario.horizon
     engine = _Engine(scenario, chains)
     epochs: list[list[AlphaPair] | None] = [None] * horizon
     v: list[AlphaPair] = []

@@ -20,7 +20,9 @@ from relayplan.sim import (
     monte_carlo,
     _MultiPair,
     _select_multi,
+    _multi_user,
     _SimContext,
+    _single_user,
     run_episode,
     run_multiuser,
     solve_centralized,
@@ -34,10 +36,10 @@ class TestRunEpisode:
         rng = np.random.default_rng(2)
         scenario, chains = random_instance(rng, k=2, n=2, t=2)
         policy = solve_gcpbvi(scenario, chains, h=2)
-        a = run_episode(policy, scenario, chains, seed=99)
-        b = run_episode(policy, scenario, chains, seed=99)
-        assert [(r.action, r.state, r.observation) for r in a.records] == [
-            (r.action, r.state, r.observation) for r in b.records
+        a = run_episode(*_single_user(policy, scenario, chains), seed=99)
+        b = run_episode(*_single_user(policy, scenario, chains), seed=99)
+        assert [(r.actions, r.state, r.observations) for r in a.records] == [
+            (r.actions, r.state, r.observations) for r in b.records
         ]
         assert a.cum_reward == b.cum_reward
 
@@ -45,8 +47,8 @@ class TestRunEpisode:
         sc = line_scenario(3, [2], horizon=4, eps_fix=1.0, c_th=1e6)
         chains = chains_for_scenario(sc)
         policy = solve_gcpbvi(sc, chains, h=2)
-        trace = run_episode(policy, sc, chains, seed=1)
-        rewards = [r.reward for r in trace.records]
+        trace = run_episode(*_single_user(policy, sc, chains), seed=1)
+        rewards = [r.rewards for r in trace.records]
         assert len(set(rewards)) == 1
 
     def test_horizon_mismatch(self):
@@ -55,19 +57,20 @@ class TestRunEpisode:
         policy = solve_gcpbvi(sc, chains, h=2)
         other = dataclasses.replace(sc, horizon=3)
         with pytest.raises(ValidationError):
-            run_episode(policy, other, chains_for_scenario(other), seed=0)
+            run_episode(*_single_user(policy, other, chains_for_scenario(other)), seed=0)
 
     def test_observations_reveal_current_state(self):
         rng = np.random.default_rng(4)
         scenario, chains = random_instance(rng, k=2, n=2, t=3, c_th=1e9)
         policy = solve_gcpbvi(scenario, chains, h=2)
-        trace = run_episode(policy, scenario, chains, seed=5)
+        trace = run_episode(*_single_user(policy, scenario, chains), seed=5)
         for rec in trace.records:
-            for i in rec.action.relays:
-                assert rec.observation[i - 1] == rec.state[i - 1]
+            (action,), (observation,) = rec.actions, rec.observations
+            for i in action.relays:
+                assert observation[i - 1] == rec.state[i - 1]
             for i in range(1, scenario.n_relays + 1):
-                if i not in rec.action.relays:
-                    assert rec.observation[i - 1] is None
+                if i not in action.relays:
+                    assert observation[i - 1] is None
 
 
 class _LargestDraws:
@@ -107,9 +110,9 @@ class TestMonteCarlo:
         policy = solve_gcpbvi(scenario, chains, h=2)
         metrics = monte_carlo(policy, scenario, 1, seed=3, chains=chains)
         seed = np.random.SeedSequence(3).spawn(1)[0]
-        trace = run_episode(policy, scenario, chains, seed)
-        assert metrics.avg_cum_reward == pytest.approx(trace.cum_reward)
-        assert metrics.avg_cum_cost == pytest.approx(trace.cum_cost)
+        trace = run_episode(*_single_user(policy, scenario, chains), seed)
+        assert (metrics.avg_cum_reward,) == trace.cum_reward
+        assert (metrics.avg_cum_cost,) == trace.cum_cost
         assert metrics.stderr_reward == 0.0
 
     def test_ee_single_term(self):
@@ -200,8 +203,7 @@ class TestMultiUser:
         sc = line_scenario(3, [2], horizon=3, c_th=1e9, eps_fix=0.5)
         cent = run_multiuser(sc, "centralized", n_runs=30, seed=4, h=2)
         dist = run_multiuser(sc, "distributed", n_runs=30, seed=4, h=2)
-        assert cent.avg_cum_reward == pytest.approx(dist.avg_cum_reward, abs=1e-9)
-        assert cent.avg_cum_cost == pytest.approx(dist.avg_cum_cost, abs=1e-9)
+        assert dataclasses.asdict(cent) == dataclasses.asdict(dist)
 
     def test_single_ue_distributed_equals_single_user_pipeline(self):
         sc = line_scenario(3, [2], horizon=3, c_th=1e9, eps_fix=0.5)
@@ -209,7 +211,7 @@ class TestMultiUser:
         dist = run_multiuser(sc, "distributed", n_runs=30, seed=4, h=2)
         policy = solve_gcpbvi(sc, chains, h=2)
         single = monte_carlo(policy, sc, 30, seed=4, chains=chains)
-        assert dist.avg_cum_reward == pytest.approx(single.avg_cum_reward, abs=1e-9)
+        assert dataclasses.asdict(dist) == dataclasses.asdict(single)
 
     def test_no_shared_benefit_when_relays_useless_to_one_ue(self):
         # UE 2 sits on top of the BS: its direct link beats any relay, so no
@@ -225,6 +227,38 @@ class TestMultiUser:
             metrics = run_multiuser(sc, mode, n_runs=40, seed=8, h=2)
             for entry in metrics.per_ue:
                 assert entry["avg_cum_cost"] <= sc.c_th + 3 * entry["stderr_cost"] + 1e-9
+
+    @pytest.mark.parametrize("mode", ["centralized", "distributed"])
+    def test_totals_agree_with_per_epoch_and_per_ue(self, mode):
+        metrics = run_multiuser(self._two_ue_scenario(c_th=300.0), mode, n_runs=20, seed=5, h=2)
+        last = metrics.per_epoch[-1]
+        assert len(metrics.per_epoch) == metrics.horizon
+        for key in ("avg_cum_reward", "avg_cum_cost", "avg_cum_ee", "stderr_reward"):
+            assert last[key] == pytest.approx(getattr(metrics, key), rel=1e-12)
+        for key in ("avg_cum_reward", "avg_cum_cost", "avg_cum_ee"):
+            total = sum(entry[key] for entry in metrics.per_ue)
+            assert total == pytest.approx(getattr(metrics, key), rel=1e-12)
+
+    def test_centralized_agent_observes_every_selected_relay(self):
+        # at this budget the UEs select different relays in some epochs
+        sc = ScenarioConfig(
+            grid_x=3, grid_y=2,
+            relays=(RelaySpec(0.6, 1, (1, 1)), RelaySpec(0.6, 1, (3, 2))),
+            ues=(UeSpec((1, 1)), UeSpec((3, 2))),
+            bs_position=(3, 1),
+            r_max=400.0, c_max=200.0, c_th=100.0, horizon=3, gamma=1.0,
+        )
+        agents, contexts = _multi_user(sc, "centralized", chains_for_scenario(sc), 2, None, 64)
+        assert len(agents) == 1
+        differ = 0
+        for seed in range(10):
+            for rec in run_episode(agents, contexts, seed).records:
+                selected = {i for action in rec.actions for i in action.relays}
+                differ += len({action.relays for action in rec.actions}) > 1
+                assert rec.observations == (tuple(
+                    s if i + 1 in selected else None for i, s in enumerate(rec.state)
+                ),)
+        assert differ > 0
 
     def test_invalid_mode(self):
         sc = self._two_ue_scenario()

@@ -15,7 +15,7 @@ from relayplan.belief import BeliefSet, FactoredBelief, build_h_belief_set
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, EMPTY_ACTION, all_actions, cost_vector, reward_vector
-from relayplan.sim import discrete_derivative, exact_policy_value, monte_carlo
+from relayplan.sim import discrete_derivative, exact_policy_value, monte_carlo, solve_centralized
 from relayplan.solvers import (
     PolicySolution,
     _AnchorScores,
@@ -108,7 +108,8 @@ class TestCpbviBackup:
 class TestGreedyArgmax:
     """gcpbvi's ratio-greedy admission at horizon 1, where no continuation
     can change it: elements enter best ratio first while the strict ``<``
-    budget test holds, and an element that would break the budget is skipped."""
+    budget test holds or the element is free, and an element that would
+    break the budget is skipped."""
 
     @staticmethod
     def _greedy(sc) -> tuple[AlphaPair, FactoredBelief]:
@@ -132,11 +133,18 @@ class TestGreedyArgmax:
         assert pair.action.selected == (first,)
         assert pair.evaluate(fb) == self._element(sc, first)
 
-    def test_zero_budget_empty_selection(self):
+    def test_zero_budget_admits_free_option(self):
+        # 0 + 0 < 0 fails the strict test; a free element enters regardless
         sc = line_scenario(3, [1, 2], horizon=1, c_th=0.0, direct=(10.0, 0.0))
         pair, fb = self._greedy(sc)
-        assert pair.action == EMPTY_ACTION
-        assert pair.evaluate(fb) == (0.0, 0.0)
+        assert pair.action.selected == (0,)
+        assert pair.evaluate(fb) == (10.0, 0.0)
+        sc = dataclasses.replace(sc, horizon=2)
+        chains = chains_for_scenario(sc)
+        planned = solve_gcpbvi(sc, chains, h=1).planned_value()
+        assert planned == solve_cpbvi(sc, chains, h=1).planned_value() == (20.0, 0.0)
+        epochs, _ = solve_centralized(sc, chains, h=1)
+        assert {pair.assignment for pairs in epochs for pair in pairs} == {((0,),)}
 
     def test_single_relay_under_budget(self):
         sc = line_scenario(3, [2], horizon=1, c_th=1e6, direct=(0.0, 0.0))
