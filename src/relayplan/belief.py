@@ -135,7 +135,10 @@ def advance_ids(ids: tuple[tuple[int, int], ...], obs: Observation) -> tuple[tup
 
 
 def joint_belief(fb: FactoredBelief) -> np.ndarray:
-    """Outer product of the factors, flattened in row-major relay order."""
+    """Outer product of the factors, flattened in row-major relay order.
+
+    Built as a chain of flattened outer products, so each entry is the single
+    product of its factors, bitwise the ``np.kron`` chain."""
     size = math.prod(b.shape[0] for b in fb.per_relay)
     if size > JOINT_CAP:
         raise CapExceededError(
@@ -144,7 +147,7 @@ def joint_belief(fb: FactoredBelief) -> np.ndarray:
         )
     out = np.ones(1)
     for b in fb.per_relay:
-        out = np.kron(out, b)
+        out = np.multiply.outer(out, b).ravel()
     return out
 
 

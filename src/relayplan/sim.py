@@ -44,6 +44,7 @@ from .model import (
     with_single_ue,
 )
 from .solvers import (
+    EXACT_STATE_CAP,
     OracleTree,
     PolicySolution,
     _AnchorScores,
@@ -253,11 +254,17 @@ def run_episode(
 def _simulate(
     agents: list[_Agent], contexts: list[_SimContext], n_runs: int, seed: int
 ) -> SimulationMetrics:
-    """``run_episode`` over ``n_runs`` seeds spawned from ``seed``, reduced."""
+    """``run_episode`` over ``n_runs`` seeds spawned from ``seed``, reduced.
+
+    Each trace is cut to its ``_episode_sums`` as soon as it is played, so a
+    batch never holds more than one trace."""
     if n_runs < 1:
         raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+    scenario = contexts[0].scenario
     seeds = np.random.SeedSequence(seed).spawn(n_runs)
-    return _reduce_traces([run_episode(agents, contexts, s) for s in seeds], contexts[0].scenario)
+    return _reduce(
+        [_episode_sums(run_episode(agents, contexts, s), scenario) for s in seeds], scenario
+    )
 
 
 def monte_carlo(
@@ -272,34 +279,37 @@ def monte_carlo(
     return _simulate(*_single_user(policy, scenario, chains), n_runs, seed)
 
 
-def _reduce_traces(traces: list[EpisodeTrace], scenario: ScenarioConfig) -> SimulationMetrics:
-    """Compensated averages over episodes: totals and running per-epoch
-    values summed over UEs, and each UE's own."""
-    n = len(traces)
+def _episode_sums(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple:
+    """What the metric reduction needs of one episode: the trace's per-UE
+    cumulative reward, cost and energy efficiency, and per epoch ``e`` its
+    discounted reward, cost and energy-efficiency terms over epochs 1..e,
+    summed over UEs."""
     horizon = scenario.horizon
     gamma = scenario.gamma
-    rewards = [math.fsum(t.cum_reward) for t in traces]
-    costs = [math.fsum(t.cum_cost) for t in traces]
-    ees = [math.fsum(t.cum_ee) for t in traces]
+    terms_r: list[float] = []
+    terms_c: list[float] = []
+    terms_ee: list[float] = []
+    running = []
+    for rec in trace.records:
+        w, w_ee = gamma ** (rec.epoch - 1), gamma ** (horizon - rec.epoch)
+        terms_r.extend(w * r for r in rec.rewards)
+        terms_c.extend(w * c for c in rec.costs)
+        terms_ee.extend(w_ee * (r / c if c > 0 else 0.0) for r, c in zip(rec.rewards, rec.costs))
+        running.append((math.fsum(terms_r), math.fsum(terms_c), math.fsum(terms_ee)))
+    return trace.cum_reward, trace.cum_cost, trace.cum_ee, running
+
+
+def _reduce(episodes: list[tuple], scenario: ScenarioConfig) -> SimulationMetrics:
+    """Compensated averages over the ``_episode_sums`` of every episode:
+    totals and running per-epoch values summed over UEs, and each UE's own."""
+    n = len(episodes)
+    cum_r, cum_c, cum_ee, running = zip(*episodes)
+    rewards = [math.fsum(r) for r in cum_r]
+    costs = [math.fsum(c) for c in cum_c]
+    ees = [math.fsum(ee) for ee in cum_ee]
     per_epoch = []
-    for e in range(1, horizon + 1):
-        # each episode's discounted terms over epochs 1..e, summed over UEs
-        cr = [
-            math.fsum(gamma ** (rec.epoch - 1) * r for rec in t.records[:e] for r in rec.rewards)
-            for t in traces
-        ]
-        cc = [
-            math.fsum(gamma ** (rec.epoch - 1) * c for rec in t.records[:e] for c in rec.costs)
-            for t in traces
-        ]
-        cee = [
-            math.fsum(
-                gamma ** (horizon - rec.epoch) * (r / c if c > 0 else 0.0)
-                for rec in t.records[:e]
-                for r, c in zip(rec.rewards, rec.costs)
-            )
-            for t in traces
-        ]
+    for e in range(1, scenario.horizon + 1):
+        cr, cc, cee = zip(*(run[e - 1] for run in running))
         per_epoch.append(
             {
                 "epoch": e,
@@ -312,17 +322,17 @@ def _reduce_traces(traces: list[EpisodeTrace], scenario: ScenarioConfig) -> Simu
     per_ue = [
         {
             "ue": u,
-            "avg_cum_reward": math.fsum(t.cum_reward[u] for t in traces) / n,
-            "avg_cum_cost": math.fsum(t.cum_cost[u] for t in traces) / n,
-            "avg_cum_ee": math.fsum(t.cum_ee[u] for t in traces) / n,
-            "stderr_cost": _stderr([t.cum_cost[u] for t in traces]),
+            "avg_cum_reward": math.fsum(r[u] for r in cum_r) / n,
+            "avg_cum_cost": math.fsum(c[u] for c in cum_c) / n,
+            "avg_cum_ee": math.fsum(ee[u] for ee in cum_ee) / n,
+            "stderr_cost": _stderr([c[u] for c in cum_c]),
         }
-        for u in range(len(traces[0].cum_reward))
+        for u in range(len(cum_r[0]))
     ]
     return SimulationMetrics(
         runs=n,
-        horizon=horizon,
-        gamma=gamma,
+        horizon=scenario.horizon,
+        gamma=scenario.gamma,
         avg_cum_reward=math.fsum(rewards) / n,
         avg_cum_cost=math.fsum(costs) / n,
         avg_cum_ee=math.fsum(ees) / n,
@@ -375,8 +385,8 @@ def exact_policy_value(
     horizon = scenario.horizon
     gamma = scenario.gamma
     k = scenario.n_relays
-    if scenario.n_regions**k > 4096:
-        raise CapExceededError("exact policy evaluation needs |S|^K <= 4096")
+    if scenario.n_regions**k > EXACT_STATE_CAP:
+        raise CapExceededError(f"exact policy evaluation needs |S|^K <= {EXACT_STATE_CAP}")
     agent = _policy_agent(policy, None)
     cursor = agent.tree
     if cursor is not None and (fb is not None or epoch != 1 or action is not None):

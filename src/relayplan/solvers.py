@@ -36,6 +36,7 @@ import json
 import math
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,20 +247,32 @@ class _AnchorScores:
     choosing source ``j`` at observation branch ``z`` adds to the value at
     ``fb``. The unselected axes are contracted in descending order, and every
     contraction prefix is kept, so scores for different ``sel_axes`` at the
-    same anchor share their leading ``tensordot`` calls. The object lives for
-    one anchor belief only.
+    same anchor share their leading contractions. An exactly one-hot factor
+    (one nonzero entry, equal to 1.0) is contracted by indexing its axis,
+    which gives a view; for finite values that is bitwise the ``tensordot``
+    with ``e_i``. A later ``tensordot`` reads such a view through a
+    contiguous copy, the layout it would have had. The object lives for one
+    anchor belief only.
     """
 
     def __init__(self, g: np.ndarray, fb: FactoredBelief, counters: dict | None = None):
         self.fb = fb
         self.counters = counters
+        self._hot = [_hot_index(b) for b in fb.per_relay]
         self._contracted = {(): g.reshape((-1,) + tuple(b.shape[0] for b in fb.per_relay))}
 
     def _contract(self, axes: tuple[int, ...]) -> np.ndarray:
         t = self._contracted.get(axes)
         if t is None:
             ax = axes[-1]
-            t = np.tensordot(self._contract(axes[:-1]), self.fb.per_relay[ax], axes=(ax + 1, 0))
+            prev = self._contract(axes[:-1])
+            if self._hot[ax] is None:
+                # a sliced prefix is strided, and BLAS may sum a strided
+                # operand in another order: contract a contiguous copy
+                prev = np.ascontiguousarray(prev)
+                t = np.tensordot(prev, self.fb.per_relay[ax], axes=(ax + 1, 0))
+            else:
+                t = prev[(slice(None),) * (ax + 1) + (self._hot[ax],)]
             self._contracted[axes] = t
         return t
 
@@ -273,6 +286,12 @@ class _AnchorScores:
         if self.counters is not None:
             self.counters["pair_evaluations"] += out.size
         return out
+
+
+def _hot_index(b: np.ndarray) -> int | None:
+    """The index of ``b``'s single nonzero entry when that entry is 1.0, else None."""
+    nz = np.flatnonzero(b)
+    return int(nz[0]) if len(nz) == 1 and b[nz[0]] == 1.0 else None
 
 
 def _max_ratio_point(r: np.ndarray, c: np.ndarray, c_th: float) -> tuple[float, float]:
@@ -311,10 +330,24 @@ class _Engine:
             "local_mode_selections": 0,
             "zero_branches_skipped": 0,
         }
+        self.timings = dict.fromkeys(
+            ("time_belief_set_s", "time_predict_s", "time_score_s", "time_merge_s",
+             "time_assemble_s"),
+            0.0,
+        )
         self._reward_flat: dict[tuple, np.ndarray] = {}
         self._cost_flat: dict[tuple, np.ndarray] = {}
         self.r_vecs = {i: reward_vector(scenario, i) for i in range(1, self.k + 1)}
         self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, self.k + 1)}
+
+    @contextmanager
+    def timed(self, phase: str):
+        """Add the wall time of the block to ``timings[phase]``."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[phase] += time.perf_counter() - started
 
     def reward_flat(self, action: Action) -> np.ndarray:
         key = action.selected
@@ -339,16 +372,22 @@ class _Engine:
         return r, c
 
     def predict(self, stack: np.ndarray) -> np.ndarray:
-        """``gamma * T @ alpha`` for every row ``alpha`` of ``stack``."""
-        t = stack.reshape((-1,) + self.shape)
-        for axis, chain in enumerate(self.chains):
-            t = np.moveaxis(
-                np.tensordot(chain.matrix, np.moveaxis(t, axis + 1, 0), axes=(1, 0)),
-                0,
-                axis + 1,
-            )
-        self.counters["predictions"] += len(stack)
-        return self.gamma * t.reshape(len(stack), -1)
+        """``gamma * T @ alpha`` for every row ``alpha`` of ``stack``.
+
+        Each relay's chain is applied on a contiguous reshaped view of the
+        stack, with the relay's axis as the middle one of three (the last of
+        two for the last relay), so no axis is moved and nothing is copied.
+        """
+        with self.timed("time_predict_s"):
+            n = self.n
+            t = stack
+            for axis, chain in enumerate(self.chains):
+                if axis == self.k - 1:
+                    t = t.reshape(-1, n) @ chain.matrix.T
+                else:
+                    t = np.matmul(chain.matrix, t.reshape(-1, n, n ** (self.k - 1 - axis)))
+            self.counters["predictions"] += len(stack)
+            return self.gamma * t.reshape(len(stack), -1)
 
     def predict_stack(self, pairs: list[AlphaPair]) -> tuple[np.ndarray, np.ndarray]:
         """``predict`` of both vectors of every pair, stacked in one call."""
@@ -360,6 +399,11 @@ class _Engine:
         if gr is None:
             return None
         return _AnchorScores(gr, fb, self.counters), _AnchorScores(gc, fb, self.counters)
+
+    def scores(self, anchor, sel_axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The reward and cost branch scores of ``anchor`` for ``sel_axes``."""
+        with self.timed("time_score_s"):
+            return tuple(scorer.scores(sel_axes) for scorer in anchor)
 
     def branch_probs(self, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
         p = np.ones(1)
@@ -381,19 +425,20 @@ class _Engine:
                 return None
             return rho_r, rho_c, None
         sel_axes = tuple(i - 1 for i in action.relays)
-        wr, wc = (scorer.scores(sel_axes) for scorer in anchor)
-        if wr.shape[1] <= ROOT_BRANCH_CAP:
-            return self._root_select(rho_r, rho_c, wr, wc)
-        self.counters["local_mode_selections"] += 1
-        if rho_c > self.c_th + tol:
-            return None
-        sigma = self._local_select(wr, wc[None], self.branch_probs(fb, sel_axes))
-        cols = np.arange(wr.shape[1])
-        r = rho_r + float(wr[sigma, cols].sum())
-        c = rho_c + float(wc[sigma, cols].sum())
-        if c > self.c_th + tol:
-            return None
-        return r, c, sigma
+        wr, wc = self.scores(anchor, sel_axes)
+        with self.timed("time_merge_s"):
+            if wr.shape[1] <= ROOT_BRANCH_CAP:
+                return self._root_select(rho_r, rho_c, wr, wc)
+            self.counters["local_mode_selections"] += 1
+            if rho_c > self.c_th + tol:
+                return None
+            sigma = self._local_select(wr, wc[None], self.branch_probs(fb, sel_axes))
+            cols = np.arange(wr.shape[1])
+            r = rho_r + float(wr[sigma, cols].sum())
+            c = rho_c + float(wc[sigma, cols].sum())
+            if c > self.c_th + tol:
+                return None
+            return r, c, sigma
 
     def _root_select(self, rho_r, rho_c, wr, wc):
         limit = self.c_th + _budget_tol(self.c_th)
@@ -441,13 +486,14 @@ class _Engine:
         epoch: int,
     ) -> AlphaPair:
         """Materialise the joint-space pair for an action and branch choices."""
-        alpha_r = self.reward_flat(action).copy()
-        alpha_c = self.cost_flat(action).copy()
-        if sigma is not None:
-            at = self.branch_index(sigma, tuple(i - 1 for i in action.relays))
-            alpha_r += gr[at]
-            alpha_c += gc[at]
-        return AlphaPair(alpha_r=alpha_r, alpha_c=alpha_c, action=action, epoch=epoch)
+        with self.timed("time_assemble_s"):
+            alpha_r = self.reward_flat(action).copy()
+            alpha_c = self.cost_flat(action).copy()
+            if sigma is not None:
+                at = self.branch_index(sigma, tuple(i - 1 for i in action.relays))
+                alpha_r += gr[at]
+                alpha_c += gc[at]
+            return AlphaPair(alpha_r=alpha_r, alpha_c=alpha_c, action=action, epoch=epoch)
 
     def zero_pair(self, epoch: int) -> AlphaPair:
         return AlphaPair(
@@ -537,13 +583,14 @@ def _element_frontier_best(engine, action, fb, anchor):
     if anchor is None:
         return rho_r, rho_c
     sel_axes = tuple(i - 1 for i in action.relays)
-    wr, wc = (scorer.scores(sel_axes) for scorer in anchor)
-    merge = _merge_branches(rho_r, rho_c, wr, wc, limit, engine.frontier_cap)
-    engine.counters["zero_branches_skipped"] += merge.skipped
-    engine.counters["element_frontier_cap_hits"] += merge.cap_hits
-    if merge.r is None:
-        return None
-    return _max_ratio_point(merge.r, merge.c, engine.c_th)
+    wr, wc = engine.scores(anchor, sel_axes)
+    with engine.timed("time_merge_s"):
+        merge = _merge_branches(rho_r, rho_c, wr, wc, limit, engine.frontier_cap)
+        engine.counters["zero_branches_skipped"] += merge.skipped
+        engine.counters["element_frontier_cap_hits"] += merge.cap_hits
+        if merge.r is None:
+            return None
+        return _max_ratio_point(merge.r, merge.c, engine.c_th)
 
 
 def gcpbvi_backup(
@@ -774,8 +821,9 @@ def _solve_point_based(
 ) -> PolicySolution:
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    belief_set = _resolve_belief_set(scenario, chains, belief_set, eps, h, cap)
     engine = _Engine(scenario, chains)
+    with engine.timed("time_belief_set_s"):
+        belief_set = _resolve_belief_set(scenario, chains, belief_set, eps, h, cap)
     backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
     horizon = scenario.horizon
     epochs: list[list[AlphaPair] | None] = [None] * horizon
@@ -793,6 +841,7 @@ def _solve_point_based(
     except SpectralError:
         # immobile or otherwise non-ergodic chains have no mixing guarantee
         stats.update(density_bound=None, eta_r_bound=None, eta_c_bound=None)
+    stats.update({phase: round(t, 6) for phase, t in engine.timings.items()})
     return PolicySolution(
         method=method,
         horizon=horizon,

@@ -68,6 +68,20 @@ class TestJointBelief:
         fb = FactoredBelief((np.array([0.5, 0.5]), np.array([0.3, 0.7])))
         np.testing.assert_allclose(joint_belief(fb), [0.15, 0.35, 0.15, 0.35], atol=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_kron_chain(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        fb = FactoredBelief(tuple(
+            np.eye(n)[int(rng.integers(n))] if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
+            for _ in range(k)
+        ))
+        expected = np.ones(1)
+        for b in fb.per_relay:
+            expected = np.kron(expected, b)
+        got = joint_belief(fb)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_cap(self):
         fb = FactoredBelief(tuple(np.ones(10) / 10 for _ in range(7)))
         with pytest.raises(CapExceededError):

@@ -65,7 +65,9 @@ class TestSolve:
             assert "eta_c_bound=" in report
             assert "belief_points=" in report
             for key in ("branch_merges", "zero_branches_skipped", "frontier_cap_hits",
-                        "element_frontier_cap_hits", "local_mode_selections"):
+                        "element_frontier_cap_hits", "local_mode_selections",
+                        "time_belief_set_s", "time_predict_s", "time_score_s",
+                        "time_merge_s", "time_assemble_s"):
                 assert f"{key}=" in report
 
     def test_seed_flag_rejected(self, tiny_scenario, tmp_path):

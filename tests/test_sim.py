@@ -8,7 +8,7 @@ from conftest import line_scenario, random_instance
 from relayplan.belief import FactoredBelief, build_h_belief_set, joint_belief
 from relayplan.errors import ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
-from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec
+from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec, with_single_ue
 from relayplan.sim import (
     METRIC_COLUMNS,
     StaticPolicy,
@@ -326,7 +326,8 @@ def _scenario_8b() -> ScenarioConfig:
 
 class TestMultiUser8bRegression:
     """Criterion 8b's scenario at h=2 and belief cap 4, pinned: the stored
-    centralized vectors and the seeded metrics of both modes."""
+    centralized vectors, the five distributed gcpbvi policies and the seeded
+    metrics of both modes."""
 
     def test_centralized_vectors(self):
         epochs, _ = solve_centralized(_scenario_8b(), h=2, cap=4)
@@ -338,6 +339,20 @@ class TestMultiUser8bRegression:
                 digest.update(repr(pair.assignment).encode())
         assert digest.hexdigest() == (
             "5fa7bd26c3d3eb3ef00ab62024ec158ca97af69f96bb98033a15b8ee4d636f90"
+        )
+
+    def test_distributed_vectors(self):
+        scenario = _scenario_8b()
+        digest = hashlib.sha256()
+        for u in range(scenario.n_ues):
+            policy = solve_gcpbvi(with_single_ue(scenario, u), h=2, cap=4)
+            for pairs in policy.epochs:
+                for pair in pairs:
+                    digest.update(pair.alpha_r.tobytes())
+                    digest.update(pair.alpha_c.tobytes())
+                    digest.update(repr(pair.action.selected).encode())
+        assert digest.hexdigest() == (
+            "e4ba585cf56cfcb15712bd6336612e36970fe34f147efb7a393f07bd72487b91"
         )
 
     @pytest.mark.parametrize("mode, reward, costs", [

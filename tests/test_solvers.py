@@ -603,6 +603,64 @@ class TestAnchorScores:
         assert counters["pair_evaluations"] == counted
 
 
+    def test_one_hot_axis_is_sliced(self):
+        """A one-hot factor's axis is contracted by indexing: the result is a
+        view of ``g``, and of whatever contraction it continues."""
+        rng = np.random.default_rng(3)
+        n = 3
+        fb = FactoredBelief((rng.dirichlet(np.ones(n)), np.eye(n)[1], rng.dirichlet(np.ones(n))))
+        g = rng.uniform(0.0, 10.0, size=(4, n**3))
+        scorer = _AnchorScores(g, fb)
+        assert np.shares_memory(scorer._contract((1,)), g)
+        after_product = scorer._contract((2,))
+        assert not np.shares_memory(after_product, g)
+        assert np.shares_memory(scorer._contract((2, 1)), after_product)
+        one_hot = FactoredBelief.one_hot((2, 0, 1), n)
+        assert np.shares_memory(_AnchorScores(g, one_hot).scores(()), g)
+
+
+def _predict_by_moveaxis(engine: _Engine, stack: np.ndarray) -> np.ndarray:
+    """The one-step prediction with each relay axis moved to the front and
+    contracted by ``tensordot``: the reference for ``_Engine.predict``."""
+    t = stack.reshape((-1,) + engine.shape)
+    for axis, chain in enumerate(engine.chains):
+        t = np.moveaxis(
+            np.tensordot(chain.matrix, np.moveaxis(t, axis + 1, 0), axes=(1, 0)), 0, axis + 1
+        )
+    return engine.gamma * t.reshape(len(stack), -1)
+
+
+class TestPredict:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n=st.integers(2, 16),
+        rows=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_moveaxis_reference(self, k, n, rows, seed):
+        """Bit for bit the reference for n <= 12 and n = 16; for n = 13..15,
+        where BLAS may pick another kernel, within 1e-15 of the entry's scale
+        (the reference applied to the absolute values)."""
+        rng = np.random.default_rng(seed)
+        engine = _Engine(line_scenario(n, [1] * k, gamma=0.9), [random_chain(rng, n) for _ in range(k)])
+        stack = rng.uniform(-10.0, 10.0, size=(rows, n**k))
+        stack[:, rng.random(n**k) < 0.2] = 0.0
+        got = engine.predict(stack)
+        expected = _predict_by_moveaxis(engine, stack)
+        if n <= 12 or n == 16:
+            assert _same_bits(got, expected)
+        else:
+            scale = _predict_by_moveaxis(engine, np.abs(stack))
+            assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+    def test_counts_rows_and_times_itself(self):
+        engine = _Engine(line_scenario(3, [1, 2]), chains_for_scenario(line_scenario(3, [1, 2])))
+        engine.predict(np.ones((4, 9)))
+        assert engine.counters["predictions"] == 4
+        assert engine.timings["time_predict_s"] > 0.0
+
+
 class TestTable1Regression:
     """Planned values and counters of the benchmark's table1 solves (h=2)."""
 
