@@ -44,6 +44,11 @@ class AlphaPair:
         if np.any(self.alpha_c < -1e-9):
             raise ValidationError("cost vector entries must be >= 0")
 
+    @property
+    def alpha_cs(self) -> np.ndarray:
+        """The cost vector as the one row of a per-UE (1, flat) stack."""
+        return self.alpha_c[None]
+
     def evaluate(self, fb: FactoredBelief) -> tuple[float, float]:
         b = joint_belief(fb)
         return float(self.alpha_r @ b), float(self.alpha_c @ b)

@@ -7,11 +7,12 @@ cost, and energy efficiency. Episode randomness derives from a master seed
 through spawned child sequences, so runs are reproducible and independent
 of execution order; metric reductions use compensated summation.
 
-The multi-user entry point supports a centralized mode (one joint greedy
-solve, a relay observed when any UE selects it, budgets per UE) and a
-distributed mode (independent single-UE solves and private beliefs in a
-shared world). Single-user runs and both modes share one episode loop,
-``run_episode``, and one metric reduction.
+The multi-user entry point supports a centralized mode (gcpbvi's greedy
+over every UE's elements in one solve, a relay observed when any UE selects
+it, budgets per UE) and a distributed mode (independent single-UE gcpbvi
+solves and private beliefs in a shared world). Single-user runs and both
+modes share one episode loop, ``run_episode``, and one metric reduction;
+the execution rules sum over the belief's support.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .belief import (
     Observation,
     advance_belief,
     advance_ids,
-    joint_belief,
 )
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
@@ -47,13 +47,11 @@ from .solvers import (
     EXACT_STATE_CAP,
     OracleTree,
     PolicySolution,
-    _AnchorScores,
     _branch_obs,
     _budget_tol,
     _Engine,
-    _max_ratio_point,
-    _merge_branches,
     _resolve_belief_set,
+    _support_index,
     select_pair,
     solve_gcpbvi,
 )
@@ -453,128 +451,23 @@ def solve_centralized(
     eps: float | None = None,
     cap: int = 64,
 ) -> tuple[list[list[_MultiPair]], "object"]:
-    """Joint greedy solve over (UE, option) elements with per-UE budgets.
-
-    Element candidates are scored like the single-user greedy (branch
-    frontier over the element's own observations; the cost side tracks the
-    charged UE). Continuation choices for the assembled joint action use the
-    per-branch rule with all-UE feasibility; a pair that still breaks some
-    UE's budget drops its latest elements until it fits.
-    """
+    """Joint greedy solve over every UE's (UE, option) elements with per-UE
+    budgets: gcpbvi's backup (``_Engine.greedy``) for N UEs. A relay any UE
+    selects is observed by all; continuation choices follow the per-branch
+    local rule with every UE's budget. Each backup predicts the stacked
+    reward and per-UE cost rows of the stored pairs in one call."""
     chains = chains if chains is not None else chains_for_scenario(scenario)
     belief_set = _resolve_belief_set(scenario, chains, None, eps, h, cap)
-    n_ues = scenario.n_ues
-    # one engine per UE for its immediates; engine 0 also predicts and picks
-    # branches, which depends on no UE
-    engines = [_Engine(with_single_ue(scenario, u), chains) for u in range(n_ues)]
-    engine = engines[0]
-    k = scenario.n_relays
-    flat = engine.flat
-    c_th = scenario.c_th
-    tol = _budget_tol(c_th)
-    zero = 1e-12 * max(1.0, c_th)
+    engine = _Engine(scenario, chains)
     horizon = scenario.horizon
-    elements = [Action((e,)) for e in range(k + 1)]
-
-    def element_merge(rho_r, rho_c, wr, wc):
-        """Best ratio point of one element's branch frontier at a belief."""
-        if rho_c > c_th + tol:
-            return None
-        if wr is None:
-            return rho_r, rho_c
-        merge = _merge_branches(rho_r, rho_c, wr, wc, c_th + tol, 512, lowest=True)
-        if merge.r is None:
-            return None
-        return _max_ratio_point(merge.r, merge.c, c_th)
-
-    def imm_tensors(assignment):
-        alpha_r = np.zeros(flat)
-        alpha_cs = np.zeros((n_ues, flat))
-        for u, options in enumerate(assignment):
-            for e in options:
-                alpha_r += engines[u].reward_flat(elements[e])
-                alpha_cs[u] += engines[u].cost_flat(elements[e])
-        return alpha_r, alpha_cs
-
-    def assemble(fb, b, assignment, gr, gcs):
-        """The pair of ``assignment`` at ``fb`` (joint belief ``b``), or None
-        when it breaks some UE's budget."""
-        observed = sorted({e for options in assignment for e in options if e >= 1})
-        sel_axes = tuple(e - 1 for e in observed)
-        imm_r, imm_cs = imm_tensors(assignment)
-        if gr is None:
-            pair = _MultiPair(imm_r, imm_cs, assignment)
-        else:
-            wr = _AnchorScores(gr, fb).scores(sel_axes)
-            wcs = np.stack([_AnchorScores(g, fb).scores(sel_axes) for g in gcs])
-            sigma = engine._local_select(wr, wcs, engine.branch_probs(fb, sel_axes))
-            at = engine.branch_index(sigma, sel_axes)
-            alpha_r = imm_r + gr[at]
-            alpha_cs = imm_cs + np.stack([g[at] for g in gcs])
-            pair = _MultiPair(alpha_r, alpha_cs, assignment)
-        if np.max(pair.alpha_cs @ b) > c_th + tol:
-            return None
-        return pair
-
     epochs: list[list[_MultiPair] | None] = [None] * horizon
     v: list[_MultiPair] = []
     for tau in range(1, horizon + 1):
-        gr = gcs = gcs_stacked = None
-        if v:
-            gr = engine.predict(np.array([p.alpha_r for p in v]))
-            gcs = [engine.predict(np.array([p.alpha_cs[u] for p in v])) for u in range(n_ues)]
-            gcs_stacked = np.concatenate(gcs, axis=0)
-        new_v = []
+        g = engine.predict_stack(v) if v else None
+        v = []
         for fb in belief_set.points:
-            sr = sc_all = None
-            if gr is not None:
-                sr, sc_all = _AnchorScores(gr, fb), _AnchorScores(gcs_stacked, fb)
-            scored = []
-            for e in range(k + 1):
-                sel_axes = () if e == 0 else (e - 1,)
-                wr = wc_all = None
-                if gr is not None:
-                    wr = sr.scores(sel_axes)
-                    wc_all = sc_all.scores(sel_axes)
-                n_pairs = len(v)
-                for u in range(n_ues):
-                    rho_r, rho_c = engines[u].rho(elements[e], fb)
-                    wc = wc_all[u * n_pairs : (u + 1) * n_pairs] if wc_all is not None else None
-                    got = element_merge(rho_r, rho_c, wr, wc)
-                    if got is None:
-                        continue
-                    r, c = got
-                    if c <= zero:
-                        if r <= zero:
-                            continue
-                        scored.append(((0, -r, 0.0, u, e), u, e, c))
-                    else:
-                        scored.append(((1, -r / c, -r, u, e), u, e, c))
-            del sr, sc_all  # pairs are allocated after the element contractions are freed
-            scored.sort(key=lambda item: item[0])
-            v_sums = [0.0] * n_ues
-            admitted: list[tuple[int, int]] = []
-            for _, u, e, c in scored:
-                if v_sums[u] + c < c_th or c <= zero:
-                    admitted.append((u, e))
-                    v_sums[u] += c
-            b = joint_belief(fb)
-            pair = None
-            while True:
-                assignment = tuple(
-                    tuple(sorted(e for uu, e in admitted if uu == u)) for u in range(n_ues)
-                )
-                pair = assemble(fb, b, assignment, gr, gcs)
-                if pair is not None or not admitted:
-                    break
-                admitted.pop()
-            if pair is None:
-                pair = _MultiPair(
-                    np.zeros(flat), np.zeros((n_ues, flat)),
-                    tuple(() for _ in range(n_ues)),
-                )
-            new_v.append(pair)
-        v = new_v
+            anchor = engine.anchor(fb, g, scenario.n_ues)
+            v.append(_MultiPair(*engine.assemble(anchor, engine.greedy(anchor))))
         epochs[horizon - tau] = v
     return epochs, belief_set
 
@@ -584,17 +477,18 @@ def _select_multi(
 ) -> _MultiPair | None:
     """Multi-UE execution rule: the pair feasible for every UE with the best
     total reward at ``fb``; ties break toward lower summed cost, then the
-    smallest assignment. The joint belief is built once per call."""
-    tol = _budget_tol(c_th)
-    b = joint_belief(fb)
+    smallest assignment. Values are sums over the belief's support, each
+    pair's entries gathered there."""
+    limit = c_th + _budget_tol(c_th)
+    idx, b = _support_index(fb)
     best = None
     best_key = None
     for pair in epoch_pairs:
-        costs = pair.alpha_cs @ b
-        if np.max(costs) > c_th + tol:
+        costs = (pair.alpha_cs if idx is None else pair.alpha_cs.take(idx, axis=1)).dot(b)
+        if costs.max() > limit:
             continue
-        r = float(pair.alpha_r @ b)
-        key = (-r, float(costs.sum()), pair.assignment)
+        r = (pair.alpha_r if idx is None else pair.alpha_r.take(idx)).dot(b)
+        key = (-r, costs.sum(), pair.assignment)
         if best_key is None or key < best_key:
             best, best_key = pair, key
     return best

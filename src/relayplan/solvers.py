@@ -4,29 +4,32 @@ Three solvers share one backup engine:
 
 * exact value iteration (enumerated cross-sums, safe dominance pruning),
 * CPBVI (point-based backups anchored to a finite belief set),
-* GCPBVI (the action argmax replaced by ratio-greedy element addition,
-  with the printed algorithm's strict ``<`` budget test; a free element is
-  admitted even at a zero budget).
+* GCPBVI (the action argmax replaced by the paper's greedy: elements enter
+  by marginal gain ratio under the printed algorithm's strict ``<`` budget
+  test, a free element even at a zero budget, and the best single element
+  wins when it beats the greedy set).
 
-plus a brute-force oracle (observation-contingent plan enumeration by
-multi-objective dynamic programming over forward-filtered distributions,
-sharing no code with the alpha-vector machinery) and the error-bound
-calculators.
+The same greedy over (UE, option) elements with per-UE budgets drives the
+centralized multi-user solve in ``sim``. Also here: a brute-force oracle
+(observation-contingent plan enumeration by multi-objective dynamic
+programming over forward-filtered distributions, sharing no code with the
+alpha-vector machinery) and the error-bound calculators.
 
 Cumulative values weight the epoch-t term by ``gamma**(t-1)``; the budget
 constrains the same discounted sum. Point-based backups never materialise
-cross-sums: for each anchor belief the per-branch continuation choices are
-optimised jointly under the budget (a Pareto merge over branches; branches
-of probability 0 cannot change it and are skipped). The merge selects
-exactly the element of the full cross-sum the printed per-point argmax
-would pick unless an approximation fired, and the stats count each one:
+cross-sums. At each anchor belief the predicted stored vectors are gathered
+once on the belief's support, and each relay set's continuation is computed
+once: its per-branch choices are optimised jointly under the budget (a
+Pareto merge over the branches of positive probability) for one UE when
+the set has at most ``ROOT_BRANCH_CAP`` branches. The merge selects exactly
+the element of the full cross-sum the printed per-point argmax would pick
+unless an approximation fired, and the stats count each one:
 
 * ``frontier_cap_hits``: a merged frontier longer than ``FRONTIER_CAP`` was
   thinned to evenly spaced points;
-* ``element_frontier_cap_hits``: the same thinning in gcpbvi's per-element
-  candidate frontiers, which steer its ratio-greedy admission;
-* ``local_mode_selections``: an action with more than ``ROOT_BRANCH_CAP``
-  branches chose per branch under a local budget instead.
+* ``local_mode_selections``: a relay set with more than ``ROOT_BRANCH_CAP``
+  branches, or any relay set of a multi-user solve, chose per branch under a
+  local budget instead.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .belief import (
     build_h_belief_set,
     density_bound,
     epsilon_belief_set,
-    joint_belief,
+    joint_support,
 )
 from .errors import CapExceededError, SpectralError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
@@ -123,25 +126,33 @@ def select_pair(
 ) -> tuple[AlphaPair | None, Action]:
     """Execution rule: budget-feasible pair with the best reward at ``fb``.
 
-    Ties break toward lower cost, then the lexicographically smallest action.
-    Returns ``(None, empty action)`` when no stored pair is feasible.
+    Values are sums over the belief's support, each pair's entries gathered
+    there. Ties break toward lower cost, then the lexicographically smallest
+    action. Returns ``(None, empty action)`` when no stored pair is feasible.
     """
-    pairs = policy.epochs[epoch - 1]
-    tol = _budget_tol(policy.c_th)
-    b = joint_belief(fb)
+    limit = policy.c_th + _budget_tol(policy.c_th)
+    idx, b = _support_index(fb)
     best = None
     best_key = None
-    for pair in pairs:
-        # the arithmetic of AlphaPair.evaluate, with the joint belief built once
-        r, c = float(pair.alpha_r @ b), float(pair.alpha_c @ b)
-        if c > policy.c_th + tol:
+    for pair in policy.epochs[epoch - 1]:
+        c = (pair.alpha_c if idx is None else pair.alpha_c.take(idx)).dot(b)
+        if c > limit:
             continue
+        r = (pair.alpha_r if idx is None else pair.alpha_r.take(idx)).dot(b)
         key = (-r, c, pair.action.selected)
         if best_key is None or key < best_key:
             best, best_key = pair, key
     if best is None:
         return None, EMPTY_ACTION
     return best, best.action
+
+
+def _support_index(fb: FactoredBelief) -> tuple[np.ndarray | None, np.ndarray]:
+    """The flat indices that gather a joint-space vector's entries on the
+    belief's support (with ``take``; None when the support is the whole space
+    and the vector serves as it is), and the joint belief there."""
+    idx, b = joint_support(fb)
+    return (None if len(idx) == math.prod(f.shape[0] for f in fb.per_relay) else idx), b
 
 
 def _running_records(rs: np.ndarray) -> np.ndarray:
@@ -189,121 +200,111 @@ def _column_frontiers(wr: np.ndarray, wc: np.ndarray) -> list[np.ndarray]:
 
 
 @dataclass
-class _Merge:
-    """Outcome of ``_merge_branches``.
+class _Continuation:
+    """The continuation points of one relay set at one anchor belief.
 
-    ``r``/``c`` is the final frontier, or None when some branch had no
-    choice within the limit; ``merged`` counts the branches before that one
-    (all of them otherwise), ``skipped`` the all-zero branches among those.
-    ``steps`` holds ``(branch, parents, choices)`` per merged live branch:
-    frontier point ``i`` extends point ``parents[i]`` of the frontier before
-    that branch with row ``choices[i]``.
+    Point ``i`` adds ``r[i]`` to the reward and ``cs[u, i]`` to UE ``u``'s
+    cost. The local rule leaves one point, whose branch choices are
+    ``sigma``; a root merge leaves its Pareto frontier, and ``steps[z]``
+    holds ``(parents, choices)``: frontier point ``i`` after branch ``z``
+    extends point ``parents[i]`` of the frontier before it with row
+    ``choices[i]``.
     """
 
-    r: np.ndarray | None
-    c: np.ndarray | None
-    merged: int
-    skipped: int
-    cap_hits: int = 0
+    r: np.ndarray
+    cs: np.ndarray
+    sigma: np.ndarray | None = None
     steps: list = field(default_factory=list)
 
-
-def _merge_branches(r0, c0, wr, wc, limit, cap, lowest=False) -> _Merge:
-    """Pareto frontier of ``(r0 + sum_z wr[j_z, z], c0 + sum_z wc[j_z, z])``
-    over one choice ``j_z`` per branch (column), merged branch by branch.
-
-    After each branch only points with cost within ``limit`` survive, and a
-    frontier longer than ``cap`` is thinned to ``cap`` evenly spaced points
-    (the ``cap`` cheapest with ``lowest``). A branch whose reward and cost
-    columns are all zero is skipped: its own frontier is row 0, adding zero
-    changes no sum, and a frontier merged again is unchanged, so it would
-    pick row 0 and leave the frontier as it was.
-    """
-    n_branches = wr.shape[1]
-    live = np.flatnonzero(wr.any(axis=0) | wc.any(axis=0))
-    out = _Merge(np.array([r0]), np.array([c0]), n_branches, n_branches - len(live))
-    for i, (z, cand) in enumerate(zip(live, _column_frontiers(wr[:, live], wc[:, live]))):
-        rr = (out.r[:, None] + wr[cand, z][None, :]).ravel()
-        cc = (out.c[:, None] + wc[cand, z][None, :]).ravel()
-        ok = np.flatnonzero(cc <= limit)
+    def pick(self, rho_r: float, rho_cs: list[float], limit: float):
+        """The best point under immediates ``rho_r`` and per-UE ``rho_cs``:
+        the highest total reward with every UE's total cost within ``limit``,
+        ties to the lowest summed cost. ``(r, costs, point)`` or None."""
+        if len(self.r) == 1:  # the same arithmetic on Python floats, much cheaper
+            cs = tuple(rho + c for rho, c in zip(rho_cs, self.cs[:, 0].tolist()))
+            return None if max(cs) > limit else (rho_r + float(self.r[0]), cs, 0)
+        r = rho_r + self.r
+        cs = np.asarray(rho_cs)[:, None] + self.cs
+        ok = np.flatnonzero((cs <= limit).all(axis=0))
         if not len(ok):
-            return _Merge(None, None, int(z), int(z) - i, out.cap_hits)
-        keep = ok[_pareto_indices(rr[ok], cc[ok])]
-        if len(keep) > cap:
-            out.cap_hits += 1
-            if lowest:
-                keep = keep[:cap]
-            else:
-                keep = keep[np.unique(np.linspace(0, len(keep) - 1, cap).round().astype(int))]
-        out.r, out.c = rr[keep], cc[keep]
-        out.steps.append((z, keep // len(cand), cand[keep % len(cand)]))
-    return out
+            return None
+        best = int(ok[np.lexsort((cs[:, ok].sum(axis=0), -r[ok]))[0]])
+        return float(r[best]), tuple(cs[:, best].tolist()), best
+
+    def choices(self, point: int) -> np.ndarray:
+        """The source row of every branch at ``point``."""
+        if self.sigma is not None:
+            return self.sigma
+        sigma = np.zeros(len(self.steps), dtype=int)
+        for z in range(len(self.steps) - 1, -1, -1):
+            parents, choices = self.steps[z]
+            sigma[z] = choices[point]
+            point = int(parents[point])
+        return sigma
 
 
-class _AnchorScores:
-    """Belief-weighted branch contributions of one predicted stack at one anchor.
+class _SupportScores:
+    """Belief-weighted branch scores of a predicted stack at one anchor belief.
 
-    ``scores(sel_axes)`` entry ``[j, z]`` is the term the cross-sum element
-    choosing source ``j`` at observation branch ``z`` adds to the value at
-    ``fb``. The unselected axes are contracted in descending order, and every
-    contraction prefix is kept, so scores for different ``sel_axes`` at the
-    same anchor share their leading contractions. An exactly one-hot factor
-    (one nonzero entry, equal to 1.0) is contracted by indexing its axis,
-    which gives a view; for finite values that is bitwise the ``tensordot``
-    with ``e_i``. A later ``tensordot`` reads such a view through a
-    contiguous copy, the layout it would have had. The object lives for one
-    anchor belief only.
+    The stack's entries on the belief's support (the joint states where every
+    factor is positive) are gathered once. ``scores(sel_axes)`` entry
+    ``[j, z]`` is the term that choosing row ``j`` at observation branch
+    ``z`` adds to the value at the belief, for the branches of positive
+    probability only: the unselected axes are contracted in descending order
+    with their factors' support weights, and the selected ones multiplied in.
     """
 
-    def __init__(self, g: np.ndarray, fb: FactoredBelief, counters: dict | None = None):
-        self.fb = fb
+    def __init__(self, g: np.ndarray, fb: FactoredBelief, counters: dict):
         self.counters = counters
-        self._hot = [_hot_index(b) for b in fb.per_relay]
-        self._contracted = {(): g.reshape((-1,) + tuple(b.shape[0] for b in fb.per_relay))}
-
-    def _contract(self, axes: tuple[int, ...]) -> np.ndarray:
-        t = self._contracted.get(axes)
-        if t is None:
-            ax = axes[-1]
-            prev = self._contract(axes[:-1])
-            if self._hot[ax] is None:
-                # a sliced prefix is strided, and BLAS may sum a strided
-                # operand in another order: contract a contiguous copy
-                prev = np.ascontiguousarray(prev)
-                t = np.tensordot(prev, self.fb.per_relay[ax], axes=(ax + 1, 0))
-            else:
-                t = prev[(slice(None),) * (ax + 1) + (self._hot[ax],)]
-            self._contracted[axes] = t
-        return t
+        self.support = [np.flatnonzero(b) for b in fb.per_relay]
+        self.weights = [b[s] for b, s in zip(fb.per_relay, self.support)]
+        n = fb.per_relay[0].shape[0]
+        t = g.reshape((len(g),) + (n,) * fb.n_relays)
+        for ax in sorted(range(fb.n_relays), key=lambda ax: len(self.support[ax])):
+            if len(self.support[ax]) < n:
+                t = np.take(t, self.support[ax], axis=ax + 1)
+        self.t = t
 
     def scores(self, sel_axes: tuple[int, ...]) -> np.ndarray:
-        unselected = set(range(self.fb.n_relays)) - set(sel_axes)
-        t = self._contract(tuple(sorted(unselected, reverse=True)))
+        t = self.t
+        for ax in sorted(set(range(len(self.support))) - set(sel_axes), reverse=True):
+            t = np.tensordot(t, self.weights[ax], axes=(ax + 1, 0))
         m = len(sel_axes)
         for pos, ax in enumerate(sel_axes):
-            t = t * self.fb.per_relay[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
+            t = t * self.weights[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
         out = t.reshape(len(t), -1)
-        if self.counters is not None:
-            self.counters["pair_evaluations"] += out.size
+        self.counters["pair_evaluations"] += out.size
         return out
 
+    def probs(self, sel_axes: tuple[int, ...]) -> np.ndarray:
+        """The probabilities of the observation branches of ``sel_axes`` that
+        have positive probability, in the column order of ``scores``."""
+        p = np.ones(1)
+        for ax in sel_axes:
+            p = np.multiply.outer(p, self.weights[ax]).ravel()
+        return p
 
-def _hot_index(b: np.ndarray) -> int | None:
-    """The index of ``b``'s single nonzero entry when that entry is 1.0, else None."""
-    nz = np.flatnonzero(b)
-    return int(nz[0]) if len(nz) == 1 and b[nz[0]] == 1.0 else None
+
+@dataclass
+class _Anchor:
+    """One anchor belief of a backup: the predicted stack ``g`` (None with no
+    future) with its support scores, each UE's immediate (reward, cost) per
+    option, and the continuation of every relay set scored so far."""
+
+    g: np.ndarray | None
+    scores: _SupportScores | None
+    imm: list[list[tuple[float, float]]]
+    continuations: dict = field(default_factory=dict)
 
 
-def _max_ratio_point(r: np.ndarray, c: np.ndarray, c_th: float) -> tuple[float, float]:
-    """The frontier point with the best reward/cost ratio (zero cost ranks first)."""
-    zero = 1e-12 * max(1.0, c_th)
-    ratios = np.where(c > zero, r / np.maximum(c, zero), np.where(r > zero, np.inf, 0.0))
-    best = int(np.lexsort((c, -r, -ratios))[0])
-    return float(r[best]), float(c[best])
+def _relay_axes(assignment: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The relay axes observed under ``assignment``: those any UE selects."""
+    return tuple(sorted({e - 1 for options in assignment for e in options if e >= 1}))
 
 
 class _Engine:
-    """Shared per-solve state: tensors, branch scoring, selection, assembly."""
+    """Shared per-solve state: tensors, prediction, per-anchor selection and
+    assembly, for one UE or several sharing the relays."""
 
     def __init__(
         self,
@@ -326,9 +327,7 @@ class _Engine:
             "pair_evaluations": 0,
             "branch_merges": 0,
             "frontier_cap_hits": 0,
-            "element_frontier_cap_hits": 0,
             "local_mode_selections": 0,
-            "zero_branches_skipped": 0,
         }
         self.timings = dict.fromkeys(
             ("time_belief_set_s", "time_predict_s", "time_score_s", "time_merge_s",
@@ -337,8 +336,9 @@ class _Engine:
         )
         self._reward_flat: dict[tuple, np.ndarray] = {}
         self._cost_flat: dict[tuple, np.ndarray] = {}
-        self.r_vecs = {i: reward_vector(scenario, i) for i in range(1, self.k + 1)}
-        self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, self.k + 1)}
+        relays = range(1, self.k + 1)
+        self.r_vecs = [{i: reward_vector(scenario, i, u) for i in relays} for u in range(scenario.n_ues)]
+        self.c_vecs = {i: cost_vector(scenario, i) for i in relays}
 
     @contextmanager
     def timed(self, phase: str):
@@ -349,10 +349,10 @@ class _Engine:
         finally:
             self.timings[phase] += time.perf_counter() - started
 
-    def reward_flat(self, action: Action) -> np.ndarray:
-        key = action.selected
+    def reward_flat(self, action: Action, ue: int = 0) -> np.ndarray:
+        key = (ue, action.selected)
         if key not in self._reward_flat:
-            self._reward_flat[key] = reward_tensor(self.scenario, action)
+            self._reward_flat[key] = reward_tensor(self.scenario, action, ue)
         return self._reward_flat[key]
 
     def cost_flat(self, action: Action) -> np.ndarray:
@@ -361,13 +361,14 @@ class _Engine:
             self._cost_flat[key] = cost_tensor(self.scenario, action)
         return self._cost_flat[key]
 
-    def rho(self, action: Action, fb: FactoredBelief) -> tuple[float, float]:
-        """Expected immediate (reward, cost) of ``action`` at ``fb``: the sum
-        of the selected options' means under their own belief factors."""
-        r = self.scenario.direct_reward() if 0 in action else 0.0
-        c = self.scenario.direct_cost() if 0 in action else 0.0
+    def rho(self, action: Action, fb: FactoredBelief, ue: int = 0) -> tuple[float, float]:
+        """Expected immediate (reward, cost) of ``action`` for UE ``ue`` at
+        ``fb``: the sum of the selected options' means under their own
+        belief factors."""
+        r = self.scenario.direct_reward(ue) if 0 in action else 0.0
+        c = self.scenario.direct_cost(ue) if 0 in action else 0.0
         for i in action.relays:
-            r += float(fb.per_relay[i - 1] @ self.r_vecs[i])
+            r += float(fb.per_relay[i - 1] @ self.r_vecs[ue][i])
             c += float(fb.per_relay[i - 1] @ self.c_vecs[i])
         return r, c
 
@@ -389,74 +390,86 @@ class _Engine:
             self.counters["predictions"] += len(stack)
             return self.gamma * t.reshape(len(stack), -1)
 
-    def predict_stack(self, pairs: list[AlphaPair]) -> tuple[np.ndarray, np.ndarray]:
-        """``predict`` of both vectors of every pair, stacked in one call."""
-        flat = self.predict(np.array([p.alpha_r for p in pairs] + [p.alpha_c for p in pairs]))
-        return flat[: len(pairs)], flat[len(pairs) :]
+    def predict_stack(self, pairs: list) -> np.ndarray:
+        """``predict`` of the (1 + N) * P rows of P stored pairs of N UEs,
+        stacked in one call: every pair's reward, then every pair's cost for
+        UE 0, and so on."""
+        stack = np.empty((1 + len(pairs[0].alpha_cs), len(pairs), self.flat))
+        for j, pair in enumerate(pairs):
+            stack[0, j] = pair.alpha_r
+            stack[1:, j] = pair.alpha_cs
+        return self.predict(stack.reshape(-1, self.flat))
 
-    def anchor(self, fb: FactoredBelief, gr: np.ndarray | None, gc: np.ndarray | None):
-        """The reward and cost scorers of one anchor belief (None with no future)."""
-        if gr is None:
-            return None
-        return _AnchorScores(gr, fb, self.counters), _AnchorScores(gc, fb, self.counters)
+    def anchor(self, fb: FactoredBelief, g: np.ndarray | None, n_ues: int = 1) -> _Anchor:
+        """Anchor belief ``fb`` of a backup for ``n_ues`` UEs over the
+        predicted stack ``g`` (``predict_stack``; None with no future)."""
+        scores = None
+        if g is not None:
+            with self.timed("time_score_s"):
+                scores = _SupportScores(g, fb, self.counters)
+        imm = [[self.rho(Action((e,)), fb, u) for e in range(self.k + 1)] for u in range(n_ues)]
+        return _Anchor(g, scores, imm)
 
-    def scores(self, anchor, sel_axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The reward and cost branch scores of ``anchor`` for ``sel_axes``."""
-        with self.timed("time_score_s"):
-            return tuple(scorer.scores(sel_axes) for scorer in anchor)
+    def continuation(self, anchor: _Anchor, sel_axes: tuple[int, ...]) -> _Continuation | None:
+        """The continuation points of the relay set ``sel_axes`` at
+        ``anchor``, computed once per anchor; None when some branch has no
+        choice within the budget."""
+        if sel_axes in anchor.continuations:
+            return anchor.continuations[sel_axes]
+        n_ues = len(anchor.imm)
+        if anchor.scores is None:
+            cont = _Continuation(np.zeros(1), np.zeros((n_ues, 1)))
+        else:
+            with self.timed("time_score_s"):
+                w = anchor.scores.scores(sel_axes)
+            rows = len(w) // (1 + n_ues)
+            wr, wcs = w[:rows], w[rows:].reshape(n_ues, rows, -1)
+            with self.timed("time_merge_s"):
+                # Root or local is decided on all n^m branches of the relay set,
+                # not on the count its support leaves. A root merge spends the
+                # whole budget across the branches of the anchor, while the
+                # execution rule checks each later epoch's cost-to-go against
+                # the full c_th, not against what the plan left to that
+                # branch; exact merges over large supports made policies
+                # overspend their budget in simulation.
+                if n_ues == 1 and self.n ** len(sel_axes) <= ROOT_BRANCH_CAP:
+                    cont = self._root_merge(wr, wcs[0])
+                else:
+                    self.counters["local_mode_selections"] += 1
+                    sigma = self._local_select(wr, wcs, anchor.scores.probs(sel_axes))
+                    cols = np.arange(len(sigma))
+                    cont = _Continuation(
+                        np.array([wr[sigma, cols].sum()]),
+                        wcs[:, sigma, cols].sum(axis=1)[:, None],
+                        sigma=sigma,
+                    )
+        anchor.continuations[sel_axes] = cont
+        return cont
 
-    def branch_probs(self, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
-        p = np.ones(1)
-        for ax in sel_axes:
-            p = np.kron(p, fb.per_relay[ax])
-        return p
-
-    def select(self, action: Action, fb: FactoredBelief, anchor):
-        """Best budget-feasible continuation assignment for ``action`` at ``fb``.
-
-        ``anchor`` is ``self.anchor(fb, gr, gc)``. Returns ``(r, c, sigma)`` or
-        None when the action cannot stay within the budget at this belief;
-        ``sigma`` is None when there is no future.
-        """
-        rho_r, rho_c = self.rho(action, fb)
-        tol = _budget_tol(self.c_th)
-        if anchor is None:
-            if rho_c > self.c_th + tol:
-                return None
-            return rho_r, rho_c, None
-        sel_axes = tuple(i - 1 for i in action.relays)
-        wr, wc = self.scores(anchor, sel_axes)
-        with self.timed("time_merge_s"):
-            if wr.shape[1] <= ROOT_BRANCH_CAP:
-                return self._root_select(rho_r, rho_c, wr, wc)
-            self.counters["local_mode_selections"] += 1
-            if rho_c > self.c_th + tol:
-                return None
-            sigma = self._local_select(wr, wc[None], self.branch_probs(fb, sel_axes))
-            cols = np.arange(wr.shape[1])
-            r = rho_r + float(wr[sigma, cols].sum())
-            c = rho_c + float(wc[sigma, cols].sum())
-            if c > self.c_th + tol:
-                return None
-            return r, c, sigma
-
-    def _root_select(self, rho_r, rho_c, wr, wc):
+    def _root_merge(self, wr: np.ndarray, wc: np.ndarray) -> _Continuation | None:
+        """The Pareto frontier of ``(sum_z wr[j_z, z], sum_z wc[j_z, z])`` over
+        one row ``j_z`` per branch (column), merged branch by branch from
+        (0, 0). After each branch only points with cost within the budget
+        survive, and a frontier longer than ``frontier_cap`` is thinned to that
+        many evenly spaced points. None when some branch has no choice within
+        the budget."""
         limit = self.c_th + _budget_tol(self.c_th)
-        if rho_c > limit:
-            return None
-        merge = _merge_branches(rho_r, rho_c, wr, wc, limit, self.frontier_cap)
-        self.counters["branch_merges"] += merge.merged
-        self.counters["zero_branches_skipped"] += merge.skipped
-        self.counters["frontier_cap_hits"] += merge.cap_hits
-        if merge.r is None:
-            return None
-        best = int(np.lexsort((merge.c, -merge.r))[0])
-        sigma = np.zeros(wr.shape[1], dtype=int)  # a skipped branch keeps row 0
-        idx = best
-        for z, parents, choices in reversed(merge.steps):
-            sigma[z] = choices[idx]
-            idx = int(parents[idx])
-        return float(merge.r[best]), float(merge.c[best]), sigma
+        r, c = np.zeros(1), np.zeros(1)
+        steps = []
+        for z, cand in enumerate(_column_frontiers(wr, wc)):
+            rr = (r[:, None] + wr[cand, z][None, :]).ravel()
+            cc = (c[:, None] + wc[cand, z][None, :]).ravel()
+            ok = np.flatnonzero(cc <= limit)
+            if not len(ok):
+                return None
+            self.counters["branch_merges"] += 1
+            keep = ok[_pareto_indices(rr[ok], cc[ok])]
+            if len(keep) > self.frontier_cap:
+                self.counters["frontier_cap_hits"] += 1
+                keep = keep[np.unique(np.linspace(0, len(keep) - 1, self.frontier_cap).round().astype(int))]
+            r, c = rr[keep], cc[keep]
+            steps.append((keep // len(cand), cand[keep % len(cand)]))
+        return _Continuation(r, c[None], steps=steps)
 
     def _local_select(self, wr: np.ndarray, wcs: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Per-branch choices under a local budget: at each branch ``z`` the
@@ -471,40 +484,113 @@ class _Engine:
             sigma[orphan] = np.argmin(wcs.sum(axis=0)[:, orphan], axis=0)
         return sigma
 
+    def select(self, assignment: tuple[tuple[int, ...], ...], anchor: _Anchor):
+        """The best budget-feasible continuation of ``assignment`` (one option
+        tuple per UE) at ``anchor``: ``(reward, per-UE costs, point)``, where
+        ``point`` indexes the continuation of the assignment's relay set, or
+        None when some UE's budget cannot hold."""
+        limit = self.c_th + _budget_tol(self.c_th)
+        rho_r = 0.0
+        rho_cs = []
+        for imm, options in zip(anchor.imm, assignment):
+            c = 0.0
+            for e in options:
+                rho_r += imm[e][0]
+                c += imm[e][1]
+            rho_cs.append(c)
+        if max(rho_cs) > limit:
+            return None
+        cont = self.continuation(anchor, _relay_axes(assignment))
+        return None if cont is None else cont.pick(rho_r, rho_cs, limit)
+
+    def greedy(self, anchor: _Anchor):
+        """The paper's greedy over (UE, option) elements at ``anchor``.
+
+        From the empty assignment S, each round adds the element ``e`` of
+        best marginal gain: the increase in ``select``'s reward (a set's
+        immediates plus its best continuation) over the increase in its cost
+        summed over UEs. An element enters only when it raises the reward
+        and passes the printed algorithm's strict test: the charged UE's
+        cost of S + {e} stays below ``c_th``, or ``e`` is free (its cost
+        increase at most 1e-12 * c_th), so a free element enters even at a
+        zero budget. Free elements rank first, by gain. The result is the
+        better of S and the best single element that round one admitted
+        (Khuller, Moss & Naor 1999): ratio greedy alone has no constant
+        factor under a knapsack. Returns ``(assignment, point)`` or None when
+        nothing fits the budget.
+        """
+        n_ues = len(anchor.imm)
+        free = 1e-12 * max(1.0, self.c_th)
+        chosen = ((),) * n_ues
+        current = self.select(chosen, anchor)
+        single = None
+        while True:
+            base_r, base_c = (current[0], sum(current[1])) if current else (0.0, 0.0)
+            best = None
+            for u in range(n_ues):
+                for e in range(self.k + 1):
+                    if e in chosen[u]:
+                        continue
+                    cand = chosen[:u] + (tuple(sorted(chosen[u] + (e,))),) + chosen[u + 1 :]
+                    got = self.select(cand, anchor)
+                    if got is None:
+                        continue
+                    gain, cost = got[0] - base_r, sum(got[1]) - base_c
+                    if gain <= 0.0 or not (got[1][u] < self.c_th or cost <= free):
+                        continue
+                    key = (0, -gain, u, e) if cost <= free else (1, -gain / cost, -gain, u, e)
+                    if best is None or key < best[0]:
+                        best = (key, cand, got)
+                    if not any(chosen) and (single is None or got[0] > single[1][0]):
+                        single = (cand, got)
+            if best is None:
+                break
+            _, chosen, current = best
+        if single is not None and single[1][0] > current[0]:
+            chosen, current = single
+        return None if current is None else (chosen, current[2])
+
     def branch_index(self, sigma: np.ndarray, sel_axes: tuple[int, ...]) -> tuple:
         """Index of a predicted stack ``g`` such that ``g[index]`` takes, at each
         joint state, the row the per-branch choices ``sigma`` pick there."""
         dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
         return np.broadcast_to(sigma.reshape(dims), self.shape).reshape(-1), np.arange(self.flat)
 
-    def assemble(
-        self,
-        action: Action,
-        sigma: np.ndarray | None,
-        gr: np.ndarray | None,
-        gc: np.ndarray | None,
-        epoch: int,
-    ) -> AlphaPair:
-        """Materialise the joint-space pair for an action and branch choices."""
+    def assemble(self, anchor: _Anchor, chosen) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The joint-space vectors of ``chosen``, an ``(assignment, point)``
+        at ``anchor``: the reward (flat), each UE's cost (N, flat) and the
+        assignment. A branch of probability 0 continues with row 0. None
+        gives the empty assignment's zero vectors."""
+        n_ues = len(anchor.imm)
+        if chosen is None:
+            return np.zeros(self.flat), np.zeros((n_ues, self.flat)), ((),) * n_ues
+        assignment, point = chosen
         with self.timed("time_assemble_s"):
-            alpha_r = self.reward_flat(action).copy()
-            alpha_c = self.cost_flat(action).copy()
-            if sigma is not None:
-                at = self.branch_index(sigma, tuple(i - 1 for i in action.relays))
-                alpha_r += gr[at]
-                alpha_c += gc[at]
-            return AlphaPair(alpha_r=alpha_r, alpha_c=alpha_c, action=action, epoch=epoch)
-
-    def zero_pair(self, epoch: int) -> AlphaPair:
-        return AlphaPair(
-            alpha_r=np.zeros(self.flat),
-            alpha_c=np.zeros(self.flat),
-            action=EMPTY_ACTION,
-            epoch=epoch,
-        )
+            alpha_r = np.zeros(self.flat)
+            for u, options in enumerate(assignment):
+                alpha_r += self.reward_flat(Action(options), u)
+            alpha_cs = np.array([self.cost_flat(Action(options)) for options in assignment])
+            if anchor.g is not None:
+                sel_axes = _relay_axes(assignment)
+                support = [anchor.scores.support[ax] for ax in sel_axes]
+                sigma = np.zeros((self.n,) * len(sel_axes), dtype=int)
+                sigma[np.ix_(*support)] = self.continuation(anchor, sel_axes).choices(point).reshape(
+                    tuple(len(s) for s in support)
+                )
+                rows, cols = self.branch_index(sigma.ravel(), sel_axes)
+                picked = np.take(anchor.g.reshape(1 + n_ues, -1), rows * self.flat + cols, axis=1)
+                alpha_r += picked[0]
+                alpha_cs += picked[1:]
+            return alpha_r, alpha_cs, assignment
 
 
 # --- point-based backups ---------------------------------------------------
+
+
+def _alpha_pair(engine: _Engine, anchor: _Anchor, chosen, epoch: int) -> AlphaPair:
+    """The single-UE pair ``engine.assemble`` builds for ``chosen``."""
+    alpha_r, alpha_cs, (options,) = engine.assemble(anchor, chosen)
+    return AlphaPair(alpha_r=alpha_r, alpha_c=alpha_cs[0], action=Action(options), epoch=epoch)
 
 
 def cpbvi_backup(
@@ -519,78 +605,28 @@ def cpbvi_backup(
     with its budget-coupled continuation choices. Always returns one pair per
     anchor (the zero pair of the empty action when nothing is feasible)."""
     engine = engine or _Engine(scenario, chains)
-    gr = gc = None
-    if v_next:
-        gr, gc = engine.predict_stack(v_next)
     actions = all_actions(engine.k)
     if len(actions) > EXACT_ACTION_CAP:
         raise CapExceededError(
             f"{len(actions)} candidate actions; use the greedy solver for K > 5"
         )
+    g = engine.predict_stack(v_next) if v_next else None
     out = []
     for fb in belief_set.points:
-        anchor = engine.anchor(fb, gr, gc)
+        anchor = engine.anchor(fb, g)
         best = None
         best_key = None
         for action in actions:
-            picked = engine.select(action, fb, anchor)
+            picked = engine.select((action.selected,), anchor)
             if picked is None:
                 continue
-            r, c, sigma = picked
+            r, (c,), point = picked
             key = (-r, c, action.selected)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (action, sigma)
-        del anchor  # the stored pair is allocated after the contractions are freed
-        if best is None:
-            out.append(engine.zero_pair(epoch))
-        else:
-            out.append(engine.assemble(best[0], best[1], gr, gc, epoch))
+                best = ((action.selected,), point)
+        out.append(_alpha_pair(engine, anchor, best, epoch))
     return out
-
-
-def _element_candidates(engine: _Engine, fb: FactoredBelief, anchor):
-    """Best ratio-scored candidate per selectable element at ``fb``.
-
-    Element candidates come from the element's own observation-branch
-    frontier; zero-cost positive-reward candidates rank ahead of every
-    finite ratio, and zero-cost zero-reward elements are dropped as no-ops.
-    """
-    ranked = []
-    tol = 1e-12 * max(1.0, engine.c_th)
-    for e in range(engine.k + 1):
-        action = Action((e,))
-        picked = _element_frontier_best(engine, action, fb, anchor)
-        if picked is None:
-            continue
-        r, c = picked
-        if c <= tol:
-            if r <= tol:
-                continue
-            ranked.append(((0, -r, 0.0, e), e, r, c))
-        else:
-            ranked.append(((1, -r / c, -r, e), e, r, c))
-    ranked.sort(key=lambda item: item[0])
-    return [(e, r, c) for _, e, r, c in ranked]
-
-
-def _element_frontier_best(engine, action, fb, anchor):
-    """Max-ratio point of one element's own branch frontier at ``fb``."""
-    rho_r, rho_c = engine.rho(action, fb)
-    limit = engine.c_th + _budget_tol(engine.c_th)
-    if rho_c > limit:
-        return None
-    if anchor is None:
-        return rho_r, rho_c
-    sel_axes = tuple(i - 1 for i in action.relays)
-    wr, wc = engine.scores(anchor, sel_axes)
-    with engine.timed("time_merge_s"):
-        merge = _merge_branches(rho_r, rho_c, wr, wc, limit, engine.frontier_cap)
-        engine.counters["zero_branches_skipped"] += merge.skipped
-        engine.counters["element_frontier_cap_hits"] += merge.cap_hits
-        if merge.r is None:
-            return None
-        return _max_ratio_point(merge.r, merge.c, engine.c_th)
 
 
 def gcpbvi_backup(
@@ -601,36 +637,15 @@ def gcpbvi_backup(
     epoch: int = 0,
     engine: _Engine | None = None,
 ) -> list[AlphaPair]:
-    """Greedy point-based iteration: per anchor belief, pick the action by
-    ratio-greedy element addition (never enumerating the 2^K action set),
-    then materialise that action's pair with budget-coupled continuations.
-    """
+    """Greedy point-based iteration: per anchor belief, the action of
+    ``_Engine.greedy`` (never enumerating the 2^K action set) with its
+    budget-coupled continuation choices."""
     engine = engine or _Engine(scenario, chains)
-    gr = gc = None
-    if v_next:
-        gr, gc = engine.predict_stack(v_next)
-    free = 1e-12 * max(1.0, engine.c_th)  # a free element enters even at a zero budget
+    g = engine.predict_stack(v_next) if v_next else None
     out = []
     for fb in belief_set.points:
-        anchor = engine.anchor(fb, gr, gc)
-        candidates = _element_candidates(engine, fb, anchor)
-        v_sum = 0.0
-        admitted: list[int] = []
-        for e, r, c in candidates:
-            if v_sum + c < engine.c_th or c <= free:
-                admitted.append(e)
-                v_sum += c
-        picked = None
-        while admitted and picked is None:
-            action = Action(tuple(sorted(admitted)))
-            picked = engine.select(action, fb, anchor)
-            if picked is None:
-                admitted.pop()
-        del anchor  # the stored pair is allocated after the contractions are freed
-        if picked is None:
-            out.append(engine.zero_pair(epoch))
-        else:
-            out.append(engine.assemble(action, picked[2], gr, gc, epoch))
+        anchor = engine.anchor(fb, g)
+        out.append(_alpha_pair(engine, anchor, engine.greedy(anchor), epoch))
     return out
 
 
@@ -662,7 +677,8 @@ def exact_backup(
 
     gr = gc = None
     if v_t:
-        gr, gc = engine.predict_stack(v_t)
+        g = engine.predict_stack(v_t)
+        gr, gc = g[: len(v_t)], g[len(v_t) :]
 
     out: list[AlphaPair] = []
     for action in actions:

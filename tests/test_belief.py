@@ -22,7 +22,7 @@ from relayplan.belief import (
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, EMPTY_ACTION, total_cost, total_reward
-from relayplan.solvers import _Engine
+from relayplan.solvers import _Engine, _SupportScores
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
@@ -144,8 +144,8 @@ class TestObservationProb:
 
     @staticmethod
     def _probs(fb, sel_axes):
-        sc = line_scenario(fb.per_relay[0].shape[0], [1] * fb.n_relays)
-        return _Engine(sc, chains_for_scenario(sc)).branch_probs(fb, sel_axes)
+        n = fb.per_relay[0].shape[0]
+        return _SupportScores(np.zeros((1, n**fb.n_relays)), fb, {"pair_evaluations": 0}).probs(sel_axes)
 
     def test_empty_action_single_observation(self):
         fb = FactoredBelief((np.array([0.4, 0.6]),))

@@ -338,7 +338,7 @@ class TestMultiUser8bRegression:
                 digest.update(pair.alpha_cs.tobytes())
                 digest.update(repr(pair.assignment).encode())
         assert digest.hexdigest() == (
-            "5fa7bd26c3d3eb3ef00ab62024ec158ca97af69f96bb98033a15b8ee4d636f90"
+            "4128e7c84ae8b54b904c4102aad6747c9878dd0ffa6032b1dcaa49c9f7f87229"
         )
 
     def test_distributed_vectors(self):
@@ -352,14 +352,17 @@ class TestMultiUser8bRegression:
                     digest.update(pair.alpha_c.tobytes())
                     digest.update(repr(pair.action.selected).encode())
         assert digest.hexdigest() == (
-            "e4ba585cf56cfcb15712bd6336612e36970fe34f147efb7a393f07bd72487b91"
+            "2c66663d9705ed73a3d1e46765ed2fe5457bc41fd0424dfdbed32a55fc7b5d5d"
         )
 
     @pytest.mark.parametrize("mode, reward, costs", [
-        ("centralized", 2929.340277777778, [499.8115079365079] * 5),
-        ("distributed", 3111.7476851851848, [
-            525.327380952381, 522.8571428571428, 528.6607142857142,
-            529.077380952381, 523.6904761904761,
+        ("centralized", 4859.143518518517, [
+            1003.7797619047618, 1016.2797619047618, 1003.7797619047618,
+            1003.7797619047618, 1016.2797619047618,
+        ]),
+        ("distributed", 4859.143518518517, [
+            1003.7797619047618, 1016.2797619047618, 1003.7797619047618,
+            1003.7797619047618, 1016.2797619047618,
         ]),
     ])
     def test_seeded_metrics(self, mode, reward, costs):
