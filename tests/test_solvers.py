@@ -540,6 +540,54 @@ class TestFrontierMerge:
         assert got == (float(total_r[best]), (float(total_c[best]),), best)
         assert cont.choices(best).tolist() == sigma.tolist()
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_element_frontier_best_matches_full_loop(self, seed):
+        """Each single element, at an anchor whose belief is zero on some
+        regions, gets the best point of its relay set's frontier that fits
+        the budget after its immediate cost, as the reference merge of the
+        anchor's support scores finds it."""
+        rng = np.random.default_rng(seed)
+        n, k = 4, 2
+        sc = line_scenario(n, (1, 3), c_th=float(rng.uniform(50.0, 400.0)))
+        cap = int(rng.choice([1, 2, 2048]))
+        engine = _Engine(sc, chains_for_scenario(sc), frontier_cap=cap)
+        per_relay = []
+        for _ in range(k):
+            b = rng.dirichlet(np.ones(n))
+            b[rng.random(n) < 0.5] = 0.0
+            if not b.any():
+                b[int(rng.integers(n))] = 1.0
+            per_relay.append(b / b.sum())
+        fb = FactoredBelief(tuple(per_relay))
+        pairs = int(rng.integers(1, 6))
+        gr = rng.integers(0, 4, size=(pairs, n**k)) * 40.0
+        gc = rng.integers(0, 4, size=(pairs, n**k)) * 30.0
+        g = np.concatenate([gr, gc])
+        limit = engine.c_th + 1e-9 * max(1.0, abs(engine.c_th))
+        for e in range(k + 1):
+            action = Action((e,))
+            hits_before = engine.counters["frontier_cap_hits"]
+            got = engine.select(((e,),), engine.anchor(fb, g))
+
+            rho_r, rho_c = engine.rho(action, fb)
+            if rho_c > limit:
+                assert got is None
+                continue
+            sel_axes = tuple(i - 1 for i in action.relays)
+            w = _SupportScores(g, fb, {"pair_evaluations": 0}).scores(sel_axes)
+            r, c, _, _, hits = _loop_merge(0.0, 0.0, w[:pairs], w[pairs:], limit, cap)
+            assert engine.counters["frontier_cap_hits"] - hits_before == hits
+            if r is None:
+                assert got is None
+                continue
+            total_r, total_c = rho_r + r, rho_c + c
+            fits = np.flatnonzero(total_c <= limit)
+            if not len(fits):
+                assert got is None
+                continue
+            best = int(fits[np.lexsort((total_c[fits], -total_r[fits]))[0]])
+            assert got == (float(total_r[best]), (float(total_c[best]),), best)
+
 
 def _fresh_scores(g: np.ndarray, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
     """Branch scores from scratch: the unselected axes contracted in descending
@@ -569,31 +617,63 @@ def _random_belief(rng: np.random.Generator, k: int, n: int) -> FactoredBelief:
     return FactoredBelief(tuple(factors))
 
 
-class TestSupportScores:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_fresh_scores_on_support(self, seed):
+class TestAnchorScores:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_memoised_scores_match_fresh_contraction(self, k, n, seed):
         """Every relay set scores as a fresh full contraction restricted to
-        the branches of positive probability, up to summation order, and
-        each query counts the scores it computes."""
+        the branches of positive probability, up to summation order. An
+        anchor, queried for every relay set in random order and again,
+        scores each set's continuation on the first query only and counts
+        those scores once."""
         rng = np.random.default_rng(seed)
-        k, n = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         fb = _random_belief(rng, k, n)
-        g = rng.uniform(-10.0, 10.0, size=(int(rng.integers(1, 6)), n**k))
+        g = rng.uniform(-10.0, 10.0, size=(2 * int(rng.integers(1, 4)), n**k))
         g[:, rng.random(n**k) < 0.2] = 0.0
-        counters = {"pair_evaluations": 0}
-        scorer = _SupportScores(g, fb, counters)
-        counted = 0
-        for m in range(k + 1):
-            for sel_axes in itertools.combinations(range(k), m):
-                got = scorer.scores(sel_axes)
-                live = np.ones(1, dtype=bool)
-                for ax in sel_axes:
-                    live = np.multiply.outer(live, fb.per_relay[ax] > 0).ravel()
-                expected = _fresh_scores(g, fb, sel_axes)[:, live]
-                assert got.shape == expected.shape
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-                counted += expected.size
-        assert counters["pair_evaluations"] == counted
+        subsets = [sel for m in range(k + 1) for sel in itertools.combinations(range(k), m)]
+        expected = {}
+        scorer = _SupportScores(g, fb, {"pair_evaluations": 0})
+        for sel_axes in subsets:
+            got = scorer.scores(sel_axes)
+            live = np.ones(1, dtype=bool)
+            for ax in sel_axes:
+                live = np.multiply.outer(live, fb.per_relay[ax] > 0).ravel()
+            expected[sel_axes] = _fresh_scores(g, fb, sel_axes)[:, live]
+            assert got.shape == expected[sel_axes].shape
+            np.testing.assert_allclose(got, expected[sel_axes], rtol=1e-12, atol=1e-12)
+        assert scorer.counters["pair_evaluations"] == sum(w.size for w in expected.values())
+
+        sc = line_scenario(n, [int(rng.integers(1, n + 1)) for _ in range(k)])
+        engine = _Engine(sc, [random_chain(rng, n) for _ in range(k)])
+        anchor = engine.anchor(fb, g)
+        queries = np.concatenate([
+            rng.permutation(len(subsets)), rng.integers(len(subsets), size=len(subsets))
+        ])
+        first = {}
+        for i in queries:
+            sel_axes = subsets[i]
+            before = engine.counters["pair_evaluations"]
+            cont = engine.continuation(anchor, sel_axes)
+            counted = engine.counters["pair_evaluations"] - before
+            if sel_axes in first:
+                assert cont is first[sel_axes] and counted == 0
+            else:
+                first[sel_axes] = cont
+                assert counted == expected[sel_axes].size
+
+    def test_one_hot_axis_is_sliced(self):
+        """A one-hot factor's axis is gathered down to its one supported
+        region, and a fully one-hot belief scores the empty relay set as the
+        stack's column at that joint state, bit for bit."""
+        rng = np.random.default_rng(3)
+        n = 3
+        fb = FactoredBelief((rng.dirichlet(np.ones(n)), np.eye(n)[1], rng.dirichlet(np.ones(n))))
+        g = rng.uniform(0.0, 10.0, size=(4, n**3))
+        assert _SupportScores(g, fb, {"pair_evaluations": 0}).t.shape == (4, n, 1, n)
+        scorer = _SupportScores(g, FactoredBelief.one_hot((2, 0, 1), n), {"pair_evaluations": 0})
+        assert scorer.t.shape == (4, 1, 1, 1)
+        column = g[:, [np.ravel_multi_index((2, 0, 1), (n,) * 3)]]
+        assert _same_bits(scorer.scores(()), column)
 
 
 def _reference_greedy(engine: _Engine, fb: FactoredBelief, g, n_ues: int):
