@@ -49,6 +49,11 @@ class AlphaPair:
         """The cost vector as the one row of a per-UE (1, flat) stack."""
         return self.alpha_c[None]
 
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        """The action as the one entry of a per-UE tuple."""
+        return (self.action,)
+
     def evaluate(self, fb: FactoredBelief) -> tuple[float, float]:
         b = joint_belief(fb)
         return float(self.alpha_r @ b), float(self.alpha_c @ b)

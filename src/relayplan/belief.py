@@ -120,11 +120,18 @@ class FactorTable:
                 vec[s] = 1.0
             else:
                 vec = self.factor(relay, s, m - 1) @ chain.matrix
+            vec = FactoredBelief((vec,)).per_relay[0]  # validated and frozen once
             self._factors[(relay, s, m)] = vec
         return vec
 
     def belief(self, ids: tuple[tuple[int, int], ...]) -> FactoredBelief:
-        return FactoredBelief(tuple(self.factor(i, s, m) for i, (s, m) in enumerate(ids)))
+        """The belief of ``ids``. Its factors passed ``FactoredBelief``'s
+        checks when first built, so it is assembled without repeating them."""
+        fb = object.__new__(FactoredBelief)
+        object.__setattr__(
+            fb, "per_relay", tuple(self.factor(i, s, m) for i, (s, m) in enumerate(ids))
+        )
+        return fb
 
 
 def advance_ids(ids: tuple[tuple[int, int], ...], obs: Observation) -> tuple[tuple[int, int], ...]:

@@ -52,7 +52,7 @@ class UeSpec:
     position: Coord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Action:
     """A subset of {0, 1, ..., K}; 0 is the direct link, 1..K are relays."""
 

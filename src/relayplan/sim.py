@@ -1,9 +1,10 @@
 """Policy execution and evaluation.
 
 Episodes draw relay trajectories from the scenario chains, apply the stored
-policy through the execution rule (budget-feasible reward argmax over the
-epoch's pairs at the current belief), and accumulate discounted reward,
-cost, and energy efficiency. Episode randomness derives from a master seed
+policy through the execution rule (the reward argmax over the epoch's pairs
+at the current belief among those that fit the budget the plan left to
+this branch, see ``_Agent``), and accumulate discounted reward, cost, and
+energy efficiency. Episode randomness derives from a master seed
 through spawned child sequences, so runs are reproducible and independent
 of execution order; metric reductions use compensated summation.
 
@@ -11,8 +12,8 @@ The multi-user entry point supports a centralized mode (gcpbvi's greedy
 over every UE's elements in one solve, a relay observed when any UE selects
 it, budgets per UE) and a distributed mode (independent single-UE gcpbvi
 solves and private beliefs in a shared world). Single-user runs and both
-modes share one episode loop, ``run_episode``, and one metric reduction;
-the execution rules sum over the belief's support.
+modes share one episode loop, ``run_episode``, one execution rule and one
+metric reduction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -50,9 +50,9 @@ from .solvers import (
     _branch_obs,
     _budget_tol,
     _Engine,
+    _ranked,
     _resolve_belief_set,
-    _support_index,
-    select_pair,
+    select_pair,  # unused here; perfbench/tracing.py wraps relayplan.sim.select_pair
     solve_gcpbvi,
 )
 
@@ -148,43 +148,105 @@ def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Agent:
-    """A decision maker for the UEs ``ues``: either an oracle ``tree`` or an
-    execution ``rule(epoch, fb)`` that returns one action per UE.
+class _Ranking:
+    """The stored pairs at one belief ``fb`` and epoch in ``solvers._ranked``
+    order, their per-UE costs-to-go there, and those at the posteriors seen
+    so far."""
 
-    ``decide`` memoises the rule per (epoch, belief ids), safe because the
-    selection is a pure function of those two, and builds a
-    ``FactoredBelief`` from ``factors`` only on a miss.
+    fb: FactoredBelief
+    pairs: list
+    costs: np.ndarray
+    posteriors: dict = field(default_factory=dict)
+
+    def at_posterior(self, j: int, obs: Observation) -> list[float]:
+        """Pair ``j``'s per-UE costs-to-go at ``fb`` given the observation:
+        the observed relays' axes indexed, the others contracted with their
+        factors."""
+        key = (j, obs)
+        if key not in self.posteriors:
+            t = self.pairs[j].alpha_cs.reshape((-1,) + tuple(len(f) for f in self.fb.per_relay))
+            t = t[(slice(None),) + tuple(slice(None) if z is None else z for z in obs)]
+            for f, z in reversed(list(zip(self.fb.per_relay, obs))):
+                if z is None:
+                    t = t @ f
+            self.posteriors[key] = t.tolist()
+        return self.posteriors[key]
+
+
+@dataclass
+class _Agent:
+    """A decision maker for the UEs ``ues``: an oracle ``tree``, a fixed
+    ``action``, or the execution rule over ``epochs`` (each epoch's pairs).
+
+    The rule plays the first pair in ``solvers._ranked`` order at the belief
+    whose costs-to-go fit every UE's budget, or idles every UE. Budgets
+    start at ``c_th``; a UE's next one is ``(budget - the pair's cost-to-go
+    at the belief + its cost-to-go at the posterior of the observed branch -
+    the cost paid) / gamma``: what the plan gave that branch plus the slack.
+    Over the branches that is the budget, so the expected cost stays within
+    ``c_th``; and the plan's own continuation fits, so with exact beliefs
+    the policy earns at least its planned value.
+
+    ``decide`` memoises the ranking per (epoch, belief ids), a pure function
+    of the two, and builds a ``FactoredBelief`` from ``factors`` on a miss.
     """
 
     ues: tuple[int, ...]
     factors: FactorTable | None
-    rule: Callable[[int, FactoredBelief], tuple[Action, ...]] | None = None
+    epochs: list | None = None
+    c_th: float = 0.0
+    gamma: float = 1.0
+    action: Action | None = None
     tree: OracleTree | None = None
     memo: dict = field(default_factory=dict)
 
-    def act(self, epoch: int, fb: FactoredBelief, node) -> tuple[Action, ...]:
+    def act(self, epoch: int, fb: FactoredBelief, budgets: tuple, node):
+        """``(actions, choice)``; ``choice`` is what ``next_budgets`` needs."""
         if self.tree is not None:
-            return (node.action if node is not None else EMPTY_ACTION,)
-        return self.rule(epoch, fb)
+            return (node.action if node is not None else EMPTY_ACTION,), None
+        if self.epochs is None:
+            return (self.action,), None
+        return self._play(_Ranking(fb, *_ranked(self.epochs[epoch - 1], fb)), budgets)
 
-    def decide(self, epoch: int, ids, node) -> tuple[Action, ...]:
-        if self.tree is not None:
-            return self.act(epoch, None, node)
-        key = (epoch, ids)
-        got = self.memo.get(key)
-        if got is None:
-            got = self.memo[key] = self.rule(epoch, self.factors.belief(ids))
-        return got
+    def decide(self, epoch: int, ids, budgets: tuple, node):
+        if self.epochs is None:
+            return self.act(epoch, None, budgets, node)
+        ranking = self.memo.get((epoch, ids))
+        if ranking is None:
+            fb = self.factors.belief(ids)
+            ranking = self.memo[(epoch, ids)] = _Ranking(fb, *_ranked(self.epochs[epoch - 1], fb))
+        return self._play(ranking, budgets)
+
+    def _play(self, ranking: _Ranking, budgets: tuple):
+        tol = _budget_tol(self.c_th)
+        costs = ranking.costs
+        for j in range(len(costs)):
+            if all(costs.item(j, u) <= d + tol for u, d in enumerate(budgets)):
+                return ranking.pairs[j].actions, (ranking, j)
+        return (EMPTY_ACTION,) * len(self.ues), (ranking, None)
+
+    def next_budgets(self, choice, budgets: tuple, obs: Observation, spent: tuple) -> tuple:
+        """Each UE's next budget after ``choice`` met ``obs`` and cost ``spent``."""
+        if choice is None:
+            return budgets
+        if self.gamma == 0.0:  # later costs do not count
+            return (math.inf,) * len(budgets)
+        ranking, j = choice
+        planned = at_branch = (0.0,) * len(budgets)
+        if j is not None:
+            planned, at_branch = ranking.costs[j].tolist(), ranking.at_posterior(j, obs)
+        return tuple(
+            (d - p + a - c) / self.gamma for d, p, a, c in zip(budgets, planned, at_branch, spent)
+        )
 
 
 def _policy_agent(policy, factors: FactorTable | None, ue: int = 0) -> _Agent:
     """The agent of UE ``ue`` playing a static, oracle-tree or alpha policy."""
     if isinstance(policy, StaticPolicy):
-        return _Agent((ue,), factors, rule=lambda epoch, fb: (policy.action,))
+        return _Agent((ue,), factors, action=policy.action)
     if policy.tree is not None:
         return _Agent((ue,), factors, tree=policy.tree)
-    return _Agent((ue,), factors, rule=lambda epoch, fb: (select_pair(policy, epoch, fb)[1],))
+    return _Agent((ue,), factors, epochs=policy.epochs, c_th=policy.c_th, gamma=policy.gamma)
 
 
 def _single_user(
@@ -208,8 +270,9 @@ def run_episode(
 
     ``contexts`` holds one context per UE; ``agents`` are one agent for a
     single user, one per UE (distributed) or one for all UEs (centralized).
-    Each agent carries its own belief ids (see ``belief.FactorTable``) and
-    oracle-tree cursor, and observes the relays its UEs selected.
+    Each agent carries its own belief ids (see ``belief.FactorTable``),
+    oracle-tree cursor and per-UE budgets (see ``_Agent``), and observes
+    the relays its UEs selected.
     """
     scenario = contexts[0].scenario
     horizon = scenario.horizon
@@ -218,6 +281,7 @@ def run_episode(
     state = scenario.initial_states
     ids = [tuple((s, 0) for s in state)] * len(agents)
     cursors = [agent.tree for agent in agents]
+    budgets = [(scenario.c_th,) * len(agent.ues) for agent in agents]
     n_ues = len(contexts)
     cum_r = [0.0] * n_ues
     cum_c = [0.0] * n_ues
@@ -225,8 +289,11 @@ def run_episode(
     records = []
     for epoch in range(1, horizon + 1):
         actions = [EMPTY_ACTION] * n_ues
+        choices = []
         for a, agent in enumerate(agents):
-            for u, action in zip(agent.ues, agent.decide(epoch, ids[a], cursors[a])):
+            acts, choice = agent.decide(epoch, ids[a], budgets[a], cursors[a])
+            choices.append(choice)
+            for u, action in zip(agent.ues, acts):
                 actions[u] = action
         rewards, costs = zip(*(ctx.outcome(state, act) for ctx, act in zip(contexts, actions)))
         w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
@@ -239,6 +306,10 @@ def run_episode(
             seen = {i - 1 for u in agent.ues for i in actions[u].relays}
             obs = tuple(s if i in seen else None for i, s in enumerate(state))
             observations.append(obs)
+            if epoch < horizon:
+                budgets[a] = agent.next_budgets(
+                    choices[a], budgets[a], obs, tuple(costs[u] for u in agent.ues)
+                )
             ids[a] = advance_ids(ids[a], obs)
             if cursors[a] is not None:
                 cursors[a] = cursors[a].children.get(obs)
@@ -370,14 +441,16 @@ def exact_policy_value(
     action: Action | None = None,
 ) -> tuple[float, float]:
     """Expected cumulative discounted (reward, cost) of executing a policy
-    from ``fb`` at ``epoch`` (by default the initial one-hot at epoch 1), by
+    from ``fb`` at ``epoch`` (by default the initial one-hot at epoch 1)
+    with the budget ``c_th``, carried on as in ``run_episode``, by
     exhaustive enumeration of observation paths (capped instances only).
 
     With ``action`` given, that action is taken at ``epoch`` and the policy
-    followed after it, so the result is the action's Q-value. The belief
-    doubles as the true conditional state distribution, so one recursion
-    covers both filtering and probability weighting. A tree policy is
-    followed from its root only.
+    is executed from the next epoch with the budget ``c_th``, so the result
+    is the Q-value ``rho(b, a) + gamma * sum_z P(z | b, a) * V(b_z)`` of the
+    policy's value ``V``. The belief doubles as the true conditional state distribution, so one
+    recursion covers both filtering and probability weighting. A tree policy
+    is followed from its root only.
     """
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = scenario.horizon
@@ -385,17 +458,19 @@ def exact_policy_value(
     k = scenario.n_relays
     if scenario.n_regions**k > EXACT_STATE_CAP:
         raise CapExceededError(f"exact policy evaluation needs |S|^K <= {EXACT_STATE_CAP}")
+    ctx = _SimContext(scenario, chains)
     agent = _policy_agent(policy, None)
     cursor = agent.tree
     if cursor is not None and (fb is not None or epoch != 1 or action is not None):
         raise ValidationError("a tree policy is evaluated from its root only")
     engine = _Engine(scenario, chains)
 
-    def recurse(e: int, b: FactoredBelief, cursor, act: Action | None) -> tuple[float, float]:
+    def recurse(e: int, b: FactoredBelief, cursor, act: Action | None, budget: float):
         if e > horizon:
             return 0.0, 0.0
+        choice = None
         if act is None:
-            (act,) = agent.act(e, b, cursor)
+            (act,), choice = agent.act(e, b, (budget,), cursor)
         total_r, total_c = engine.rho(act, b)
         sel = act.relays
         # with no selected relays the product yields the single empty branch
@@ -406,14 +481,17 @@ def exact_policy_value(
                 p_z *= float(b.per_relay[i - 1][region])
             obs = _branch_obs(act, combo, k)
             child = cursor.children.get(obs) if cursor is not None else None
-            fr, fc = recurse(e + 1, advance_belief(b, chains, act, obs), child, None)
+            left = budget
+            if e < horizon:
+                (left,) = agent.next_budgets(choice, (budget,), obs, (ctx.outcome(obs, act)[1],))
+            fr, fc = recurse(e + 1, advance_belief(b, chains, act, obs), child, None, left)
             total_r += gamma * p_z * fr
             total_c += gamma * p_z * fc
         return total_r, total_c
 
     if fb is None:
         fb = FactoredBelief.one_hot(scenario.initial_states, scenario.n_regions)
-    return recurse(epoch, fb, cursor, action)
+    return recurse(epoch, fb, cursor, action, scenario.c_th)
 
 
 def discrete_derivative(
@@ -442,6 +520,10 @@ class _MultiPair:
     alpha_r: np.ndarray
     alpha_cs: np.ndarray  # (N, flat)
     assignment: tuple[tuple[int, ...], ...]  # per-UE selected options
+    actions: tuple[Action, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.actions = tuple(Action(options) for options in self.assignment)
 
 
 def solve_centralized(
@@ -472,28 +554,6 @@ def solve_centralized(
     return epochs, belief_set
 
 
-def _select_multi(
-    epoch_pairs: list[_MultiPair], fb: FactoredBelief, c_th: float
-) -> _MultiPair | None:
-    """Multi-UE execution rule: the pair feasible for every UE with the best
-    total reward at ``fb``; ties break toward lower summed cost, then the
-    smallest assignment. Values are sums over the belief's support, each
-    pair's entries gathered there."""
-    limit = c_th + _budget_tol(c_th)
-    idx, b = _support_index(fb)
-    best = None
-    best_key = None
-    for pair in epoch_pairs:
-        costs = (pair.alpha_cs if idx is None else pair.alpha_cs.take(idx, axis=1)).dot(b)
-        if costs.max() > limit:
-            continue
-        r = (pair.alpha_r if idx is None else pair.alpha_r.take(idx)).dot(b)
-        key = (-r, costs.sum(), pair.assignment)
-        if best_key is None or key < best_key:
-            best, best_key = pair, key
-    return best
-
-
 def _multi_user(
     scenario: ScenarioConfig,
     mode: str,
@@ -508,14 +568,9 @@ def _multi_user(
     factors = FactorTable(chains)
     if mode == "centralized":
         epochs, _ = solve_centralized(scenario, chains, h=h, eps=eps, cap=cap)
-
-        def rule(epoch, fb):
-            pair = _select_multi(epochs[epoch - 1], fb, scenario.c_th)
-            if pair is None:
-                return (EMPTY_ACTION,) * n_ues
-            return tuple(Action(options) for options in pair.assignment)
-
-        agents = [_Agent(tuple(range(n_ues)), factors, rule=rule)]
+        agents = [
+            _Agent(tuple(range(n_ues)), factors, epochs, c_th=scenario.c_th, gamma=scenario.gamma)
+        ]
     else:
         agents = [
             _policy_agent(

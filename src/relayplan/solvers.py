@@ -41,6 +41,7 @@ import time
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,30 +122,37 @@ def _budget_tol(c_th: float) -> float:
     return 1e-9 * max(1.0, abs(c_th))
 
 
+def _ranked(pairs: list, fb: FactoredBelief) -> tuple[list, np.ndarray]:
+    """The execution rule's order at ``fb``: the pairs (``AlphaPair`` or
+    multi-UE), best total reward first, ties toward lower summed cost, then
+    the smallest actions, and their per-UE costs-to-go there as a (pairs,
+    UEs) array in that order. Values are sums over the belief's support,
+    each pair's entries gathered there."""
+    idx, b = _support_index(fb)
+    keyed = []
+    for pair in pairs:
+        if idx is None:
+            r, cs = pair.alpha_r.dot(b), pair.alpha_cs.dot(b).tolist()
+        else:
+            r, cs = pair.alpha_r.take(idx).dot(b), pair.alpha_cs.take(idx, axis=1).dot(b).tolist()
+        keyed.append((-float(r), sum(cs), pair.actions, cs, pair))
+    keyed.sort(key=itemgetter(0, 1, 2))
+    return [entry[4] for entry in keyed], np.array([entry[3] for entry in keyed])
+
+
 def select_pair(
     policy: PolicySolution, epoch: int, fb: FactoredBelief
 ) -> tuple[AlphaPair | None, Action]:
-    """Execution rule: budget-feasible pair with the best reward at ``fb``.
-
-    Values are sums over the belief's support, each pair's entries gathered
-    there. Ties break toward lower cost, then the lexicographically smallest
-    action. Returns ``(None, empty action)`` when no stored pair is feasible.
+    """Execution rule at the full budget: the first pair of ``_ranked``
+    whose cost-to-go at ``fb`` fits ``c_th``, or ``(None, empty action)``.
+    Episodes pass later epochs the budget the plan left them (``sim._Agent``).
     """
     limit = policy.c_th + _budget_tol(policy.c_th)
-    idx, b = _support_index(fb)
-    best = None
-    best_key = None
-    for pair in policy.epochs[epoch - 1]:
-        c = (pair.alpha_c if idx is None else pair.alpha_c.take(idx)).dot(b)
-        if c > limit:
-            continue
-        r = (pair.alpha_r if idx is None else pair.alpha_r.take(idx)).dot(b)
-        key = (-r, c, pair.action.selected)
-        if best_key is None or key < best_key:
-            best, best_key = pair, key
-    if best is None:
-        return None, EMPTY_ACTION
-    return best, best.action
+    ranked, costs = _ranked(policy.epochs[epoch - 1], fb)
+    for pair, c in zip(ranked, costs[:, 0].tolist()):
+        if c <= limit:
+            return pair, pair.action
+    return None, EMPTY_ACTION
 
 
 def _support_index(fb: FactoredBelief) -> tuple[np.ndarray | None, np.ndarray]:
@@ -220,9 +228,6 @@ class _Continuation:
         """The best point under immediates ``rho_r`` and per-UE ``rho_cs``:
         the highest total reward with every UE's total cost within ``limit``,
         ties to the lowest summed cost. ``(r, costs, point)`` or None."""
-        if len(self.r) == 1:  # the same arithmetic on Python floats, much cheaper
-            cs = tuple(rho + c for rho, c in zip(rho_cs, self.cs[:, 0].tolist()))
-            return None if max(cs) > limit else (rho_r + float(self.r[0]), cs, 0)
         r = rho_r + self.r
         cs = np.asarray(rho_cs)[:, None] + self.cs
         ok = np.flatnonzero((cs <= limit).all(axis=0))
@@ -426,12 +431,10 @@ class _Engine:
             wr, wcs = w[:rows], w[rows:].reshape(n_ues, rows, -1)
             with self.timed("time_merge_s"):
                 # Root or local is decided on all n^m branches of the relay set,
-                # not on the count its support leaves. A root merge spends the
-                # whole budget across the branches of the anchor, while the
-                # execution rule checks each later epoch's cost-to-go against
-                # the full c_th, not against what the plan left to that
-                # branch; exact merges over large supports made policies
-                # overspend their budget in simulation.
+                # not on the count its support leaves, which keeps root merges
+                # to small relay sets. Deciding on the support keeps executed
+                # policies within budget too (the execution rule passes each
+                # branch what its plan left), but its merge cost is unmeasured.
                 if n_ues == 1 and self.n ** len(sel_axes) <= ROOT_BRANCH_CAP:
                     cont = self._root_merge(wr, wcs[0])
                 else:

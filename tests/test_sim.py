@@ -19,7 +19,7 @@ from relayplan.sim import (
     metrics_rows,
     monte_carlo,
     _MultiPair,
-    _select_multi,
+    _Agent,
     _multi_user,
     _SimContext,
     _single_user,
@@ -305,7 +305,9 @@ class TestSelectMulti:
         ]
         expected = min(scored, key=lambda item: item[0])[1] if scored else None
 
-        assert _select_multi(pairs, fb, c_th) is expected
+        agent = _Agent(tuple(range(n_ues)), None, [pairs], c_th=c_th)
+        _, (ranking, j) = agent.act(1, fb, (c_th,) * n_ues, None)
+        assert (None if j is None else ranking.pairs[j]) is expected
 
 
 def _scenario_8b() -> ScenarioConfig:
@@ -355,15 +357,16 @@ class TestMultiUser8bRegression:
             "2c66663d9705ed73a3d1e46765ed2fe5457bc41fd0424dfdbed32a55fc7b5d5d"
         )
 
+    # ids name the mode only, so that re-pinning a value keeps the test's name
     @pytest.mark.parametrize("mode, reward, costs", [
-        ("centralized", 4859.143518518517, [
+        pytest.param("centralized", 4859.143518518517, [
             1003.7797619047618, 1016.2797619047618, 1003.7797619047618,
             1003.7797619047618, 1016.2797619047618,
-        ]),
-        ("distributed", 4859.143518518517, [
+        ], id="centralized"),
+        pytest.param("distributed", 4859.143518518517, [
             1003.7797619047618, 1016.2797619047618, 1003.7797619047618,
             1003.7797619047618, 1016.2797619047618,
-        ]),
+        ], id="distributed"),
     ])
     def test_seeded_metrics(self, mode, reward, costs):
         metrics = run_multiuser(_scenario_8b(), mode, n_runs=30, seed=3, h=2, cap=4)

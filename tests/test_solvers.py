@@ -333,16 +333,17 @@ class TestQEvaluation:
     # value), recorded from the two evaluators this one replaces
     # (``evaluate_q`` and ``exact_policy_value``) on criterion 5's instances;
     # the gcpbvi policy values of seeds 1, 5 and 7 recorded again after the
-    # greedy moved to marginal gains
+    # greedy moved to marginal gains, and those of seeds 5 and 7 once more
+    # after the execution rule began to carry each branch's planned budget
     RECORDED = {
         0: ((), (312.32857524277904, 212.37491264563965), (486.36595670884526, 334.6036719481817), (361.0426924941678, 218.4812314043868)),
         1: ((0, 1), (319.6055367387059, 158.28378565268804), (425.22207854350563, 202.23039474396546), (426.60003420565903, 211.06620997927612)),
         2: ((), (85.83296255474518, 43.22331992634534), (181.3573493921402, 82.36479418437021), (174.3503795629307, 78.29784273482841)),
         3: ((0,), (151.06793375823017, 53.71676611372923), (359.53292869326197, 103.42841425846619), (413.5040098856489, 95.30130990072581)),
         4: ((0, 2), (316.61604828270526, 99.40754495140504), (419.3299340686086, 127.70939936100696), (643.2681996746521, 186.28156548863132)),
-        5: ((1,), (148.16875430229402, 47.889127845116896), (274.2100123822936, 72.85521935590354), (288.9211000237616, 32.101429379490064)),
+        5: ((1,), (148.16875430229402, 47.889127845116896), (274.2100123822936, 72.85521935590354), (288.9415856103836, 32.10932654606536)),
         6: ((0, 1), (460.25306714185604, 229.5789615099864), (548.6145093236114, 282.1225709557219), (548.6145093236115, 271.28714181176673)),
-        7: ((0, 1), (32.124978817937475, 107.12284183827663), (46.09632236384524, 184.87846344405375), (159.85591223018088, 357.98369834423573)),
+        7: ((0, 1), (32.124978817937475, 107.12284183827663), (46.09632236384524, 184.87846344405375), (141.21140047254585, 288.13542630550296)),
         8: ((2,), (113.63209353736279, 93.51711211938479), (178.75484006304188, 155.79200242832007), (86.54433815790408, 40.235068593577815)),
         9: ((2,), (201.11374894777833, 102.80801850605683), (366.5652372269488, 192.90967130512658), (65.5872000194263, 0.0)),
     }
@@ -364,6 +365,32 @@ class TestQEvaluation:
         assert exact_policy_value(policy, scenario, chains, fb, epoch, action) == q
         assert exact_policy_value(policy, scenario, chains, fb, epoch, actions[-1]) == q_all
         assert exact_policy_value(policy, scenario, chains) == value
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_executed_policy_keeps_budget_and_planned_value(self, seed):
+        """By exact path enumeration, every executed policy spends at most
+        ``c_th`` in expectation and earns at least its planned value: the
+        execution rule passes each branch the budget its plan gave it."""
+        rng = np.random.default_rng(seed)
+        scenario, chains = random_instance(rng)
+        bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=12)
+        for policy in (
+            solve_exact(scenario, chains),
+            solve_cpbvi(scenario, chains, belief_set=bs),
+            solve_gcpbvi(scenario, chains, belief_set=bs),
+        ):
+            r, c = exact_policy_value(policy, scenario, chains)
+            planned_r, _ = policy.planned_value()
+            assert c <= scenario.c_th + 1e-9 * max(1.0, scenario.c_th), policy.method
+            assert r >= planned_r - 1e-9 * max(1.0, abs(planned_r)), policy.method
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED))
+    def test_recorded_policies_within_budget(self, seed):
+        rng = np.random.default_rng(seed)
+        n, t = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        scenario, _ = random_instance(rng, k=2, n=n, t=t)
+        _, cost = self.RECORDED[seed][3]
+        assert cost <= scenario.c_th + 1e-9 * max(1.0, scenario.c_th)
 
 
 class TestSelectPair:
