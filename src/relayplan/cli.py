@@ -183,9 +183,12 @@ def cmd_simulate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(rows, METRIC_COLUMNS, out)
     _write_manifest(out.parent, "simulate", vars(args), [str(out)])
+    planned_r, planned_c = policy.planned_value()
     print(
         f"runs={metrics.runs} avg_cum_reward={metrics.avg_cum_reward!r} "
-        f"avg_cum_cost={metrics.avg_cum_cost!r} avg_cum_ee={metrics.avg_cum_ee!r}"
+        f"stderr_reward={metrics.stderr_reward!r} planned_reward={planned_r!r} "
+        f"avg_cum_cost={metrics.avg_cum_cost!r} planned_cost={planned_c!r} "
+        f"avg_cum_ee={metrics.avg_cum_ee!r}"
     )
     print(f"wrote {out}")
     return 0

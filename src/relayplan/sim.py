@@ -49,6 +49,7 @@ from .solvers import (
     PolicySolution,
     _branch_obs,
     _budget_tol,
+    _distinct_pairs,
     _Engine,
     _ranked,
     _resolve_belief_set,
@@ -536,8 +537,10 @@ def solve_centralized(
     """Joint greedy solve over every UE's (UE, option) elements with per-UE
     budgets: gcpbvi's backup (``_Engine.greedy``) for N UEs. A relay any UE
     selects is observed by all; continuation choices follow the per-branch
-    local rule with every UE's budget. Each backup predicts the stacked
-    reward and per-UE cost rows of the stored pairs in one call."""
+    local rule with every UE's budget. Each backup builds one pair per
+    anchor belief, and the epoch keeps its distinct pairs
+    (``solvers._distinct_pairs``); the next backup predicts their stacked
+    reward and per-UE cost rows in one call."""
     chains = chains if chains is not None else chains_for_scenario(scenario)
     belief_set = _resolve_belief_set(scenario, chains, None, eps, h, cap)
     engine = _Engine(scenario, chains)
@@ -550,7 +553,7 @@ def solve_centralized(
         for fb in belief_set.points:
             anchor = engine.anchor(fb, g, scenario.n_ues)
             v.append(_MultiPair(*engine.assemble(anchor, engine.greedy(anchor))))
-        epochs[horizon - tau] = v
+        v = epochs[horizon - tau] = _distinct_pairs(v)
     return epochs, belief_set
 
 

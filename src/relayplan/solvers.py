@@ -590,6 +590,26 @@ class _Engine:
 # --- point-based backups ---------------------------------------------------
 
 
+def _distinct_pairs(pairs: list) -> list:
+    """``pairs`` (``AlphaPair`` or multi-UE) without the copies: a pair is
+    dropped when an earlier one has equal ``actions`` and equal ``alpha_r``
+    and ``alpha_cs``. The first of each stays, in order.
+
+    Nothing a solve stores or plays changes: the backups and the execution
+    rule resolve equal rows to the lowest index, which is the kept copy.
+    """
+    out = []
+    for pair in pairs:
+        if not any(
+            q.actions == pair.actions
+            and np.array_equal(q.alpha_r, pair.alpha_r)
+            and np.array_equal(q.alpha_cs, pair.alpha_cs)
+            for q in out
+        ):
+            out.append(pair)
+    return out
+
+
 def _alpha_pair(engine: _Engine, anchor: _Anchor, chosen, epoch: int) -> AlphaPair:
     """The single-UE pair ``engine.assemble`` builds for ``chosen``."""
     alpha_r, alpha_cs, (options,) = engine.assemble(anchor, chosen)
@@ -838,6 +858,10 @@ def _solve_point_based(
     h: int | None,
     cap: int,
 ) -> PolicySolution:
+    """cpbvi or gcpbvi over the horizon, from the last epoch back. Each
+    backup returns one pair per anchor belief; the epoch stores its distinct
+    pairs (``_distinct_pairs``), and only those reach the next backup, the
+    policy file and the execution rule."""
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     engine = _Engine(scenario, chains)
@@ -849,9 +873,13 @@ def _solve_point_based(
     v: list[AlphaPair] = []
     for tau in range(1, horizon + 1):
         v = backup(v, belief_set, scenario, chains, epoch=horizon - tau + 1, engine=engine)
-        epochs[horizon - tau] = v
+        v = epochs[horizon - tau] = _distinct_pairs(v)
 
-    stats = {"belief_points": len(belief_set), "belief_h": belief_set.h}
+    stats = {
+        "belief_points": len(belief_set),
+        "belief_h": belief_set.h,
+        "pairs_per_epoch": [len(e) for e in epochs],
+    }
     try:
         bound = density_bound(chains, belief_set.h)
         r_range, c_range = value_ranges(scenario)

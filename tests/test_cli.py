@@ -65,8 +65,8 @@ class TestSolve:
             assert "eta_c_bound=" in report
             assert "belief_points=" in report
             for key in ("branch_merges", "frontier_cap_hits", "local_mode_selections",
-                        "time_belief_set_s", "time_predict_s", "time_score_s",
-                        "time_merge_s", "time_assemble_s"):
+                        "pairs_per_epoch", "time_belief_set_s", "time_predict_s",
+                        "time_score_s", "time_merge_s", "time_assemble_s"):
                 assert f"{key}=" in report
 
     def test_seed_flag_rejected(self, tiny_scenario, tmp_path):
@@ -110,6 +110,20 @@ class TestSimulate:
         assert t1.read_bytes() == t2.read_bytes()
         header = t1.read_text().splitlines()[0]
         assert header == "scenario_id,method,epoch,avg_cum_reward,avg_cum_cost,avg_cum_ee,stderr_reward,runs"
+
+    def test_prints_planned_beside_simulated(self, tiny_scenario, tmp_path, capsys):
+        policy = tmp_path / "pol.npz"
+        run(["solve", "--scenario", tiny_scenario, "--method", "gcpbvi", "--belief-h", "2", "--out", policy])
+        capsys.readouterr()
+        assert run([
+            "simulate", "--scenario", tiny_scenario, "--policy", policy,
+            "--runs", "20", "--seed", "3", "--out", tmp_path / "m.csv",
+        ]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        keys = [field.split("=")[0] for field in summary.split()]
+        for key in ("avg_cum_reward", "stderr_reward", "planned_reward",
+                    "avg_cum_cost", "planned_cost"):
+            assert key in keys
 
     def test_single_run(self, tiny_scenario, tmp_path):
         policy = tmp_path / "pol.json"

@@ -329,7 +329,8 @@ def _scenario_8b() -> ScenarioConfig:
 class TestMultiUser8bRegression:
     """Criterion 8b's scenario at h=2 and belief cap 4, pinned: the stored
     centralized vectors, the five distributed gcpbvi policies and the seeded
-    metrics of both modes."""
+    metrics of both modes. The digests cover each epoch's distinct pairs,
+    which is what a solve stores."""
 
     def test_centralized_vectors(self):
         epochs, _ = solve_centralized(_scenario_8b(), h=2, cap=4)
@@ -340,7 +341,7 @@ class TestMultiUser8bRegression:
                 digest.update(pair.alpha_cs.tobytes())
                 digest.update(repr(pair.assignment).encode())
         assert digest.hexdigest() == (
-            "4128e7c84ae8b54b904c4102aad6747c9878dd0ffa6032b1dcaa49c9f7f87229"
+            "a7ace18415b78a53aad2f3eec2004b7a2af632ee7ec0ef28c483a7f47cea5268"
         )
 
     def test_distributed_vectors(self):
@@ -354,7 +355,7 @@ class TestMultiUser8bRegression:
                     digest.update(pair.alpha_c.tobytes())
                     digest.update(repr(pair.action.selected).encode())
         assert digest.hexdigest() == (
-            "2c66663d9705ed73a3d1e46765ed2fe5457bc41fd0424dfdbed32a55fc7b5d5d"
+            "54985238e64b8237a18bbccc2d64c150962f64f9cdd8ec8588a8506d012e3b1c"
         )
 
     # ids name the mode only, so that re-pinning a value keeps the test's name

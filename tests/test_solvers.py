@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import line_scenario, random_chain, random_instance
 from relayplan.alpha import AlphaPair, reward_tensor
-from relayplan.belief import BeliefSet, FactoredBelief, build_h_belief_set
+from relayplan.belief import BeliefSet, FactoredBelief, FactorTable, build_h_belief_set
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import (
@@ -22,17 +22,23 @@ from relayplan.model import (
     all_actions,
     cost_vector,
     reward_vector,
+    with_single_ue,
 )
 from relayplan.sim import (
+    _Agent,
     _MultiPair,
+    _SimContext,
+    _simulate,
     discrete_derivative,
     exact_policy_value,
     monte_carlo,
+    run_multiuser,
     solve_centralized,
 )
 from relayplan.solvers import (
     PolicySolution,
     _column_frontiers,
+    _distinct_pairs,
     _Engine,
     _pareto_indices,
     _SupportScores,
@@ -193,6 +199,40 @@ class TestGreedyArgmax:
         assert pair.evaluate(fb) == pytest.approx((0.5 + r1, c1))
 
 
+def _chained_epochs(method: str, scenario, chains, belief_set) -> list[list]:
+    """The epochs of a cpbvi, gcpbvi or centralized solve over ``belief_set``
+    with every backup's per-anchor output kept, copies included."""
+    engine = _Engine(scenario, chains)
+    horizon = scenario.horizon
+    epochs = [None] * horizon
+    v = []
+    for tau in range(1, horizon + 1):
+        if method == "centralized":
+            g = engine.predict_stack(v) if v else None
+            anchors = [engine.anchor(fb, g, scenario.n_ues) for fb in belief_set.points]
+            v = [_MultiPair(*engine.assemble(a, engine.greedy(a))) for a in anchors]
+        else:
+            backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
+            v = backup(v, belief_set, scenario, chains, epoch=horizon - tau + 1, engine=engine)
+        epochs[horizon - tau] = v
+    return epochs
+
+
+def _pair_bits(pair) -> tuple:
+    return pair.actions, pair.alpha_r.tobytes(), pair.alpha_cs.tobytes()
+
+
+def _first_copies(pairs: list) -> list:
+    """The first pair of each distinct (actions, vector bytes), in order."""
+    seen = set()
+    out = []
+    for pair in pairs:
+        if _pair_bits(pair) not in seen:
+            seen.add(_pair_bits(pair))
+            out.append(pair)
+    return out
+
+
 class TestGcpbvi:
     def test_k1_identity_with_slack_budget(self):
         rng = np.random.default_rng(21)
@@ -227,12 +267,99 @@ class TestGcpbvi:
         for _ in range(6):
             scenario, chains = random_instance(rng)
             bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=16)
-            for solver in (solve_cpbvi, solve_gcpbvi):
-                policy = solver(scenario, chains, belief_set=bs)
-                for pairs in policy.epochs:
+            for method in ("cpbvi", "gcpbvi"):
+                # each backup's output holds one pair per anchor, in anchor order
+                for pairs in _chained_epochs(method, scenario, chains, bs):
+                    assert len(pairs) == len(bs)
                     for pair, fb in zip(pairs, bs.points):
                         _, c = pair.evaluate(fb)
                         assert c <= scenario.c_th + 1e-6
+
+
+class TestDistinctPairs:
+    """Each epoch stores its distinct pairs. Nothing stored, planned or
+    played differs from chaining the backups with every copy kept."""
+
+    @staticmethod
+    def _relabelled(pair):
+        """A pair with the vectors of ``pair`` and UE 0's direct option toggled."""
+        options = tuple(sorted(set(pair.actions[0].selected) ^ {0}))
+        if isinstance(pair, AlphaPair):
+            return AlphaPair(pair.alpha_r, pair.alpha_c, Action(options), pair.epoch)
+        return _MultiPair(pair.alpha_r, pair.alpha_cs, (options,) + pair.assignment[1:])
+
+    def _check_epochs(self, epochs: list, reference: list) -> None:
+        assert len(epochs) == len(reference)
+        for pairs, ref in zip(epochs, reference):
+            assert [_pair_bits(p) for p in pairs] == [_pair_bits(p) for p in _first_copies(ref)]
+            assert len(set(map(_pair_bits, pairs))) == len(pairs)
+            # the actions belong to the key: equal vectors of other actions stay
+            relabelled = [self._relabelled(p) for p in ref]
+            assert [_pair_bits(p) for p in _distinct_pairs(ref + relabelled)] == [
+                _pair_bits(p) for p in _first_copies(ref) + _first_copies(relabelled)
+            ]
+
+    @staticmethod
+    def _same_pick(got, want) -> bool:
+        return (got is None and want is None) or _pair_bits(got) == _pair_bits(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_chained_backups_with_copies(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 4))
+        scenario, chains = random_instance(
+            rng, k=int(rng.integers(1, 4)), n=n, t=int(rng.integers(2, 4))
+        )
+        cap = int(rng.integers(3, 13))
+        runs, run_seed = 20, int(rng.integers(1000))
+        bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=cap)
+        for solve in (solve_cpbvi, solve_gcpbvi):
+            policy = solve(scenario, chains, belief_set=bs)
+            reference = dataclasses.replace(
+                policy, epochs=_chained_epochs(policy.method, scenario, chains, bs)
+            )
+            self._check_epochs(policy.epochs, reference.epochs)
+            assert policy.planned_value() == reference.planned_value()
+            for epoch in range(1, scenario.horizon + 1):
+                for fb in bs.points:
+                    (got, action), (want, want_action) = (
+                        select_pair(p, epoch, fb) for p in (policy, reference)
+                    )
+                    assert action == want_action
+                    assert self._same_pick(got, want)
+            assert exact_policy_value(policy, scenario, chains) == exact_policy_value(
+                reference, scenario, chains
+            )
+            assert dataclasses.asdict(
+                monte_carlo(policy, scenario, runs, run_seed, chains)
+            ) == dataclasses.asdict(monte_carlo(reference, scenario, runs, run_seed, chains))
+
+        ues = tuple(UeSpec((int(rng.integers(1, n + 1)), 1)) for _ in range(int(rng.integers(1, 3))))
+        multi = dataclasses.replace(scenario, ues=ues)
+        epochs, bs = solve_centralized(multi, chains, h=2, cap=cap)
+        reference = _chained_epochs("centralized", multi, chains, bs)
+        self._check_epochs(epochs, reference)
+        everyone = tuple(range(multi.n_ues))
+        budgets = (multi.c_th,) * multi.n_ues
+        agents = [
+            _Agent(everyone, FactorTable(chains), e, c_th=multi.c_th, gamma=multi.gamma)
+            for e in (epochs, reference)
+        ]
+        for epoch in range(1, multi.horizon + 1):
+            for fb in bs.points:
+                (acts, (ranking, j)), (want_acts, (want_ranking, wj)) = (
+                    agent.act(epoch, fb, budgets, None) for agent in agents
+                )
+                assert acts == want_acts
+                assert self._same_pick(
+                    None if j is None else ranking.pairs[j],
+                    None if wj is None else want_ranking.pairs[wj],
+                )
+        contexts = [_SimContext(with_single_ue(multi, u), chains) for u in everyone]
+        got = run_multiuser(multi, "centralized", runs, run_seed, chains, h=2, cap=cap)
+        want = _simulate(agents[1:], contexts, runs, run_seed)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 class TestErrorBounds:
