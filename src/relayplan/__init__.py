@@ -62,4 +62,5 @@ from .sim import (  # noqa: F401
     monte_carlo,
     run_episode,
     run_multiuser,
+    solve_centralized,
 )

@@ -21,7 +21,10 @@ from .model import Action, ScenarioConfig, cost_vector, reward_vector
 
 @dataclass
 class AlphaPair:
-    """Paired reward/cost hyperplanes with the action that generated them.
+    """Paired reward/cost hyperplanes with the per-UE actions that generated
+    them: ``alpha_r`` (flat) is the reward summed over UEs, ``alpha_cs``
+    (N, flat) holds each UE's cost, and ``actions`` each UE's action. A
+    single-UE pair has N = 1.
 
     ``children`` (optional) maps observation vectors to the source pair each
     branch continues with; the exact solver fills it so a pair's value can be
@@ -29,40 +32,32 @@ class AlphaPair:
     """
 
     alpha_r: np.ndarray
-    alpha_c: np.ndarray
-    action: Action
+    alpha_cs: np.ndarray
+    actions: tuple[Action, ...]
     epoch: int = 0
     children: dict[Observation, "AlphaPair"] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.alpha_r = np.asarray(self.alpha_r, dtype=float)
-        self.alpha_c = np.asarray(self.alpha_c, dtype=float)
-        if self.alpha_r.shape != self.alpha_c.shape:
-            raise ValidationError("reward and cost vectors must have the same shape")
-        if not (np.all(np.isfinite(self.alpha_r)) and np.all(np.isfinite(self.alpha_c))):
+        self.alpha_cs = np.asarray(self.alpha_cs, dtype=float)
+        if self.alpha_cs.shape != (len(self.actions),) + self.alpha_r.shape:
+            raise ValidationError("cost vectors must be one reward-shaped row per action")
+        if not (np.all(np.isfinite(self.alpha_r)) and np.all(np.isfinite(self.alpha_cs))):
             raise ValidationError("alpha vectors must be finite")
-        if np.any(self.alpha_c < -1e-9):
+        if np.any(self.alpha_cs < -1e-9):
             raise ValidationError("cost vector entries must be >= 0")
 
-    @property
-    def alpha_cs(self) -> np.ndarray:
-        """The cost vector as the one row of a per-UE (1, flat) stack."""
-        return self.alpha_c[None]
-
-    @property
-    def actions(self) -> tuple[Action, ...]:
-        """The action as the one entry of a per-UE tuple."""
-        return (self.action,)
-
     def evaluate(self, fb: FactoredBelief) -> tuple[float, float]:
+        """The (reward, largest per-UE cost) at ``fb``: the budget binds per
+        UE, so the largest cost is the one it binds first."""
         b = joint_belief(fb)
-        return float(self.alpha_r @ b), float(self.alpha_c @ b)
+        return float(self.alpha_r @ b), max(float(c @ b) for c in self.alpha_cs)
 
     def key(self) -> tuple:
         return (
-            self.action.selected,
+            tuple(a.selected for a in self.actions),
             np.round(self.alpha_r, 12).tobytes(),
-            np.round(self.alpha_c, 12).tobytes(),
+            np.round(self.alpha_cs, 12).tobytes(),
         )
 
 

@@ -38,6 +38,7 @@ from .sim import (
     metrics_rows,
     monte_carlo,
     run_multiuser,
+    solve_centralized,
     write_csv,
 )
 from .solvers import (
@@ -129,7 +130,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_SOLVERS = {"exact", "cpbvi", "gcpbvi", "oracle"}
+_POINT_BASED = {"cpbvi": solve_cpbvi, "gcpbvi": solve_gcpbvi, "centralized": solve_centralized}
+_SOLVERS = {"exact", "oracle", *_POINT_BASED}
 
 
 def cmd_solve(args) -> int:
@@ -141,10 +143,10 @@ def cmd_solve(args) -> int:
         policy = solve_exact(scenario, chains)
     elif args.method == "oracle":
         policy = brute_force_oracle(scenario, chains)
-    elif args.method == "cpbvi":
-        policy = solve_cpbvi(scenario, chains, eps=args.eps, h=args.belief_h, cap=args.belief_cap)
     else:
-        policy = solve_gcpbvi(scenario, chains, eps=args.eps, h=args.belief_h, cap=args.belief_cap)
+        policy = _POINT_BASED[args.method](
+            scenario, chains, eps=args.eps, h=args.belief_h, cap=args.belief_cap
+        )
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -184,11 +186,12 @@ def cmd_simulate(args) -> int:
     write_csv(rows, METRIC_COLUMNS, out)
     _write_manifest(out.parent, "simulate", vars(args), [str(out)])
     planned_r, planned_c = policy.planned_value()
+    max_ue_cost = max(entry["avg_cum_cost"] for entry in metrics.per_ue)
     print(
-        f"runs={metrics.runs} avg_cum_reward={metrics.avg_cum_reward!r} "
+        f"runs={metrics.runs} ues={len(metrics.per_ue)} avg_cum_reward={metrics.avg_cum_reward!r} "
         f"stderr_reward={metrics.stderr_reward!r} planned_reward={planned_r!r} "
-        f"avg_cum_cost={metrics.avg_cum_cost!r} planned_cost={planned_c!r} "
-        f"avg_cum_ee={metrics.avg_cum_ee!r}"
+        f"avg_cum_cost={metrics.avg_cum_cost!r} max_ue_cost={max_ue_cost!r} "
+        f"planned_cost={planned_c!r} avg_cum_ee={metrics.avg_cum_ee!r}"
     )
     print(f"wrote {out}")
     return 0

@@ -11,9 +11,10 @@ of execution order; metric reductions use compensated summation.
 The multi-user entry point supports a centralized mode (gcpbvi's greedy
 over every UE's elements in one solve, a relay observed when any UE selects
 it, budgets per UE) and a distributed mode (independent single-UE gcpbvi
-solves and private beliefs in a shared world). Single-user runs and both
-modes share one episode loop, ``run_episode``, one execution rule and one
-metric reduction.
+solves and private beliefs in a shared world). A policy plays the first N
+UEs of a scenario, N = 1 for a single user. Single-user runs and both modes
+share one episode loop, ``run_episode``, one execution rule and one metric
+reduction.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from .solvers import (
     OracleTree,
     PolicySolution,
     _branch_obs,
-    _budget_tol,
-    _distinct_pairs,
     _Engine,
+    _first_fit,
     _ranked,
-    _resolve_belief_set,
+    _solve_point_based,
     select_pair,  # unused here; perfbench/tracing.py wraps relayplan.sim.select_pair
     solve_gcpbvi,
 )
@@ -219,12 +219,10 @@ class _Agent:
         return self._play(ranking, budgets)
 
     def _play(self, ranking: _Ranking, budgets: tuple):
-        tol = _budget_tol(self.c_th)
-        costs = ranking.costs
-        for j in range(len(costs)):
-            if all(costs.item(j, u) <= d + tol for u, d in enumerate(budgets)):
-                return ranking.pairs[j].actions, (ranking, j)
-        return (EMPTY_ACTION,) * len(self.ues), (ranking, None)
+        j = _first_fit(ranking.costs, budgets, self.c_th)
+        if j is None:
+            return (EMPTY_ACTION,) * len(self.ues), (ranking, None)
+        return ranking.pairs[j].actions, (ranking, j)
 
     def next_budgets(self, choice, budgets: tuple, obs: Observation, spent: tuple) -> tuple:
         """Each UE's next budget after ``choice`` met ``obs`` and cost ``spent``."""
@@ -241,25 +239,31 @@ class _Agent:
         )
 
 
-def _policy_agent(policy, factors: FactorTable | None, ue: int = 0) -> _Agent:
-    """The agent of UE ``ue`` playing a static, oracle-tree or alpha policy."""
+def _policy_agent(policy, factors: FactorTable | None, first_ue: int = 0) -> _Agent:
+    """The agent playing a static, oracle-tree or alpha policy for UEs
+    ``first_ue`` on: one UE, or as many as the alpha policy's pairs hold."""
     if isinstance(policy, StaticPolicy):
-        return _Agent((ue,), factors, action=policy.action)
+        return _Agent((first_ue,), factors, action=policy.action)
     if policy.tree is not None:
-        return _Agent((ue,), factors, tree=policy.tree)
-    return _Agent((ue,), factors, epochs=policy.epochs, c_th=policy.c_th, gamma=policy.gamma)
+        return _Agent((first_ue,), factors, tree=policy.tree)
+    ues = tuple(range(first_ue, first_ue + policy.n_ues))
+    return _Agent(ues, factors, epochs=policy.epochs, c_th=policy.c_th, gamma=policy.gamma)
 
 
-def _single_user(
+def _play_policy(
     policy, scenario: ScenarioConfig, chains: list[MarkovChain]
 ) -> tuple[list[_Agent], list[_SimContext]]:
-    """The agent and context of one UE playing ``policy`` (UE 0 of ``scenario``)."""
+    """The agent of ``policy`` and the contexts of the UEs it plays, the
+    first of ``scenario``."""
     horizon = getattr(policy, "horizon", scenario.horizon)
     if horizon != scenario.horizon:
         raise ValidationError(
             f"policy horizon {horizon} does not match scenario horizon {scenario.horizon}"
         )
-    return [_policy_agent(policy, FactorTable(chains))], [_SimContext(scenario, chains)]
+    agent = _policy_agent(policy, FactorTable(chains))
+    if len(agent.ues) > scenario.n_ues:
+        raise ValidationError(f"policy plays {len(agent.ues)} UEs; scenario has {scenario.n_ues}")
+    return [agent], [_SimContext(with_single_ue(scenario, u), chains) for u in agent.ues]
 
 
 def run_episode(
@@ -346,7 +350,7 @@ def monte_carlo(
 ) -> SimulationMetrics:
     """Averages over independent seeded episodes."""
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    return _simulate(*_single_user(policy, scenario, chains), n_runs, seed)
+    return _simulate(*_play_policy(policy, scenario, chains), n_runs, seed)
 
 
 def _episode_sums(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple:
@@ -461,6 +465,8 @@ def exact_policy_value(
         raise CapExceededError(f"exact policy evaluation needs |S|^K <= {EXACT_STATE_CAP}")
     ctx = _SimContext(scenario, chains)
     agent = _policy_agent(policy, None)
+    if len(agent.ues) != 1:
+        raise ValidationError("exact policy evaluation plays a policy of one UE")
     cursor = agent.tree
     if cursor is not None and (fb is not None or epoch != 1 or action is not None):
         raise ValidationError("a tree policy is evaluated from its root only")
@@ -516,45 +522,19 @@ def discrete_derivative(
 # --- multi-user ---------------------------------------------------------------
 
 
-@dataclass
-class _MultiPair:
-    alpha_r: np.ndarray
-    alpha_cs: np.ndarray  # (N, flat)
-    assignment: tuple[tuple[int, ...], ...]  # per-UE selected options
-    actions: tuple[Action, ...] = field(init=False)
-
-    def __post_init__(self):
-        self.actions = tuple(Action(options) for options in self.assignment)
-
-
 def solve_centralized(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
     h: int | None = None,
     eps: float | None = None,
     cap: int = 64,
-) -> tuple[list[list[_MultiPair]], "object"]:
+) -> PolicySolution:
     """Joint greedy solve over every UE's (UE, option) elements with per-UE
-    budgets: gcpbvi's backup (``_Engine.greedy``) for N UEs. A relay any UE
-    selects is observed by all; continuation choices follow the per-branch
-    local rule with every UE's budget. Each backup builds one pair per
-    anchor belief, and the epoch keeps its distinct pairs
-    (``solvers._distinct_pairs``); the next backup predicts their stacked
-    reward and per-UE cost rows in one call."""
-    chains = chains if chains is not None else chains_for_scenario(scenario)
-    belief_set = _resolve_belief_set(scenario, chains, None, eps, h, cap)
-    engine = _Engine(scenario, chains)
-    horizon = scenario.horizon
-    epochs: list[list[_MultiPair] | None] = [None] * horizon
-    v: list[_MultiPair] = []
-    for tau in range(1, horizon + 1):
-        g = engine.predict_stack(v) if v else None
-        v = []
-        for fb in belief_set.points:
-            anchor = engine.anchor(fb, g, scenario.n_ues)
-            v.append(_MultiPair(*engine.assemble(anchor, engine.greedy(anchor))))
-        v = epochs[horizon - tau] = _distinct_pairs(v)
-    return epochs, belief_set
+    budgets: gcpbvi's backup (``_Engine.greedy``) for all N UEs, a policy of
+    method ``centralized``. A relay any UE selects is observed by all;
+    continuation choices follow the per-branch local rule with every UE's
+    budget."""
+    return _solve_point_based("centralized", scenario, chains, None, eps, h, cap)
 
 
 def _multi_user(
@@ -567,24 +547,17 @@ def _multi_user(
 ) -> tuple[list[_Agent], list[_SimContext]]:
     """The solved agents and per-UE contexts of a multi-user run: one agent
     for all UEs (centralized) or one single-user agent per UE (distributed)."""
-    n_ues = scenario.n_ues
-    factors = FactorTable(chains)
     if mode == "centralized":
-        epochs, _ = solve_centralized(scenario, chains, h=h, eps=eps, cap=cap)
-        agents = [
-            _Agent(tuple(range(n_ues)), factors, epochs, c_th=scenario.c_th, gamma=scenario.gamma)
-        ]
-    else:
-        agents = [
-            _policy_agent(
-                solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, eps=eps, cap=cap),
-                factors,
-                u,
-            )
-            for u in range(n_ues)
-        ]
-    contexts = [_SimContext(with_single_ue(scenario, u), chains) for u in range(n_ues)]
-    return agents, contexts
+        policy = solve_centralized(scenario, chains, h=h, eps=eps, cap=cap)
+        return _play_policy(policy, scenario, chains)
+    factors = FactorTable(chains)
+    agents = [
+        _policy_agent(
+            solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, eps=eps, cap=cap), factors, u
+        )
+        for u in range(scenario.n_ues)
+    ]
+    return agents, [_SimContext(with_single_ue(scenario, u), chains) for u in range(scenario.n_ues)]
 
 
 def run_multiuser(

@@ -9,11 +9,12 @@ Three solvers share one backup engine:
   test, a free element even at a zero budget, and the best single element
   wins when it beats the greedy set).
 
-The same greedy over (UE, option) elements with per-UE budgets drives the
-centralized multi-user solve in ``sim``. Also here: a brute-force oracle
-(observation-contingent plan enumeration by multi-objective dynamic
-programming over forward-filtered distributions, sharing no code with the
-alpha-vector machinery) and the error-bound calculators.
+The centralized multi-user solve is gcpbvi's backup over every UE's
+(UE, option) elements with per-UE budgets; a single UE is N = 1. Also
+here: a brute-force oracle (observation-contingent plan enumeration by
+multi-objective dynamic programming over forward-filtered distributions,
+sharing no code with the alpha-vector machinery) and the error-bound
+calculators.
 
 Cumulative values weight the epoch-t term by ``gamma**(t-1)``; the budget
 constrains the same discounted sum. Point-based backups never materialise
@@ -34,6 +35,7 @@ unless an approximation fired, and the stats count each one:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -76,7 +78,7 @@ EXACT_STATE_CAP = 4096
 EXACT_CROSS_CAP = 100_000
 ROOT_BRANCH_CAP = 1024
 FRONTIER_CAP = 2048
-POLICY_FORMAT_VERSION = 1
+POLICY_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -84,8 +86,9 @@ class PolicySolution:
     """Per-epoch value-function sets plus everything needed to execute them.
 
     ``epochs[e-1]`` holds the pairs used at decision epoch ``e`` (so index 0
-    carries the full-lookahead set). Oracle solutions store an explicit
-    observation-contingent plan in ``tree`` instead of alpha pairs.
+    carries the full-lookahead set); every pair holds the same N UEs. Oracle
+    solutions store an explicit observation-contingent plan in ``tree``
+    instead of alpha pairs.
     """
 
     method: str
@@ -100,8 +103,13 @@ class PolicySolution:
     tree: "OracleTree | None" = None
     stats: dict = field(default_factory=dict)
 
+    @property
+    def n_ues(self) -> int:
+        """The UEs the policy plays: 1 for an oracle tree."""
+        return len(self.epochs[0][0].actions) if self.epochs and self.epochs[0] else 1
+
     def planned_value(self, fb: FactoredBelief | None = None) -> tuple[float, float]:
-        """Expected cumulative discounted (reward, cost) at the initial belief."""
+        """Expected discounted (reward, largest per-UE cost) at the initial belief."""
         if self.tree is not None:
             return self.stats["oracle_value_r"], self.stats["oracle_value_c"]
         if fb is None:
@@ -123,11 +131,11 @@ def _budget_tol(c_th: float) -> float:
 
 
 def _ranked(pairs: list, fb: FactoredBelief) -> tuple[list, np.ndarray]:
-    """The execution rule's order at ``fb``: the pairs (``AlphaPair`` or
-    multi-UE), best total reward first, ties toward lower summed cost, then
-    the smallest actions, and their per-UE costs-to-go there as a (pairs,
-    UEs) array in that order. Values are sums over the belief's support,
-    each pair's entries gathered there."""
+    """The execution rule's order at ``fb``: the pairs, best total reward
+    first, ties toward lower summed cost, then the smallest actions, and
+    their per-UE costs-to-go there as a (pairs, UEs) array in that order.
+    Values are sums over the belief's support, each pair's entries gathered
+    there."""
     idx, b = _support_index(fb)
     keyed = []
     for pair in pairs:
@@ -140,19 +148,28 @@ def _ranked(pairs: list, fb: FactoredBelief) -> tuple[list, np.ndarray]:
     return [entry[4] for entry in keyed], np.array([entry[3] for entry in keyed])
 
 
+def _first_fit(costs: np.ndarray, budgets: tuple, c_th: float) -> int | None:
+    """The first row of ``costs`` (pairs, UEs) in which every UE's
+    cost-to-go fits its budget, or None."""
+    tol = _budget_tol(c_th)
+    for j in range(len(costs)):
+        if all(costs.item(j, u) <= d + tol for u, d in enumerate(budgets)):
+            return j
+    return None
+
+
 def select_pair(
     policy: PolicySolution, epoch: int, fb: FactoredBelief
-) -> tuple[AlphaPair | None, Action]:
-    """Execution rule at the full budget: the first pair of ``_ranked``
-    whose cost-to-go at ``fb`` fits ``c_th``, or ``(None, empty action)``.
-    Episodes pass later epochs the budget the plan left them (``sim._Agent``).
-    """
-    limit = policy.c_th + _budget_tol(policy.c_th)
+) -> tuple[AlphaPair | None, tuple[Action, ...]]:
+    """Execution rule at the full budgets: the first pair of ``_ranked``
+    whose every UE's cost-to-go at ``fb`` fits ``c_th``, with its actions, or
+    ``(None, empty actions)``. Episodes pass later epochs the budgets the
+    plan left them (``sim._Agent``)."""
     ranked, costs = _ranked(policy.epochs[epoch - 1], fb)
-    for pair, c in zip(ranked, costs[:, 0].tolist()):
-        if c <= limit:
-            return pair, pair.action
-    return None, EMPTY_ACTION
+    j = _first_fit(costs, (policy.c_th,) * policy.n_ues, policy.c_th)
+    if j is None:
+        return None, (EMPTY_ACTION,) * policy.n_ues
+    return ranked[j], ranked[j].actions
 
 
 def _support_index(fb: FactoredBelief) -> tuple[np.ndarray | None, np.ndarray]:
@@ -559,20 +576,23 @@ class _Engine:
         dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
         return np.broadcast_to(sigma.reshape(dims), self.shape).reshape(-1), np.arange(self.flat)
 
-    def assemble(self, anchor: _Anchor, chosen) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The joint-space vectors of ``chosen``, an ``(assignment, point)``
-        at ``anchor``: the reward (flat), each UE's cost (N, flat) and the
-        assignment. A branch of probability 0 continues with row 0. None
-        gives the empty assignment's zero vectors."""
+    def assemble(self, anchor: _Anchor, chosen, epoch: int = 0) -> AlphaPair:
+        """The pair of ``chosen``, an ``(assignment, point)`` at ``anchor``:
+        the reward (flat), each UE's cost (N, flat) and each UE's action. A
+        branch of probability 0 continues with row 0. None gives the empty
+        assignment's zero vectors."""
         n_ues = len(anchor.imm)
         if chosen is None:
-            return np.zeros(self.flat), np.zeros((n_ues, self.flat)), ((),) * n_ues
+            return AlphaPair(
+                np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues, epoch
+            )
         assignment, point = chosen
+        actions = tuple(map(Action, assignment))
         with self.timed("time_assemble_s"):
             alpha_r = np.zeros(self.flat)
-            for u, options in enumerate(assignment):
-                alpha_r += self.reward_flat(Action(options), u)
-            alpha_cs = np.array([self.cost_flat(Action(options)) for options in assignment])
+            for u, action in enumerate(actions):
+                alpha_r += self.reward_flat(action, u)
+            alpha_cs = np.array([self.cost_flat(action) for action in actions])
             if anchor.g is not None:
                 sel_axes = _relay_axes(assignment)
                 support = [anchor.scores.support[ax] for ax in sel_axes]
@@ -584,14 +604,14 @@ class _Engine:
                 picked = np.take(anchor.g.reshape(1 + n_ues, -1), rows * self.flat + cols, axis=1)
                 alpha_r += picked[0]
                 alpha_cs += picked[1:]
-            return alpha_r, alpha_cs, assignment
+        return AlphaPair(alpha_r, alpha_cs, actions, epoch)
 
 
 # --- point-based backups ---------------------------------------------------
 
 
 def _distinct_pairs(pairs: list) -> list:
-    """``pairs`` (``AlphaPair`` or multi-UE) without the copies: a pair is
+    """``pairs`` without the copies: a pair is
     dropped when an earlier one has equal ``actions`` and equal ``alpha_r``
     and ``alpha_cs``. The first of each stays, in order.
 
@@ -608,12 +628,6 @@ def _distinct_pairs(pairs: list) -> list:
         ):
             out.append(pair)
     return out
-
-
-def _alpha_pair(engine: _Engine, anchor: _Anchor, chosen, epoch: int) -> AlphaPair:
-    """The single-UE pair ``engine.assemble`` builds for ``chosen``."""
-    alpha_r, alpha_cs, (options,) = engine.assemble(anchor, chosen)
-    return AlphaPair(alpha_r=alpha_r, alpha_c=alpha_cs[0], action=Action(options), epoch=epoch)
 
 
 def cpbvi_backup(
@@ -648,7 +662,7 @@ def cpbvi_backup(
             if best_key is None or key < best_key:
                 best_key = key
                 best = ((action.selected,), point)
-        out.append(_alpha_pair(engine, anchor, best, epoch))
+        out.append(engine.assemble(anchor, best, epoch))
     return out
 
 
@@ -659,16 +673,17 @@ def gcpbvi_backup(
     chains: list[MarkovChain],
     epoch: int = 0,
     engine: _Engine | None = None,
+    n_ues: int = 1,
 ) -> list[AlphaPair]:
-    """Greedy point-based iteration: per anchor belief, the action of
-    ``_Engine.greedy`` (never enumerating the 2^K action set) with its
-    budget-coupled continuation choices."""
+    """Greedy point-based iteration for the first ``n_ues`` UEs: per anchor
+    belief, the per-UE actions of ``_Engine.greedy`` (never enumerating the
+    2^K action set) with their budget-coupled continuation choices."""
     engine = engine or _Engine(scenario, chains)
     g = engine.predict_stack(v_next) if v_next else None
     out = []
     for fb in belief_set.points:
-        anchor = engine.anchor(fb, g)
-        out.append(_alpha_pair(engine, anchor, engine.greedy(anchor), epoch))
+        anchor = engine.anchor(fb, g, n_ues)
+        out.append(engine.assemble(anchor, engine.greedy(anchor), epoch))
     return out
 
 
@@ -709,8 +724,8 @@ def exact_backup(
             out.append(
                 AlphaPair(
                     alpha_r=engine.reward_flat(action).copy(),
-                    alpha_c=engine.cost_flat(action).copy(),
-                    action=action,
+                    alpha_cs=engine.cost_flat(action)[None].copy(),
+                    actions=(action,),
                     epoch=epoch,
                     children={},
                 )
@@ -745,8 +760,8 @@ def exact_backup(
             out.append(
                 AlphaPair(
                     alpha_r=engine.reward_flat(action) + gr[at],
-                    alpha_c=engine.cost_flat(action) + gc[at],
-                    action=action,
+                    alpha_cs=(engine.cost_flat(action) + gc[at])[None],
+                    actions=(action,),
                     epoch=epoch,
                     children=children,
                 )
@@ -754,7 +769,7 @@ def exact_backup(
 
     out = _dedup_pairs(out)
     keep = _pointwise_undominated(
-        np.array([p.alpha_r for p in out]), np.array([p.alpha_c for p in out])
+        np.array([p.alpha_r for p in out]), np.array([p.alpha_cs[0] for p in out])
     )
     return [out[i] for i in keep]
 
@@ -770,7 +785,7 @@ def _branch_obs(action: Action, regions, k: int) -> Observation:
 def _dedup_pairs(pairs: list[AlphaPair]) -> list[AlphaPair]:
     seen = set()
     out = []
-    for pair in sorted(pairs, key=lambda p: p.action.selected):
+    for pair in sorted(pairs, key=lambda p: p.actions):
         key = pair.key()
         if key[1:] not in seen:
             seen.add(key[1:])
@@ -858,16 +873,18 @@ def _solve_point_based(
     h: int | None,
     cap: int,
 ) -> PolicySolution:
-    """cpbvi or gcpbvi over the horizon, from the last epoch back. Each
-    backup returns one pair per anchor belief; the epoch stores its distinct
-    pairs (``_distinct_pairs``), and only those reach the next backup, the
-    policy file and the execution rule."""
+    """cpbvi, gcpbvi or centralized over the horizon, from the last epoch
+    back. Centralized is gcpbvi's backup for every UE of ``scenario``; the
+    others plan for UE 0. Each backup returns one pair per anchor belief;
+    the epoch stores its distinct pairs (``_distinct_pairs``), and only
+    those reach the next backup, the policy file and the execution rule."""
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     engine = _Engine(scenario, chains)
     with engine.timed("time_belief_set_s"):
         belief_set = _resolve_belief_set(scenario, chains, belief_set, eps, h, cap)
-    backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
+    n_ues = scenario.n_ues if method == "centralized" else 1
+    backup = cpbvi_backup if method == "cpbvi" else functools.partial(gcpbvi_backup, n_ues=n_ues)
     horizon = scenario.horizon
     epochs: list[list[AlphaPair] | None] = [None] * horizon
     v: list[AlphaPair] = []
@@ -882,8 +899,8 @@ def _solve_point_based(
     }
     try:
         bound = density_bound(chains, belief_set.h)
-        r_range, c_range = value_ranges(scenario)
-        eta_r, eta_c = pbvi_error_bound(bound, scenario.gamma, horizon, r_range, c_range)
+        r_range, c_range = value_ranges(scenario)  # per UE; the reward sums over UEs
+        eta_r, eta_c = pbvi_error_bound(bound, scenario.gamma, horizon, n_ues * r_range, c_range)
         stats.update(density_bound=bound, eta_r_bound=eta_r, eta_c_bound=eta_c)
     except SpectralError:
         # immobile or otherwise non-ergodic chains have no mixing guarantee
@@ -1121,17 +1138,17 @@ def _plain(value):
 
 
 def save_policy(policy: PolicySolution, path) -> None:
-    """Write ``policy`` to exactly ``path`` as a version-1 policy archive.
+    """Write ``policy`` to exactly ``path`` as a version-2 policy archive.
 
     The archive is the uncompressed ``np.savez`` layout: ``chains`` (K, n, n);
-    ``alpha_r_<e>`` and ``alpha_c_<e>`` (pairs, n^K) for every epoch ``e``;
-    ``belief_points`` (B, K, n); and ``meta``, a JSON string with the scalars,
-    the per-epoch actions, the belief-set depth and source, the stats and the
-    oracle tree. Member timestamps are fixed, so equal policies give equal
-    bytes.
+    ``alpha_r_<e>`` (pairs, n^K) and ``alpha_c_<e>`` (pairs, N, n^K) for
+    every epoch ``e`` of a policy of N UEs; ``belief_points`` (B, K, n); and
+    ``meta``, a JSON string with the scalars, each pair's per-UE actions per
+    epoch, the belief-set depth and source, the stats and the oracle tree.
+    Member timestamps are fixed, so equal policies give equal bytes.
     """
     chains = np.stack([chain.matrix for chain in policy.chains])
-    flat = chains.shape[1] ** chains.shape[0]
+    n_ues, flat = policy.n_ues, chains.shape[1] ** chains.shape[0]
     arrays = {"chains": chains}
     meta = {
         "format_version": POLICY_FORMAT_VERSION,
@@ -1148,11 +1165,11 @@ def save_policy(policy: PolicySolution, path) -> None:
     }
     if policy.epochs is not None:
         meta["epoch_actions"] = [
-            [list(pair.action.selected) for pair in pairs] for pairs in policy.epochs
+            [[list(a.selected) for a in pair.actions] for pair in pairs] for pairs in policy.epochs
         ]
         for e, pairs in enumerate(policy.epochs, start=1):
             arrays[f"alpha_r_{e}"] = np.array([p.alpha_r for p in pairs]).reshape(len(pairs), flat)
-            arrays[f"alpha_c_{e}"] = np.array([p.alpha_c for p in pairs]).reshape(len(pairs), flat)
+            arrays[f"alpha_c_{e}"] = np.reshape([p.alpha_cs for p in pairs], (len(pairs), n_ues, flat))
     if policy.belief_set is not None:
         meta["belief_set"] = {
             "h": policy.belief_set.h,
@@ -1173,9 +1190,10 @@ def load_policy(path) -> PolicySolution:
     """Read a policy archive written by :func:`save_policy`.
 
     Every chain, pair and belief goes through its validating constructor.
-    A file that is not a version-1 policy archive (an old JSON policy, a
-    truncated or foreign file, a missing or unknown version, a mis-shaped
-    array) raises ``ValidationError``.
+    A version-1 archive (one action and one cost row per pair) is read as a
+    policy of one UE. A file that is not a version-1 or version-2 policy
+    archive (an old JSON policy, a truncated or foreign file, a missing or
+    unknown version, a mis-shaped array) raises ``ValidationError``.
     """
     with open(path, "rb") as fh:
         try:
@@ -1200,9 +1218,9 @@ def _read_policy(fh) -> PolicySolution:
         if not isinstance(meta, dict):
             raise ValidationError("policy metadata is not a JSON object")
         version = meta.get("format_version")
-        if version != POLICY_FORMAT_VERSION:
+        if version not in (1, POLICY_FORMAT_VERSION):
             raise ValidationError(
-                f"policy format version {version!r}, expected {POLICY_FORMAT_VERSION}"
+                f"policy format version {version!r}, expected 1 or {POLICY_FORMAT_VERSION}"
             )
         stacked = archive["chains"]
         if stacked.ndim != 3 or stacked.shape[0] < 1 or stacked.shape[1] != stacked.shape[2]:
@@ -1217,21 +1235,27 @@ def _read_policy(fh) -> PolicySolution:
         if meta["epoch_actions"] is not None:
             epochs = []
             for e, actions in enumerate(meta["epoch_actions"], start=1):
-                stacks = [archive[f"alpha_r_{e}"], archive[f"alpha_c_{e}"]]
-                for stack in stacks:
-                    if stack.shape != (len(actions), n**k):
-                        raise ValidationError(
-                            f"epoch {e} stack has shape {stack.shape}, "
-                            f"expected ({len(actions)}, {n**k})"
-                        )
+                rewards, costs = archive[f"alpha_r_{e}"], archive[f"alpha_c_{e}"]
+                if version == 1:  # one UE: an action and a cost row per pair
+                    actions = [[a] for a in actions]
+                    costs = costs.reshape(costs.shape[:1] + (1,) + costs.shape[1:])
+                n_ues = costs.shape[1] if costs.ndim == 3 else 0
+                want = (len(actions), n**k)
+                if not n_ues or rewards.shape != want or costs.shape != (want[0], n_ues, want[1]):
+                    raise ValidationError(
+                        f"epoch {e} stacks have shapes {rewards.shape} and {costs.shape}, "
+                        f"expected ({len(actions)}, {n**k}) and ({len(actions)}, N, {n**k})"
+                    )
                 epochs.append([
-                    AlphaPair(alpha_r=r, alpha_c=c, action=Action(tuple(a)), epoch=e)
-                    for r, c, a in zip(*stacks, actions)
+                    AlphaPair(r, cs, tuple(Action(tuple(a)) for a in acts), epoch=e)
+                    for r, cs, acts in zip(rewards, costs, actions)
                 ])
             if len(epochs) != meta["horizon"]:
                 raise ValidationError(
                     f"{len(epochs)} epochs stored for horizon {meta['horizon']}"
                 )
+            if len({len(pair.actions) for pairs in epochs for pair in pairs}) > 1:
+                raise ValidationError("epochs store pairs of different numbers of UEs")
 
         belief_set = None
         if meta["belief_set"] is not None:

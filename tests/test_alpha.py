@@ -39,7 +39,16 @@ class TestImmediatePair:
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValidationError):
-            AlphaPair(np.zeros(2), np.array([-1.0, 0.0]), EMPTY_ACTION)
+            AlphaPair(np.zeros(2), np.array([[-1.0, 0.0]]), (EMPTY_ACTION,))
+
+    @pytest.mark.parametrize("costs, actions", [
+        (np.zeros(2), (EMPTY_ACTION,)),
+        (np.zeros((2, 2)), (EMPTY_ACTION,)),
+        (np.zeros((1, 3)), (EMPTY_ACTION,)),
+    ], ids=["flat", "rows", "length"])
+    def test_cost_rows_must_match_actions(self, costs, actions):
+        with pytest.raises(ValidationError):
+            AlphaPair(np.zeros(2), costs, actions)
 
 
 def _branch_part(engine: _Engine, vec, action: Action, sigma) -> np.ndarray:
@@ -106,36 +115,37 @@ class TestCrossSum:
         sc = line_scenario(2, [1], c_th=1e6, direct=direct)
         # the two sources trade reward against cost, so no choice dominates
         sources = [
-            AlphaPair(np.full(2, 10.0), np.full(2, 10.0), EMPTY_ACTION),
-            AlphaPair(np.zeros(2), np.zeros(2), EMPTY_ACTION),
+            AlphaPair(np.full(2, 10.0), np.full((1, 2), 10.0), (EMPTY_ACTION,)),
+            AlphaPair(np.zeros(2), np.zeros((1, 2)), (EMPTY_ACTION,)),
         ]
         return sc, [TWO_STATE], sources
 
     def test_single_branch_elementwise(self):
         sc, chains, _ = self._setup()
-        src = AlphaPair(np.array([2.0, 0.0]), np.array([1.0, 3.0]), EMPTY_ACTION)
-        by_action = {p.action.selected: p for p in exact_backup([src], sc, chains)}
+        src = AlphaPair(np.array([2.0, 0.0]), np.array([[1.0, 3.0]]), (EMPTY_ACTION,))
+        by_action = {p.actions[0].selected: p for p in exact_backup([src], sc, chains)}
         pair = by_action[()]  # one branch, one choice: no immediate, all prediction
         np.testing.assert_allclose(pair.alpha_r, TWO_STATE.matrix @ src.alpha_r, atol=1e-15)
-        np.testing.assert_allclose(pair.alpha_c, TWO_STATE.matrix @ src.alpha_c, atol=1e-15)
+        np.testing.assert_allclose(pair.alpha_cs[0], TWO_STATE.matrix @ src.alpha_cs[0], atol=1e-15)
 
     def test_cardinality(self):
         sc, chains, sources = self._setup()
         out = exact_backup(sources, sc, chains)
         # two branches with two undominated choices each
-        assert sum(p.action.relays == (1,) for p in out) == 4
+        assert sum(p.actions[0].relays == (1,) for p in out) == 4
 
     def test_numeric(self):
         sc, chains, sources = self._setup(direct=(5.0, 0.0))
         for pair in exact_backup(sources, sc, chains):
-            expected_r = reward_tensor(sc, pair.action)
-            expected_c = cost_tensor(sc, pair.action)
+            (action,) = pair.actions
+            expected_r = reward_tensor(sc, action)
+            expected_c = cost_tensor(sc, action)
             for z, child in pair.children.items():
                 mask = np.ones(2) if z[0] is None else np.eye(2)[z[0]]
                 expected_r = expected_r + mask * (TWO_STATE.matrix @ child.alpha_r)
-                expected_c = expected_c + mask * (TWO_STATE.matrix @ child.alpha_c)
+                expected_c = expected_c + mask * (TWO_STATE.matrix @ child.alpha_cs[0])
             np.testing.assert_allclose(pair.alpha_r, expected_r, atol=1e-12)
-            np.testing.assert_allclose(pair.alpha_c, expected_c, atol=1e-12)
+            np.testing.assert_allclose(pair.alpha_cs[0], expected_c, atol=1e-12)
 
     def test_cap(self, monkeypatch):
         sc, chains, sources = self._setup()
@@ -150,11 +160,12 @@ class TestPiecewiseLinearConsistency:
         lineage: immediate belief reward plus probability-weighted child
         values at the updated beliefs."""
         b = joint_belief(fb)
-        r = float(reward_tensor(scenario, pair.action) @ b)
-        c = float(cost_tensor(scenario, pair.action) @ b)
+        (action,) = pair.actions
+        r = float(reward_tensor(scenario, action) @ b)
+        c = float(cost_tensor(scenario, action) @ b)
         if not pair.children:
             return r, c
-        sel = pair.action.relays
+        sel = action.relays
         k = scenario.n_relays
         supports = [range(scenario.n_regions) for _ in sel] or [()]
         if sel:
@@ -168,14 +179,14 @@ class TestPiecewiseLinearConsistency:
                     combo[sel.index(i)] if i in sel else None for i in range(1, k + 1)
                 )
                 child = pair.children[obs]
-                nxt = advance_belief(fb, chains, pair.action, obs)
+                nxt = advance_belief(fb, chains, action, obs)
                 cr, cc = self._recursive_value(child, nxt, scenario, chains, gamma)
                 r += gamma * p_z * cr
                 c += gamma * p_z * cc
         else:
             obs = (None,) * k
             child = pair.children[obs]
-            nxt = advance_belief(fb, chains, pair.action, obs)
+            nxt = advance_belief(fb, chains, action, obs)
             cr, cc = self._recursive_value(child, nxt, scenario, chains, gamma)
             r += gamma * cr
             c += gamma * cc

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from relayplan.cli import main
-from relayplan.model import load_scenario
+from relayplan.mobility import chains_for_scenario
+from relayplan.model import load_scenario, save_scenario, with_single_ue
+from relayplan.sim import METRIC_COLUMNS, metrics_rows, monte_carlo, run_multiuser, write_csv
+from relayplan.solvers import load_policy
 
 
 def run(args):
@@ -50,7 +55,7 @@ class TestGenerate:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("method", ["exact", "oracle", "cpbvi", "gcpbvi"])
+    @pytest.mark.parametrize("method", ["exact", "oracle", "cpbvi", "gcpbvi", "centralized"])
     def test_all_methods_on_tiny(self, tiny_scenario, tmp_path, method):
         out = tmp_path / f"{method}.json"
         assert run([
@@ -60,7 +65,7 @@ class TestSolve:
         assert out.exists()
         report = out.with_suffix(".report.txt").read_text()
         assert f"method={method}" in report
-        if method in ("cpbvi", "gcpbvi"):
+        if method in ("cpbvi", "gcpbvi", "centralized"):
             assert "eta_r_bound=" in report
             assert "eta_c_bound=" in report
             assert "belief_points=" in report
@@ -154,6 +159,71 @@ class TestSimulate:
             "--runs", "5", "--out", tmp_path / "m.csv",
         ]) == 2
         assert "relayplan solve" in capsys.readouterr().err
+
+
+class TestCentralizedPolicyFile:
+    """``solve --method centralized`` writes a policy of every UE, and
+    ``simulate`` plays it as ``run_multiuser`` does."""
+
+    @pytest.fixture
+    def two_ues(self, tmp_path):
+        path = tmp_path / "two.json"
+        assert run([
+            "generate", "--grid", "3x2", "--relays", "2", "--ues", "2", "--eps-fix", "0.6",
+            "--horizon", "3", "--c-th", "400", "--seed", "5", "--out", path,
+        ]) == 0
+        return path
+
+    @staticmethod
+    def _solve(scenario, method, out):
+        assert run([
+            "solve", "--scenario", scenario, "--method", method,
+            "--belief-h", "2", "--belief-cap", "6", "--out", out,
+        ]) == 0
+        lines = out.with_suffix(".report.txt").read_text().splitlines()
+        return {line.split("=", 1)[0] for line in lines}
+
+    def test_report_keys_match_gcpbvi(self, two_ues, tmp_path):
+        central = self._solve(two_ues, "centralized", tmp_path / "central.npz")
+        assert central == self._solve(two_ues, "gcpbvi", tmp_path / "greedy.npz")
+
+    def test_simulate_matches_run_multiuser(self, two_ues, tmp_path, capsys):
+        policy = tmp_path / "central.npz"
+        self._solve(two_ues, "centralized", policy)
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        assert run([
+            "simulate", "--scenario", two_ues, "--policy", policy,
+            "--runs", "25", "--seed", "7", "--out", out,
+        ]) == 0
+        assert "ues=2" in capsys.readouterr().out.split()
+        scenario = load_scenario(two_ues)
+        chains = chains_for_scenario(scenario)
+        want = run_multiuser(scenario, "centralized", 25, 7, chains, h=2, cap=6)
+        got = monte_carlo(load_policy(policy), scenario, 25, 7, chains)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        expected = tmp_path / "want.csv"
+        write_csv(metrics_rows(want, scenario.fingerprint(), "centralized"), METRIC_COLUMNS, expected)
+        assert out.read_text() == expected.read_text()
+
+    def test_more_ues_than_the_scenario_exits_2(self, two_ues, tmp_path, capsys):
+        policy = tmp_path / "central.npz"
+        self._solve(two_ues, "centralized", policy)
+        one_ue = tmp_path / "one.json"
+        save_scenario(with_single_ue(load_scenario(two_ues), 0), one_ue)
+        # give the policy the one-UE scenario's fingerprint, so that only its UEs differ
+        with np.load(policy) as archive:
+            members = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(members["meta"]))
+        meta["scenario_fingerprint"] = load_scenario(one_ue).fingerprint()
+        members["meta"] = np.array(json.dumps(meta))
+        with open(policy, "wb") as fh:
+            np.savez(fh, **members)
+        assert run([
+            "simulate", "--scenario", one_ue, "--policy", policy,
+            "--runs", "5", "--out", tmp_path / "m.csv",
+        ]) == 2
+        assert "policy plays 2 UEs" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import line_scenario, random_instance
+from relayplan.alpha import AlphaPair
 from relayplan.belief import FactoredBelief, build_h_belief_set, joint_belief
 from relayplan.errors import ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
@@ -18,11 +19,10 @@ from relayplan.sim import (
     exact_policy_value,
     metrics_rows,
     monte_carlo,
-    _MultiPair,
     _Agent,
     _multi_user,
+    _play_policy,
     _SimContext,
-    _single_user,
     run_episode,
     run_multiuser,
     solve_centralized,
@@ -36,8 +36,8 @@ class TestRunEpisode:
         rng = np.random.default_rng(2)
         scenario, chains = random_instance(rng, k=2, n=2, t=2)
         policy = solve_gcpbvi(scenario, chains, h=2)
-        a = run_episode(*_single_user(policy, scenario, chains), seed=99)
-        b = run_episode(*_single_user(policy, scenario, chains), seed=99)
+        a = run_episode(*_play_policy(policy, scenario, chains), seed=99)
+        b = run_episode(*_play_policy(policy, scenario, chains), seed=99)
         assert [(r.actions, r.state, r.observations) for r in a.records] == [
             (r.actions, r.state, r.observations) for r in b.records
         ]
@@ -47,7 +47,7 @@ class TestRunEpisode:
         sc = line_scenario(3, [2], horizon=4, eps_fix=1.0, c_th=1e6)
         chains = chains_for_scenario(sc)
         policy = solve_gcpbvi(sc, chains, h=2)
-        trace = run_episode(*_single_user(policy, sc, chains), seed=1)
+        trace = run_episode(*_play_policy(policy, sc, chains), seed=1)
         rewards = [r.rewards for r in trace.records]
         assert len(set(rewards)) == 1
 
@@ -57,13 +57,13 @@ class TestRunEpisode:
         policy = solve_gcpbvi(sc, chains, h=2)
         other = dataclasses.replace(sc, horizon=3)
         with pytest.raises(ValidationError):
-            run_episode(*_single_user(policy, other, chains_for_scenario(other)), seed=0)
+            run_episode(*_play_policy(policy, other, chains_for_scenario(other)), seed=0)
 
     def test_observations_reveal_current_state(self):
         rng = np.random.default_rng(4)
         scenario, chains = random_instance(rng, k=2, n=2, t=3, c_th=1e9)
         policy = solve_gcpbvi(scenario, chains, h=2)
-        trace = run_episode(*_single_user(policy, scenario, chains), seed=5)
+        trace = run_episode(*_play_policy(policy, scenario, chains), seed=5)
         for rec in trace.records:
             (action,), (observation,) = rec.actions, rec.observations
             for i in action.relays:
@@ -110,7 +110,7 @@ class TestMonteCarlo:
         policy = solve_gcpbvi(scenario, chains, h=2)
         metrics = monte_carlo(policy, scenario, 1, seed=3, chains=chains)
         seed = np.random.SeedSequence(3).spawn(1)[0]
-        trace = run_episode(*_single_user(policy, scenario, chains), seed)
+        trace = run_episode(*_play_policy(policy, scenario, chains), seed)
         assert (metrics.avg_cum_reward,) == trace.cum_reward
         assert (metrics.avg_cum_cost,) == trace.cum_cost
         assert metrics.stderr_reward == 0.0
@@ -287,7 +287,9 @@ class TestSelectMulti:
                 rewards[j] = rewards[src]  # equal reward, the summed cost decides
             elif tie < 0.6:
                 rewards[j], costs[j] = rewards[src], costs[src]  # the assignment decides
-        pairs = [_MultiPair(r, cs, a) for r, cs, a in zip(rewards, costs, assignments)]
+        pairs = [
+            AlphaPair(r, cs, tuple(map(Action, a))) for r, cs, a in zip(rewards, costs, assignments)
+        ]
         fb = FactoredBelief(tuple(
             np.eye(n)[int(rng.integers(n))] if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
             for _ in range(k)
@@ -298,7 +300,7 @@ class TestSelectMulti:
 
         tol = 1e-9 * max(1.0, abs(c_th))
         scored = [
-            ((-float(pair.alpha_r @ b), float(c.sum()), pair.assignment), pair)
+            ((-float(pair.alpha_r @ b), float(c.sum()), pair.actions), pair)
             for pair in pairs
             for c in [pair.alpha_cs @ b]
             if all(float(x) <= c_th + tol for x in c)
@@ -333,13 +335,13 @@ class TestMultiUser8bRegression:
     which is what a solve stores."""
 
     def test_centralized_vectors(self):
-        epochs, _ = solve_centralized(_scenario_8b(), h=2, cap=4)
+        policy = solve_centralized(_scenario_8b(), h=2, cap=4)
         digest = hashlib.sha256()
-        for pairs in epochs:
+        for pairs in policy.epochs:
             for pair in pairs:
                 digest.update(pair.alpha_r.tobytes())
                 digest.update(pair.alpha_cs.tobytes())
-                digest.update(repr(pair.assignment).encode())
+                digest.update(repr(tuple(a.selected for a in pair.actions)).encode())
         assert digest.hexdigest() == (
             "a7ace18415b78a53aad2f3eec2004b7a2af632ee7ec0ef28c483a7f47cea5268"
         )
@@ -352,8 +354,8 @@ class TestMultiUser8bRegression:
             for pairs in policy.epochs:
                 for pair in pairs:
                     digest.update(pair.alpha_r.tobytes())
-                    digest.update(pair.alpha_c.tobytes())
-                    digest.update(repr(pair.action.selected).encode())
+                    digest.update(pair.alpha_cs.tobytes())
+                    digest.update(repr(pair.actions[0].selected).encode())
         assert digest.hexdigest() == (
             "54985238e64b8237a18bbccc2d64c150962f64f9cdd8ec8588a8506d012e3b1c"
         )

@@ -26,7 +26,6 @@ from relayplan.model import (
 )
 from relayplan.sim import (
     _Agent,
-    _MultiPair,
     _SimContext,
     _simulate,
     discrete_derivative,
@@ -61,7 +60,7 @@ class TestExactBackup:
         sc = line_scenario(2, [1], c_th=1e6)
         chains = [MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))]
         pairs = exact_backup([], sc, chains)
-        by_action = {p.action.selected: p for p in pairs}
+        by_action = {p.actions[0].selected: p for p in pairs}
         for action in all_actions(1):
             if action.selected in by_action:
                 np.testing.assert_allclose(
@@ -113,7 +112,7 @@ class TestCpbviBackup:
         policy = solve_cpbvi(sc, chains, belief_set=bs)
         for pairs in policy.epochs:
             for pair in pairs:
-                assert pair.action.selected in ((), (0,))
+                assert pair.actions[0].selected in ((), (0,))
 
     def test_one_pair_per_belief_point(self):
         sc = line_scenario(2, [1], horizon=2)
@@ -149,35 +148,35 @@ class TestGreedyArgmax:
         first, second = (1, 2) if r1 / c1 > r2 / c2 else (2, 1)
         c_th = self._element(sc, first)[1] + 0.5 * self._element(sc, second)[1]
         pair, fb = self._greedy(dataclasses.replace(sc, c_th=c_th))
-        assert pair.action.selected == (first,)
+        assert pair.actions[0].selected == (first,)
         assert pair.evaluate(fb) == self._element(sc, first)
 
     def test_zero_budget_admits_free_option(self):
         # 0 + 0 < 0 fails the strict test; a free element enters regardless
         sc = line_scenario(3, [1, 2], horizon=1, c_th=0.0, direct=(10.0, 0.0))
         pair, fb = self._greedy(sc)
-        assert pair.action.selected == (0,)
+        assert pair.actions[0].selected == (0,)
         assert pair.evaluate(fb) == (10.0, 0.0)
         sc = dataclasses.replace(sc, horizon=2)
         chains = chains_for_scenario(sc)
         planned = solve_gcpbvi(sc, chains, h=1).planned_value()
         assert planned == solve_cpbvi(sc, chains, h=1).planned_value() == (20.0, 0.0)
-        epochs, _ = solve_centralized(sc, chains, h=1)
-        assert {pair.assignment for pairs in epochs for pair in pairs} == {((0,),)}
+        central = solve_centralized(sc, chains, h=1)
+        assert {pair.actions for pairs in central.epochs for pair in pairs} == {(Action((0,)),)}
 
     def test_single_relay_under_budget(self):
         sc = line_scenario(3, [2], horizon=1, c_th=1e6, direct=(0.0, 0.0))
         pair, _ = self._greedy(sc)
-        assert pair.action.selected == (1,)
+        assert pair.actions[0].selected == (1,)
 
     def test_strict_vs_nonstrict_boundary(self):
         # a cost equal to the budget fails the strict test a non-strict one passes
         sc = line_scenario(3, [2], horizon=1, direct=(0.0, 0.0))
         _, c1 = self._element(sc, 1)
         at_budget, _ = self._greedy(dataclasses.replace(sc, c_th=c1))
-        assert at_budget.action == EMPTY_ACTION
+        assert at_budget.actions == (EMPTY_ACTION,)
         above, _ = self._greedy(dataclasses.replace(sc, c_th=float(np.nextafter(c1, np.inf))))
-        assert above.action.selected == (1,)
+        assert above.actions[0].selected == (1,)
 
     def test_best_single_element_beats_ratio_greedy(self):
         # relay 1 has the better ratio (50 / 40 against 66.7 / 66.7); once it
@@ -188,14 +187,14 @@ class TestGreedyArgmax:
         c_th = c2 + 0.5 * c1
         assert c1 + c2 > c_th
         pair, fb = self._greedy(dataclasses.replace(sc, c_th=c_th))
-        assert pair.action.selected == (2,)
+        assert pair.actions[0].selected == (2,)
         assert pair.evaluate(fb) == (r2, c2)
 
     def test_zero_cost_positive_reward_admitted_first(self):
         sc = line_scenario(3, [2], horizon=1, direct=(0.5, 0.0))
         r1, c1 = self._element(sc, 1)
         pair, fb = self._greedy(dataclasses.replace(sc, c_th=1.5 * c1))
-        assert pair.action.selected == (0, 1)
+        assert pair.actions[0].selected == (0, 1)
         assert pair.evaluate(fb) == pytest.approx((0.5 + r1, c1))
 
 
@@ -207,13 +206,12 @@ def _chained_epochs(method: str, scenario, chains, belief_set) -> list[list]:
     epochs = [None] * horizon
     v = []
     for tau in range(1, horizon + 1):
-        if method == "centralized":
-            g = engine.predict_stack(v) if v else None
-            anchors = [engine.anchor(fb, g, scenario.n_ues) for fb in belief_set.points]
-            v = [_MultiPair(*engine.assemble(a, engine.greedy(a))) for a in anchors]
+        epoch = horizon - tau + 1
+        if method == "cpbvi":
+            v = cpbvi_backup(v, belief_set, scenario, chains, epoch=epoch, engine=engine)
         else:
-            backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
-            v = backup(v, belief_set, scenario, chains, epoch=horizon - tau + 1, engine=engine)
+            n_ues = scenario.n_ues if method == "centralized" else 1
+            v = gcpbvi_backup(v, belief_set, scenario, chains, epoch, engine, n_ues)
         epochs[horizon - tau] = v
     return epochs
 
@@ -284,9 +282,8 @@ class TestDistinctPairs:
     def _relabelled(pair):
         """A pair with the vectors of ``pair`` and UE 0's direct option toggled."""
         options = tuple(sorted(set(pair.actions[0].selected) ^ {0}))
-        if isinstance(pair, AlphaPair):
-            return AlphaPair(pair.alpha_r, pair.alpha_c, Action(options), pair.epoch)
-        return _MultiPair(pair.alpha_r, pair.alpha_cs, (options,) + pair.assignment[1:])
+        actions = (Action(options),) + pair.actions[1:]
+        return AlphaPair(pair.alpha_r, pair.alpha_cs, actions, pair.epoch)
 
     def _check_epochs(self, epochs: list, reference: list) -> None:
         assert len(epochs) == len(reference)
@@ -337,15 +334,25 @@ class TestDistinctPairs:
 
         ues = tuple(UeSpec((int(rng.integers(1, n + 1)), 1)) for _ in range(int(rng.integers(1, 3))))
         multi = dataclasses.replace(scenario, ues=ues)
-        epochs, bs = solve_centralized(multi, chains, h=2, cap=cap)
+        central = solve_centralized(multi, chains, h=2, cap=cap)
+        epochs, bs = central.epochs, central.belief_set
         reference = _chained_epochs("centralized", multi, chains, bs)
         self._check_epochs(epochs, reference)
+        assert central.planned_value() == dataclasses.replace(
+            central, epochs=reference
+        ).planned_value()
         everyone = tuple(range(multi.n_ues))
         budgets = (multi.c_th,) * multi.n_ues
         agents = [
             _Agent(everyone, FactorTable(chains), e, c_th=multi.c_th, gamma=multi.gamma)
             for e in (epochs, reference)
         ]
+        # the planned value's pair is the pair the agent plays first
+        fb0 = FactoredBelief.one_hot(multi.initial_states, multi.n_regions)
+        planned, planned_actions = select_pair(central, 1, fb0)
+        acts, (ranking, j) = agents[0].act(1, fb0, budgets, None)
+        assert acts == planned_actions
+        assert self._same_pick(None if j is None else ranking.pairs[j], planned)
         for epoch in range(1, multi.horizon + 1):
             for fb in bs.points:
                 (acts, (ranking, j)), (want_acts, (want_ranking, wj)) = (
@@ -360,6 +367,50 @@ class TestDistinctPairs:
         got = run_multiuser(multi, "centralized", runs, run_seed, chains, h=2, cap=cap)
         want = _simulate(agents[1:], contexts, runs, run_seed)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+class TestCentralized:
+    """The centralized solve is gcpbvi's solve loop for every UE; with one
+    UE it is gcpbvi."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_ue_is_gcpbvi_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        scenario, chains = random_instance(
+            rng, k=int(rng.integers(1, 4)), n=int(rng.integers(2, 4)), t=int(rng.integers(2, 4))
+        )
+        cap = int(rng.integers(3, 13))
+        central = solve_centralized(scenario, chains, h=2, cap=cap)
+        greedy = solve_gcpbvi(scenario, chains, h=2, cap=cap)
+        assert central.method == "centralized" and central.n_ues == 1
+        assert len(central.epochs) == len(greedy.epochs)
+        for got, want in zip(central.epochs, greedy.epochs):
+            assert [(_pair_bits(p), p.epoch) for p in got] == [(_pair_bits(p), p.epoch) for p in want]
+        timings = {key for key in greedy.stats if key.startswith("time_") or key == "wall_time_s"}
+        assert set(central.stats) == set(greedy.stats)
+        for key in set(greedy.stats) - timings:
+            assert central.stats[key] == greedy.stats[key], key
+        assert central.planned_value() == greedy.planned_value()
+
+    def test_reward_bound_covers_every_ue(self):
+        """``eta_r_bound`` bounds a reward summed over N UEs with N times one
+        UE's reward range; the per-UE cost bound is unchanged."""
+        rng = np.random.default_rng(5)
+        scenario, chains = random_instance(rng, k=2, n=3, t=2)
+        multi = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((3, 1))))
+        central = solve_centralized(multi, chains, h=2, cap=6)
+        greedy = solve_gcpbvi(multi, chains, h=2, cap=6)  # plans for UE 0
+        assert (central.n_ues, greedy.n_ues) == (2, 1)
+        assert central.stats["eta_r_bound"] == pytest.approx(2 * greedy.stats["eta_r_bound"])
+        assert central.stats["eta_c_bound"] == greedy.stats["eta_c_bound"] > 0.0
+
+    def test_monte_carlo_rejects_more_ues_than_the_scenario(self):
+        rng = np.random.default_rng(6)
+        scenario, chains = random_instance(rng, k=1, n=3, t=2)
+        multi = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((3, 1))))
+        central = solve_centralized(multi, chains, h=2, cap=4)
+        with pytest.raises(ValidationError, match="plays 2 UEs"):
+            monte_carlo(central, scenario, 5, 0, chains)
 
 
 class TestErrorBounds:
@@ -450,7 +501,7 @@ class TestQEvaluation:
         chains = chains_for_scenario(sc)
         policy = solve_gcpbvi(sc, chains, h=3)
         fb = FactoredBelief.one_hot(sc.initial_states, 3)
-        pair, action = select_pair(policy, 1, fb)
+        pair, (action,) = select_pair(policy, 1, fb)
         q_r, q_c = exact_policy_value(policy, sc, chains, fb, 1, action)
         r, c = pair.evaluate(fb)
         assert q_r == pytest.approx(r, abs=1e-9)
@@ -536,8 +587,7 @@ class TestSelectPair:
             elif tie < 0.6:
                 vecs[j] = vecs[src]  # equal reward and cost, the action decides
         pairs = [
-            AlphaPair(alpha_r=r, alpha_c=c, action=actions[int(rng.integers(len(actions)))])
-            for r, c in vecs
+            AlphaPair(r, c[None], (actions[int(rng.integers(len(actions)))],)) for r, c in vecs
         ]
         fb = FactoredBelief(tuple(
             np.eye(n)[int(rng.integers(n))] if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
@@ -553,16 +603,35 @@ class TestSelectPair:
 
         tol = 1e-9 * max(1.0, abs(c_th))
         scored = [
-            ((-r, c, pair.action.selected), pair)
+            ((-r, c, pair.actions[0].selected), pair)
             for pair in pairs
             for r, c in [pair.evaluate(fb)]
             if c <= c_th + tol
         ]
         expected = min(scored, key=lambda item: item[0])[1] if scored else None
 
-        pair, action = select_pair(policy, 1, fb)
+        pair, actions = select_pair(policy, 1, fb)
         assert pair is expected
-        assert action == (expected.action if expected is not None else EMPTY_ACTION)
+        assert actions == (expected.actions if expected is not None else (EMPTY_ACTION,))
+
+
+    def test_every_ue_cost_must_fit(self):
+        """The better pair breaks UE 1's budget, so the rule at the full
+        budgets, the planned value and the agent all take the other one."""
+        ones = np.ones(2)
+        over = AlphaPair(3 * ones, np.array([ones, 5 * ones]), (Action((1,)), Action((1,))))
+        fits = AlphaPair(2 * ones, np.array([ones, ones]), (Action((0,)), Action((0,))))
+        policy = PolicySolution(
+            method="centralized", horizon=1, gamma=1.0, c_th=2.0,
+            chains=[MarkovChain(np.eye(2))], scenario_fingerprint="x",
+            initial_state=(0,), epochs=[[over, fits]],
+        )
+        fb = FactoredBelief.one_hot((0,), 2)
+        pair, actions = select_pair(policy, 1, fb)
+        assert pair is fits and actions == fits.actions
+        assert policy.planned_value() == (2.0, 1.0)
+        _, (ranking, j) = _Agent((0, 1), None, policy.epochs, c_th=2.0).act(1, fb, (2.0, 2.0), None)
+        assert ranking.pairs[j] is fits
 
 
 def _loop_pareto(r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -887,7 +956,7 @@ class TestGreedy:
         g = None
         if seed % 3:
             rows = rng.integers(0, 4, size=(int(rng.integers(1, 5)), 1 + n_ues, n**k)) * 40.0
-            pairs = [_MultiPair(v[0], v[1:], ((),) * n_ues) for v in rows]
+            pairs = [AlphaPair(v[0], v[1:], (EMPTY_ACTION,) * n_ues) for v in rows]
             g = engine.predict_stack(pairs)
         for _ in range(4):
             fb = _random_belief(rng, k, n)
@@ -1019,10 +1088,10 @@ class TestPersistence:
         assert len(again.chains) == len(policy.chains)
         assert len(again.epochs) == len(policy.epochs)
         for e, (got, want) in enumerate(zip(again.epochs, policy.epochs), start=1):
-            assert [(p.action, p.epoch) for p in got] == [(p.action, e) for p in want]
+            assert [(p.actions, p.epoch) for p in got] == [(p.actions, e) for p in want]
             for a, b in zip(got, want):
                 assert _same_bits(a.alpha_r, b.alpha_r)
-                assert _same_bits(a.alpha_c, b.alpha_c)
+                assert _same_bits(a.alpha_cs, b.alpha_cs)
         if policy.belief_set is None:
             assert again.belief_set is None
         else:
@@ -1036,6 +1105,66 @@ class TestPersistence:
         assert dataclasses.asdict(monte_carlo(again, scenario, 200, seed=17, chains=chains)) == (
             dataclasses.asdict(ran)
         )
+
+    @pytest.mark.parametrize("solve", [solve_exact, solve_cpbvi, solve_gcpbvi])
+    def test_version_1_archive_plays_identically(self, tmp_path, solve):
+        """A version-1 archive (one action and a (pairs, n^K) cost stack per
+        epoch) is read as a policy of one UE, bit for bit."""
+        rng = np.random.default_rng(31)
+        scenario, chains = random_instance(rng, k=2, n=2, t=2)
+        policy = solve(scenario, chains) if solve is solve_exact else solve(scenario, chains, h=2)
+        path = tmp_path / "v1.npz"
+        save_policy(policy, path)
+
+        def to_version_1(meta):
+            meta["format_version"] = 1
+            meta["epoch_actions"] = [[acts[0] for acts in epoch] for epoch in meta["epoch_actions"]]
+
+        with np.load(path) as archive:
+            costs = {
+                f"alpha_c_{e}": archive[f"alpha_c_{e}"][:, 0] for e in range(1, policy.horizon + 1)
+            }
+        _rewrite_archive(path, to_version_1, **costs)
+        with np.load(path) as archive:
+            assert archive["alpha_c_1"].ndim == 2
+        again = load_policy(path)
+        for got, want in zip(again.epochs, policy.epochs, strict=True):
+            assert [_pair_bits(p) for p in got] == [_pair_bits(p) for p in want]
+        assert again.planned_value() == policy.planned_value()
+        assert dataclasses.asdict(monte_carlo(again, scenario, 100, 9, chains)) == (
+            dataclasses.asdict(monte_carlo(policy, scenario, 100, 9, chains))
+        )
+
+    def test_centralized_round_trip(self, tmp_path):
+        rng = np.random.default_rng(37)
+        scenario, chains = random_instance(rng, k=2, n=2, t=2)
+        multi = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((2, 1))))
+        policy = solve_centralized(multi, chains, h=2, cap=6)
+        path = tmp_path / "central.npz"
+        save_policy(policy, path)
+        with np.load(path) as archive:
+            assert archive["alpha_c_1"].shape == (len(policy.epochs[0]), 2, 4)
+        again = load_policy(path)
+        assert again.method == "centralized" and again.n_ues == 2
+        for got, want in zip(again.epochs, policy.epochs, strict=True):
+            assert [_pair_bits(p) for p in got] == [_pair_bits(p) for p in want]
+        assert again.planned_value() == policy.planned_value()
+
+    def test_mixed_ue_counts_rejected(self, tmp_path):
+        rng = np.random.default_rng(37)
+        scenario, chains = random_instance(rng, k=2, n=2, t=2)
+        multi = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((2, 1))))
+        path = tmp_path / "central.npz"
+        save_policy(solve_centralized(multi, chains, h=2, cap=6), path)
+
+        def one_ue_in_epoch_2(meta):
+            meta["epoch_actions"][1] = [acts[:1] for acts in meta["epoch_actions"][1]]
+
+        with np.load(path) as archive:
+            costs = archive["alpha_c_2"][:, :1]
+        _rewrite_archive(path, one_ue_in_epoch_2, alpha_c_2=costs)
+        with pytest.raises(ValidationError, match="numbers of UEs.*relayplan solve"):
+            load_policy(path)
 
     def test_oracle_tree_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -1066,7 +1195,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("format_version"),
-        lambda meta: meta.update(format_version=2),
+        lambda meta: meta.update(format_version=3),
     ], ids=["missing", "unknown"])
     def test_bad_format_version_rejected(self, saved, edit):
         _, path = saved
@@ -1075,7 +1204,7 @@ class TestPersistence:
             load_policy(path)
 
     @pytest.mark.parametrize("cut", [
-        lambda stack: stack[:, :-1],
+        lambda stack: stack[..., :-1],
         lambda stack: stack[:-1],
         lambda stack: stack.reshape(-1),
     ], ids=["length", "rows", "flat"])
