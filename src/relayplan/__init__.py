@@ -40,9 +40,6 @@ from .alpha import AlphaPair  # noqa: F401
 from .solvers import (  # noqa: F401
     PolicySolution,
     brute_force_oracle,
-    cpbvi_backup,
-    exact_backup,
-    gcpbvi_backup,
     load_policy,
     pbvi_error_bound,
     save_policy,

@@ -34,7 +34,6 @@ class AlphaPair:
     alpha_r: np.ndarray
     alpha_cs: np.ndarray
     actions: tuple[Action, ...]
-    epoch: int = 0
     children: dict[Observation, "AlphaPair"] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -52,13 +51,6 @@ class AlphaPair:
         UE, so the largest cost is the one it binds first."""
         b = joint_belief(fb)
         return float(self.alpha_r @ b), max(float(c @ b) for c in self.alpha_cs)
-
-    def key(self) -> tuple:
-        return (
-            tuple(a.selected for a in self.actions),
-            np.round(self.alpha_r, 12).tobytes(),
-            np.round(self.alpha_cs, 12).tobytes(),
-        )
 
 
 def _tabulate(scenario: ScenarioConfig, action: Action, direct: float, vector) -> np.ndarray:

@@ -208,6 +208,11 @@ def cmd_compare(args) -> int:
         return dataclasses.replace(scenario, relays=relays)
 
     if set(modes) == {"d2d", "cellular"}:
+        if scenario.n_ues > 1:
+            raise ValidationError(
+                f"--modes d2d,cellular plays one UE and the scenario has {scenario.n_ues}; "
+                "compare them all with --modes centralized,distributed"
+            )
         for v in speeds:
             sped = at_speed(v)
             chains = chains_for_scenario(sped)

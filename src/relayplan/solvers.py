@@ -1,17 +1,22 @@
 """Planners for the constrained relay-selection problem.
 
-Three solvers share one backup engine:
+Three solvers share one backup engine (``_Engine``), which a solve builds
+once:
 
 * exact value iteration (enumerated cross-sums, safe dominance pruning),
-* CPBVI (point-based backups anchored to a finite belief set),
-* GCPBVI (the action argmax replaced by the paper's greedy: elements enter
-  by marginal gain ratio under the printed algorithm's strict ``<`` budget
-  test, a free element even at a zero budget, and the best single element
-  wins when it beats the greedy set).
+* CPBVI and GCPBVI, one point-based backup loop (``_point_backup``)
+  anchored to a finite belief set that differs only in how each anchor
+  chooses: CPBVI by the exhaustive constrained argmax over every action
+  (``_Engine.best_action``), GCPBVI by the paper's greedy
+  (``_Engine.greedy``: elements enter by marginal gain ratio under the
+  printed algorithm's strict ``<`` budget test, a free element even at a
+  zero budget, and the best single element wins when it beats the greedy
+  set).
 
 The centralized multi-user solve is gcpbvi's backup over every UE's
-(UE, option) elements with per-UE budgets; a single UE is N = 1. Also
-here: a brute-force oracle (observation-contingent plan enumeration by
+(UE, option) elements with per-UE budgets; a single UE is N = 1. The other
+solves plan one UE and refuse a scenario of several. Also here: a
+brute-force oracle (observation-contingent plan enumeration by
 multi-objective dynamic programming over forward-filtered distributions,
 sharing no code with the alpha-vector machinery) and the error-bound
 calculators.
@@ -35,7 +40,6 @@ unless an approximation fired, and the stats count each one:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -328,22 +332,15 @@ class _Engine:
     """Shared per-solve state: tensors, prediction, per-anchor selection and
     assembly, for one UE or several sharing the relays."""
 
-    def __init__(
-        self,
-        scenario: ScenarioConfig,
-        chains: list[MarkovChain],
-        c_th: float | None = None,
-        frontier_cap: int = FRONTIER_CAP,
-    ):
+    def __init__(self, scenario: ScenarioConfig, chains: list[MarkovChain]):
         self.scenario = scenario
         self.chains = chains
         self.gamma = scenario.gamma
-        self.c_th = scenario.c_th if c_th is None else c_th
+        self.c_th = scenario.c_th
         self.k = scenario.n_relays
         self.n = scenario.n_regions
         self.shape = (self.n,) * self.k
         self.flat = self.n**self.k
-        self.frontier_cap = frontier_cap
         self.counters = {
             "predictions": 0,
             "pair_evaluations": 0,
@@ -422,14 +419,14 @@ class _Engine:
             stack[1:, j] = pair.alpha_cs
         return self.predict(stack.reshape(-1, self.flat))
 
-    def anchor(self, fb: FactoredBelief, g: np.ndarray | None, n_ues: int = 1) -> _Anchor:
-        """Anchor belief ``fb`` of a backup for ``n_ues`` UEs over the
+    def anchor(self, fb: FactoredBelief, g: np.ndarray | None) -> _Anchor:
+        """Anchor belief ``fb`` of a backup for the scenario's UEs over the
         predicted stack ``g`` (``predict_stack``; None with no future)."""
         scores = None
         if g is not None:
             with self.timed("time_score_s"):
                 scores = _SupportScores(g, fb, self.counters)
-        imm = [[self.rho(Action((e,)), fb, u) for e in range(self.k + 1)] for u in range(n_ues)]
+        imm = [[self.rho(Action((e,)), fb, u) for e in range(self.k + 1)] for u in range(self.scenario.n_ues)]
         return _Anchor(g, scores, imm)
 
     def continuation(self, anchor: _Anchor, sel_axes: tuple[int, ...]) -> _Continuation | None:
@@ -470,7 +467,7 @@ class _Engine:
         """The Pareto frontier of ``(sum_z wr[j_z, z], sum_z wc[j_z, z])`` over
         one row ``j_z`` per branch (column), merged branch by branch from
         (0, 0). After each branch only points with cost within the budget
-        survive, and a frontier longer than ``frontier_cap`` is thinned to that
+        survive, and a frontier longer than ``FRONTIER_CAP`` is thinned to that
         many evenly spaced points. None when some branch has no choice within
         the budget."""
         limit = self.c_th + _budget_tol(self.c_th)
@@ -484,9 +481,9 @@ class _Engine:
                 return None
             self.counters["branch_merges"] += 1
             keep = ok[_pareto_indices(rr[ok], cc[ok])]
-            if len(keep) > self.frontier_cap:
+            if len(keep) > FRONTIER_CAP:
                 self.counters["frontier_cap_hits"] += 1
-                keep = keep[np.unique(np.linspace(0, len(keep) - 1, self.frontier_cap).round().astype(int))]
+                keep = keep[np.unique(np.linspace(0, len(keep) - 1, FRONTIER_CAP).round().astype(int))]
             r, c = rr[keep], cc[keep]
             steps.append((keep // len(cand), cand[keep % len(cand)]))
         return _Continuation(r, c[None], steps=steps)
@@ -522,6 +519,26 @@ class _Engine:
             return None
         cont = self.continuation(anchor, _relay_axes(assignment))
         return None if cont is None else cont.pick(rho_r, rho_cs, limit)
+
+    def best_action(self, anchor: _Anchor):
+        """cpbvi's exhaustive choice at ``anchor`` for one UE: over every
+        action, the highest ``select`` reward, ties to the lower cost, then
+        the smaller action. Returns ``(assignment, point)`` or None when
+        nothing fits the budget."""
+        if 2 ** (self.k + 1) > EXACT_ACTION_CAP:
+            raise CapExceededError(
+                f"{2 ** (self.k + 1)} candidate actions; use the greedy solver for K > 5"
+            )
+        best = None
+        for action in all_actions(self.k):
+            picked = self.select((action.selected,), anchor)
+            if picked is None:
+                continue
+            r, (c,), point = picked
+            key = (-r, c, action.selected)
+            if best is None or key < best[0]:
+                best = (key, ((action.selected,), point))
+        return None if best is None else best[1]
 
     def greedy(self, anchor: _Anchor):
         """The paper's greedy over (UE, option) elements at ``anchor``.
@@ -576,16 +593,14 @@ class _Engine:
         dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
         return np.broadcast_to(sigma.reshape(dims), self.shape).reshape(-1), np.arange(self.flat)
 
-    def assemble(self, anchor: _Anchor, chosen, epoch: int = 0) -> AlphaPair:
+    def assemble(self, anchor: _Anchor, chosen) -> AlphaPair:
         """The pair of ``chosen``, an ``(assignment, point)`` at ``anchor``:
         the reward (flat), each UE's cost (N, flat) and each UE's action. A
         branch of probability 0 continues with row 0. None gives the empty
         assignment's zero vectors."""
         n_ues = len(anchor.imm)
         if chosen is None:
-            return AlphaPair(
-                np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues, epoch
-            )
+            return AlphaPair(np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues)
         assignment, point = chosen
         actions = tuple(map(Action, assignment))
         with self.timed("time_assemble_s"):
@@ -604,7 +619,7 @@ class _Engine:
                 picked = np.take(anchor.g.reshape(1 + n_ues, -1), rows * self.flat + cols, axis=1)
                 alpha_r += picked[0]
                 alpha_cs += picked[1:]
-        return AlphaPair(alpha_r, alpha_cs, actions, epoch)
+        return AlphaPair(alpha_r, alpha_cs, actions)
 
 
 # --- point-based backups ---------------------------------------------------
@@ -630,80 +645,44 @@ def _distinct_pairs(pairs: list) -> list:
     return out
 
 
-def cpbvi_backup(
-    v_next: list[AlphaPair],
-    belief_set: BeliefSet,
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain],
-    epoch: int = 0,
-    engine: _Engine | None = None,
-) -> list[AlphaPair]:
-    """One point-based iteration: per anchor belief, the best feasible action
-    with its budget-coupled continuation choices. Always returns one pair per
-    anchor (the zero pair of the empty action when nothing is feasible)."""
-    engine = engine or _Engine(scenario, chains)
-    actions = all_actions(engine.k)
-    if len(actions) > EXACT_ACTION_CAP:
-        raise CapExceededError(
-            f"{len(actions)} candidate actions; use the greedy solver for K > 5"
-        )
+def _point_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet, choose) -> list[AlphaPair]:
+    """One point-based iteration for the scenario's UEs: per anchor belief of
+    ``points``, the pair of the ``(assignment, point)`` that
+    ``choose(anchor)`` picks, with its budget-coupled continuation choices.
+    Always returns one pair per anchor (the empty assignment's zero pair when
+    nothing is feasible)."""
     g = engine.predict_stack(v_next) if v_next else None
     out = []
-    for fb in belief_set.points:
+    for fb in points.points:
         anchor = engine.anchor(fb, g)
-        best = None
-        best_key = None
-        for action in actions:
-            picked = engine.select((action.selected,), anchor)
-            if picked is None:
-                continue
-            r, (c,), point = picked
-            key = (-r, c, action.selected)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = ((action.selected,), point)
-        out.append(engine.assemble(anchor, best, epoch))
+        out.append(engine.assemble(anchor, choose(anchor)))
     return out
 
 
-def gcpbvi_backup(
-    v_next: list[AlphaPair],
-    belief_set: BeliefSet,
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain],
-    epoch: int = 0,
-    engine: _Engine | None = None,
-    n_ues: int = 1,
-) -> list[AlphaPair]:
-    """Greedy point-based iteration for the first ``n_ues`` UEs: per anchor
-    belief, the per-UE actions of ``_Engine.greedy`` (never enumerating the
-    2^K action set) with their budget-coupled continuation choices."""
-    engine = engine or _Engine(scenario, chains)
-    g = engine.predict_stack(v_next) if v_next else None
-    out = []
-    for fb in belief_set.points:
-        anchor = engine.anchor(fb, g, n_ues)
-        out.append(engine.assemble(anchor, engine.greedy(anchor), epoch))
-    return out
+def cpbvi_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet) -> list[AlphaPair]:
+    """CPBVI's iteration: each anchor takes the exhaustive constrained argmax
+    (``_Engine.best_action``)."""
+    return _point_backup(engine, v_next, points, engine.best_action)
+
+
+def gcpbvi_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet) -> list[AlphaPair]:
+    """GCPBVI's iteration: each anchor takes the greedy's per-UE actions
+    (``_Engine.greedy``), never enumerating the 2^K action set."""
+    return _point_backup(engine, v_next, points, engine.greedy)
 
 
 # --- exact solver ------------------------------------------------------------
 
 
-def exact_backup(
-    v_t: list[AlphaPair],
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain],
-    epoch: int = 0,
-    engine: _Engine | None = None,
-) -> list[AlphaPair]:
+def exact_backup(engine: _Engine, v_t: list[AlphaPair]) -> list[AlphaPair]:
     """One enumerated dynamic-programming update over all actions.
 
     Pruning: exact duplicates and pointwise-dominated pairs are removed per
     observation branch and again after the action union; this never changes
-    the constrained maximum at any belief.
+    the constrained maximum at any belief. Of equal pairs the first in
+    ``all_actions`` order stays, so when an option adds zero reward and zero
+    cost (a free, zero-reward direct link) the action without it is stored.
     """
-    engine = engine or _Engine(scenario, chains)
     if engine.flat > EXACT_STATE_CAP:
         raise CapExceededError(
             f"joint space {engine.flat} exceeds the exact-solver cap {EXACT_STATE_CAP}; "
@@ -726,7 +705,6 @@ def exact_backup(
                     alpha_r=engine.reward_flat(action).copy(),
                     alpha_cs=engine.cost_flat(action)[None].copy(),
                     actions=(action,),
-                    epoch=epoch,
                     children={},
                 )
             )
@@ -762,12 +740,10 @@ def exact_backup(
                     alpha_r=engine.reward_flat(action) + gr[at],
                     alpha_cs=(engine.cost_flat(action) + gc[at])[None],
                     actions=(action,),
-                    epoch=epoch,
                     children=children,
                 )
             )
 
-    out = _dedup_pairs(out)
     keep = _pointwise_undominated(
         np.array([p.alpha_r for p in out]), np.array([p.alpha_cs[0] for p in out])
     )
@@ -780,17 +756,6 @@ def _branch_obs(action: Action, regions, k: int) -> Observation:
     for rel, region in zip(action.relays, regions):
         z[rel - 1] = int(region)
     return tuple(z)
-
-
-def _dedup_pairs(pairs: list[AlphaPair]) -> list[AlphaPair]:
-    seen = set()
-    out = []
-    for pair in sorted(pairs, key=lambda p: p.actions):
-        key = pair.key()
-        if key[1:] not in seen:
-            seen.add(key[1:])
-            out.append(pair)
-    return out
 
 
 def _pointwise_undominated(r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -826,9 +791,20 @@ def _resolve_belief_set(scenario, chains, belief_set, eps, h, cap) -> BeliefSet:
     if belief_set is not None:
         return belief_set
     s0 = scenario.initial_states
+    if eps is not None and h is not None:
+        raise ValidationError("give the belief set's density eps or its depth h, not both")
     if eps is not None:
         return epsilon_belief_set(s0, eps, scenario, chains, cap=cap)
     return build_h_belief_set(s0, h if h is not None else scenario.horizon, chains, cap=cap)
+
+
+def _one_ue(method: str, scenario: ScenarioConfig) -> None:
+    """Refuse a scenario of several UEs for a method that plans one UE."""
+    if scenario.n_ues > 1:
+        raise ValidationError(
+            f"{method} plans one UE and the scenario has {scenario.n_ues}; "
+            "plan them all with the centralized solve (--method centralized)"
+        )
 
 
 def _finish_stats(engine: _Engine, stats: dict, started: float) -> dict:
@@ -841,6 +817,7 @@ def solve_exact(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
 ) -> PolicySolution:
+    _one_ue("exact", scenario)
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = scenario.horizon
@@ -848,8 +825,7 @@ def solve_exact(
     epochs: list[list[AlphaPair] | None] = [None] * horizon
     v: list[AlphaPair] = []
     for tau in range(1, horizon + 1):
-        v = exact_backup(v, scenario, chains, epoch=horizon - tau + 1, engine=engine)
-        epochs[horizon - tau] = v
+        v = epochs[horizon - tau] = exact_backup(engine, v)
     stats = {"pairs_per_epoch": [len(e) for e in epochs]}
     return PolicySolution(
         method="exact",
@@ -875,22 +851,23 @@ def _solve_point_based(
 ) -> PolicySolution:
     """cpbvi, gcpbvi or centralized over the horizon, from the last epoch
     back. Centralized is gcpbvi's backup for every UE of ``scenario``; the
-    others plan for UE 0. Each backup returns one pair per anchor belief;
-    the epoch stores its distinct pairs (``_distinct_pairs``), and only
-    those reach the next backup, the policy file and the execution rule."""
+    others refuse a scenario of several UEs. Each backup returns one pair per
+    anchor belief; the epoch stores its distinct pairs (``_distinct_pairs``),
+    and only those reach the next backup, the policy file and the execution
+    rule."""
+    if method != "centralized":
+        _one_ue(method, scenario)
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     engine = _Engine(scenario, chains)
     with engine.timed("time_belief_set_s"):
         belief_set = _resolve_belief_set(scenario, chains, belief_set, eps, h, cap)
-    n_ues = scenario.n_ues if method == "centralized" else 1
-    backup = cpbvi_backup if method == "cpbvi" else functools.partial(gcpbvi_backup, n_ues=n_ues)
+    backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
     horizon = scenario.horizon
     epochs: list[list[AlphaPair] | None] = [None] * horizon
     v: list[AlphaPair] = []
     for tau in range(1, horizon + 1):
-        v = backup(v, belief_set, scenario, chains, epoch=horizon - tau + 1, engine=engine)
-        v = epochs[horizon - tau] = _distinct_pairs(v)
+        v = epochs[horizon - tau] = _distinct_pairs(backup(engine, v, belief_set))
 
     stats = {
         "belief_points": len(belief_set),
@@ -900,7 +877,7 @@ def _solve_point_based(
     try:
         bound = density_bound(chains, belief_set.h)
         r_range, c_range = value_ranges(scenario)  # per UE; the reward sums over UEs
-        eta_r, eta_c = pbvi_error_bound(bound, scenario.gamma, horizon, n_ues * r_range, c_range)
+        eta_r, eta_c = pbvi_error_bound(bound, scenario.gamma, horizon, scenario.n_ues * r_range, c_range)
         stats.update(density_bound=bound, eta_r_bound=eta_r, eta_c_bound=eta_c)
     except SpectralError:
         # immobile or otherwise non-ergodic chains have no mixing guarantee
@@ -974,6 +951,7 @@ def brute_force_oracle(
     distributions forward, enumerates per-branch Pareto sets of achievable
     (reward, cost) outcomes, and composes them bottom-up.
     """
+    _one_ue("oracle", scenario)
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = horizon or scenario.horizon
@@ -1125,18 +1103,6 @@ def _tree_from_dict(data: dict) -> OracleTree:
     )
 
 
-def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def save_policy(policy: PolicySolution, path) -> None:
     """Write ``policy`` to exactly ``path`` as a version-2 policy archive.
 
@@ -1178,7 +1144,7 @@ def save_policy(policy: PolicySolution, path) -> None:
         arrays["belief_points"] = np.array(
             [np.stack(fb.per_relay) for fb in policy.belief_set.points]
         )
-    arrays["meta"] = np.array(json.dumps(_plain(meta)))
+    arrays["meta"] = np.array(json.dumps(meta))
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
         for name, value in arrays.items():
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
@@ -1247,7 +1213,7 @@ def _read_policy(fh) -> PolicySolution:
                         f"expected ({len(actions)}, {n**k}) and ({len(actions)}, N, {n**k})"
                     )
                 epochs.append([
-                    AlphaPair(r, cs, tuple(Action(tuple(a)) for a in acts), epoch=e)
+                    AlphaPair(r, cs, tuple(Action(tuple(a)) for a in acts))
                     for r, cs, acts in zip(rewards, costs, actions)
                 ])
             if len(epochs) != meta["horizon"]:

@@ -123,20 +123,20 @@ class TestCrossSum:
     def test_single_branch_elementwise(self):
         sc, chains, _ = self._setup()
         src = AlphaPair(np.array([2.0, 0.0]), np.array([[1.0, 3.0]]), (EMPTY_ACTION,))
-        by_action = {p.actions[0].selected: p for p in exact_backup([src], sc, chains)}
+        by_action = {p.actions[0].selected: p for p in exact_backup(_Engine(sc, chains), [src])}
         pair = by_action[()]  # one branch, one choice: no immediate, all prediction
         np.testing.assert_allclose(pair.alpha_r, TWO_STATE.matrix @ src.alpha_r, atol=1e-15)
         np.testing.assert_allclose(pair.alpha_cs[0], TWO_STATE.matrix @ src.alpha_cs[0], atol=1e-15)
 
     def test_cardinality(self):
         sc, chains, sources = self._setup()
-        out = exact_backup(sources, sc, chains)
+        out = exact_backup(_Engine(sc, chains), sources)
         # two branches with two undominated choices each
         assert sum(p.actions[0].relays == (1,) for p in out) == 4
 
     def test_numeric(self):
         sc, chains, sources = self._setup(direct=(5.0, 0.0))
-        for pair in exact_backup(sources, sc, chains):
+        for pair in exact_backup(_Engine(sc, chains), sources):
             (action,) = pair.actions
             expected_r = reward_tensor(sc, action)
             expected_c = cost_tensor(sc, action)
@@ -151,7 +151,7 @@ class TestCrossSum:
         sc, chains, sources = self._setup()
         monkeypatch.setattr(solvers, "EXACT_CROSS_CAP", 3)
         with pytest.raises(CapExceededError):
-            exact_backup(sources, sc, chains)
+            exact_backup(_Engine(sc, chains), sources)
 
 
 class TestPiecewiseLinearConsistency:

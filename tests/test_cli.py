@@ -89,6 +89,14 @@ class TestSolve:
         report = out.with_suffix(".report.txt").read_text()
         assert "belief_h=" in report
 
+    def test_eps_with_belief_h_exits_2(self, tiny_scenario, tmp_path):
+        out = tmp_path / "p.npz"
+        assert run([
+            "solve", "--scenario", tiny_scenario, "--method", "gcpbvi",
+            "--eps", "50.0", "--belief-h", "2", "--out", out,
+        ]) == 2
+        assert not out.exists()
+
     def test_oracle_over_cap_exits_3(self, tmp_path):
         big = tmp_path / "big.json"
         run(["generate", "--grid", "4x4", "--relays", "3", "--out", big])
@@ -185,7 +193,16 @@ class TestCentralizedPolicyFile:
 
     def test_report_keys_match_gcpbvi(self, two_ues, tmp_path):
         central = self._solve(two_ues, "centralized", tmp_path / "central.npz")
-        assert central == self._solve(two_ues, "gcpbvi", tmp_path / "greedy.npz")
+        one_ue = tmp_path / "one.json"
+        save_scenario(with_single_ue(load_scenario(two_ues), 0), one_ue)
+        assert central == self._solve(one_ue, "gcpbvi", tmp_path / "greedy.npz")
+
+    @pytest.mark.parametrize("method", ["exact", "oracle", "cpbvi", "gcpbvi"])
+    def test_single_ue_methods_exit_2(self, two_ues, tmp_path, capsys, method):
+        out = tmp_path / "p.npz"
+        assert run(["solve", "--scenario", two_ues, "--method", method, "--out", out]) == 2
+        assert "--method centralized" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_matches_run_multiuser(self, two_ues, tmp_path, capsys):
         policy = tmp_path / "central.npz"
@@ -254,6 +271,18 @@ class TestCompare:
         ]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(float(row[4]), abs=1e-9)
+
+    def test_d2d_vs_cellular_on_two_ues_exits_2(self, tmp_path, capsys):
+        sc = tmp_path / "two.json"
+        run(["generate", "--grid", "3x2", "--relays", "2", "--ues", "2", "--seed", "5", "--out", sc])
+        out = tmp_path / "cmp.csv"
+        assert run([
+            "compare", "--scenario", sc, "--modes", "d2d,cellular",
+            "--speeds", "1..1", "--runs", "5", "--belief-h", "2", "--out", out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--modes centralized,distributed" in err and "--method" not in err
+        assert not out.exists()
 
     def test_bad_modes_exit_2(self, tiny_scenario, tmp_path):
         assert run([

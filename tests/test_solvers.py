@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_scenario, random_chain, random_instance
+from relayplan import solvers
 from relayplan.alpha import AlphaPair, reward_tensor
 from relayplan.belief import BeliefSet, FactoredBelief, FactorTable, build_h_belief_set
 from relayplan.errors import CapExceededError, ValidationError
@@ -59,7 +60,7 @@ class TestExactBackup:
     def test_first_backup_equals_immediates(self):
         sc = line_scenario(2, [1], c_th=1e6)
         chains = [MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))]
-        pairs = exact_backup([], sc, chains)
+        pairs = exact_backup(_Engine(sc, chains), [])
         by_action = {p.actions[0].selected: p for p in pairs}
         for action in all_actions(1):
             if action.selected in by_action:
@@ -69,13 +70,22 @@ class TestExactBackup:
         # the best action's pair must survive pruning
         assert (0, 1) in by_action
 
+    def test_equal_pairs_keep_the_first_action(self):
+        # a free, zero-reward direct link gives {1} and {0, 1} (and {} and
+        # {0}) equal vectors; the first in all_actions order is stored
+        sc = line_scenario(2, [1], c_th=1e6, direct=(0.0, 0.0))
+        chains = [MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))]
+        pairs = exact_backup(_Engine(sc, chains), [])
+        assert [p.actions[0].selected for p in pairs] == [(), (1,)]
+
     def test_gamma_zero_reproduces_immediates(self):
         sc = line_scenario(2, [1], gamma=0.0, c_th=1e6)
         chains = [MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))]
-        first = exact_backup([], sc, chains)
-        second = exact_backup(first, sc, chains)
-        keys_first = {p.key()[:1] + (p.alpha_r.tobytes(),) for p in first}
-        keys_second = {p.key()[:1] + (p.alpha_r.tobytes(),) for p in second}
+        engine = _Engine(sc, chains)
+        first = exact_backup(engine, [])
+        second = exact_backup(engine, first)
+        keys_first = {(p.actions, p.alpha_r.tobytes()) for p in first}
+        keys_second = {(p.actions, p.alpha_r.tobytes()) for p in second}
         assert keys_second == keys_first
 
     def test_matches_oracle_on_tiny_instance(self):
@@ -118,8 +128,15 @@ class TestCpbviBackup:
         sc = line_scenario(2, [1], horizon=2)
         chains = [MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))]
         bs = build_h_belief_set(sc.initial_states, 2, chains)
-        out = cpbvi_backup([], bs, sc, chains)
+        out = cpbvi_backup(_Engine(sc, chains), [], bs)
         assert len(out) == len(bs)
+
+    def test_more_than_five_relays_refused(self):
+        # 2^(K+1) = 128 actions exceed EXACT_ACTION_CAP; gcpbvi still solves
+        sc = line_scenario(2, [1] * 6, horizon=1)
+        with pytest.raises(CapExceededError, match="128 candidate actions"):
+            solve_cpbvi(sc, h=1)
+        assert len(solve_gcpbvi(sc, h=1).epochs) == 1
 
 
 class TestGreedyArgmax:
@@ -133,7 +150,7 @@ class TestGreedyArgmax:
     def _greedy(sc) -> tuple[AlphaPair, FactoredBelief]:
         fb = FactoredBelief.one_hot(sc.initial_states, sc.n_regions)
         points = BeliefSet(points=[fb], h=1, source_state=sc.initial_states)
-        (pair,) = gcpbvi_backup([], points, sc, chains_for_scenario(sc))
+        (pair,) = gcpbvi_backup(_Engine(sc, chains_for_scenario(sc)), [], points)
         return pair, fb
 
     @staticmethod
@@ -202,17 +219,12 @@ def _chained_epochs(method: str, scenario, chains, belief_set) -> list[list]:
     """The epochs of a cpbvi, gcpbvi or centralized solve over ``belief_set``
     with every backup's per-anchor output kept, copies included."""
     engine = _Engine(scenario, chains)
+    backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
     horizon = scenario.horizon
     epochs = [None] * horizon
     v = []
     for tau in range(1, horizon + 1):
-        epoch = horizon - tau + 1
-        if method == "cpbvi":
-            v = cpbvi_backup(v, belief_set, scenario, chains, epoch=epoch, engine=engine)
-        else:
-            n_ues = scenario.n_ues if method == "centralized" else 1
-            v = gcpbvi_backup(v, belief_set, scenario, chains, epoch, engine, n_ues)
-        epochs[horizon - tau] = v
+        v = epochs[horizon - tau] = backup(engine, v, belief_set)
     return epochs
 
 
@@ -283,7 +295,7 @@ class TestDistinctPairs:
         """A pair with the vectors of ``pair`` and UE 0's direct option toggled."""
         options = tuple(sorted(set(pair.actions[0].selected) ^ {0}))
         actions = (Action(options),) + pair.actions[1:]
-        return AlphaPair(pair.alpha_r, pair.alpha_cs, actions, pair.epoch)
+        return AlphaPair(pair.alpha_r, pair.alpha_cs, actions)
 
     def _check_epochs(self, epochs: list, reference: list) -> None:
         assert len(epochs) == len(reference)
@@ -385,7 +397,7 @@ class TestCentralized:
         assert central.method == "centralized" and central.n_ues == 1
         assert len(central.epochs) == len(greedy.epochs)
         for got, want in zip(central.epochs, greedy.epochs):
-            assert [(_pair_bits(p), p.epoch) for p in got] == [(_pair_bits(p), p.epoch) for p in want]
+            assert [_pair_bits(p) for p in got] == [_pair_bits(p) for p in want]
         timings = {key for key in greedy.stats if key.startswith("time_") or key == "wall_time_s"}
         assert set(central.stats) == set(greedy.stats)
         for key in set(greedy.stats) - timings:
@@ -393,16 +405,18 @@ class TestCentralized:
         assert central.planned_value() == greedy.planned_value()
 
     def test_reward_bound_covers_every_ue(self):
-        """``eta_r_bound`` bounds a reward summed over N UEs with N times one
-        UE's reward range; the per-UE cost bound is unchanged."""
+        """``eta_r_bound`` bounds a reward summed over N UEs with N times the
+        largest UE's reward range; the per-UE cost bound is unchanged."""
         rng = np.random.default_rng(5)
         scenario, chains = random_instance(rng, k=2, n=3, t=2)
         multi = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((3, 1))))
         central = solve_centralized(multi, chains, h=2, cap=6)
-        greedy = solve_gcpbvi(multi, chains, h=2, cap=6)  # plans for UE 0
-        assert (central.n_ues, greedy.n_ues) == (2, 1)
-        assert central.stats["eta_r_bound"] == pytest.approx(2 * greedy.stats["eta_r_bound"])
-        assert central.stats["eta_c_bound"] == greedy.stats["eta_c_bound"] > 0.0
+        greedy = [solve_gcpbvi(with_single_ue(multi, u), chains, h=2, cap=6) for u in (0, 1)]
+        assert (central.n_ues, greedy[0].n_ues) == (2, 1)
+        top = max(g.stats["eta_r_bound"] for g in greedy)
+        assert central.stats["eta_r_bound"] == pytest.approx(2 * top)
+        for g in greedy:
+            assert central.stats["eta_c_bound"] == g.stats["eta_c_bound"] > 0.0
 
     def test_monte_carlo_rejects_more_ues_than_the_scenario(self):
         rng = np.random.default_rng(6)
@@ -728,14 +742,15 @@ class TestFrontierMerge:
         ]
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_root_select_matches_full_loop(self, seed):
+    def test_root_select_matches_full_loop(self, seed, monkeypatch):
         """The root merge from (0, 0) and a pick under immediates (rho_r,
         rho_c) select what the reference merge does: the best point whose
         total cost fits, traced back to its branch choices."""
         rng = np.random.default_rng(seed)
         rho_r, rho_c, wr, wc, limit, cap = _random_merge_input(rng)
-        sc = line_scenario(3, (1,))
-        engine = _Engine(sc, chains_for_scenario(sc), c_th=limit, frontier_cap=cap)
+        monkeypatch.setattr(solvers, "FRONTIER_CAP", cap)
+        sc = dataclasses.replace(line_scenario(3, (1,)), c_th=limit)
+        engine = _Engine(sc, chains_for_scenario(sc))
         limit = engine.c_th + 1e-9 * max(1.0, abs(engine.c_th))
 
         cont = engine._root_merge(wr, wc)
@@ -764,7 +779,7 @@ class TestFrontierMerge:
         assert cont.choices(best).tolist() == sigma.tolist()
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_element_frontier_best_matches_full_loop(self, seed):
+    def test_element_frontier_best_matches_full_loop(self, seed, monkeypatch):
         """Each single element, at an anchor whose belief is zero on some
         regions, gets the best point of its relay set's frontier that fits
         the budget after its immediate cost, as the reference merge of the
@@ -773,7 +788,8 @@ class TestFrontierMerge:
         n, k = 4, 2
         sc = line_scenario(n, (1, 3), c_th=float(rng.uniform(50.0, 400.0)))
         cap = int(rng.choice([1, 2, 2048]))
-        engine = _Engine(sc, chains_for_scenario(sc), frontier_cap=cap)
+        monkeypatch.setattr(solvers, "FRONTIER_CAP", cap)
+        engine = _Engine(sc, chains_for_scenario(sc))
         per_relay = []
         for _ in range(k):
             b = rng.dirichlet(np.ones(n))
@@ -899,15 +915,16 @@ class TestAnchorScores:
         assert _same_bits(scorer.scores(()), column)
 
 
-def _reference_greedy(engine: _Engine, fb: FactoredBelief, g, n_ues: int):
+def _reference_greedy(engine: _Engine, fb: FactoredBelief, g):
     """The greedy from scratch: each round ranks every element ``e`` by
     re-evaluating ``engine.select(S + {e})`` at a new anchor, admits the
     best one, and the end result is the better of S and the best single
     element of round one. Returns ``(assignment, select's result)``."""
     free = 1e-12 * max(1.0, engine.c_th)
+    n_ues = engine.scenario.n_ues
 
     def value(assignment):
-        return engine.select(assignment, engine.anchor(fb, g, n_ues))
+        return engine.select(assignment, engine.anchor(fb, g))
 
     chosen = ((),) * n_ues
     current = value(chosen)
@@ -960,8 +977,8 @@ class TestGreedy:
             g = engine.predict_stack(pairs)
         for _ in range(4):
             fb = _random_belief(rng, k, n)
-            got = engine.greedy(engine.anchor(fb, g, n_ues))
-            chosen, value = _reference_greedy(engine, fb, g, n_ues)
+            got = engine.greedy(engine.anchor(fb, g))
+            chosen, value = _reference_greedy(engine, fb, g)
             if value is None:
                 assert got is None
             else:
@@ -1087,8 +1104,8 @@ class TestPersistence:
         assert all(_same_bits(a.matrix, b.matrix) for a, b in zip(again.chains, policy.chains))
         assert len(again.chains) == len(policy.chains)
         assert len(again.epochs) == len(policy.epochs)
-        for e, (got, want) in enumerate(zip(again.epochs, policy.epochs), start=1):
-            assert [(p.actions, p.epoch) for p in got] == [(p.actions, e) for p in want]
+        for got, want in zip(again.epochs, policy.epochs):
+            assert [p.actions for p in got] == [p.actions for p in want]
             for a, b in zip(got, want):
                 assert _same_bits(a.alpha_r, b.alpha_r)
                 assert _same_bits(a.alpha_cs, b.alpha_cs)
