@@ -10,11 +10,11 @@ reveals its current region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import FactoredBelief, Observation, joint_belief
+from .belief import FactoredBelief, joint_belief
 from .errors import ValidationError
 from .model import Action, ScenarioConfig, cost_vector, reward_vector
 
@@ -25,16 +25,11 @@ class AlphaPair:
     them: ``alpha_r`` (flat) is the reward summed over UEs, ``alpha_cs``
     (N, flat) holds each UE's cost, and ``actions`` each UE's action. A
     single-UE pair has N = 1.
-
-    ``children`` (optional) maps observation vectors to the source pair each
-    branch continues with; the exact solver fills it so a pair's value can be
-    re-derived by recursive expectation in tests.
     """
 
     alpha_r: np.ndarray
     alpha_cs: np.ndarray
     actions: tuple[Action, ...]
-    children: dict[Observation, "AlphaPair"] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.alpha_r = np.asarray(self.alpha_r, dtype=float)

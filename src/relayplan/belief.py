@@ -178,7 +178,6 @@ class BeliefSet:
     points: list[FactoredBelief]
     h: int
     source_state: JointState
-    target_eps: float | None = None
     per_relay_families: list[list[np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -344,27 +343,21 @@ def attainable_beliefs(
     return out
 
 
-def empirical_density(
-    belief_set: BeliefSet,
-    chains: list[MarkovChain],
-    n_max: int | None = None,
-    sample_cap: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> float:
+def empirical_density(belief_set: BeliefSet, chains: list[MarkovChain]) -> float:
     """Measured coverage of a belief set over the attainable-belief family.
 
     Distance between two factored beliefs is the sum of per-relay L1
     distances, the quantity the coverage bound controls. The probe family is
     the attainable beliefs (initial one-hot plus all matrix-power rows up to
-    ``n_max``), subsampled if it exceeds ``sample_cap``. Used in validation
-    only, never on the solver path.
+    power ``h + 40``), subsampled to 10,000 by a generator seeded with 0 if
+    it holds more. Used in validation only, never on the solver path.
     """
-    n_max = n_max if n_max is not None else belief_set.h + 40
-    rng = rng or np.random.default_rng(0)
+    sample_cap = 10_000
+    rng = np.random.default_rng(0)
 
     worst = 0.0
     for i, chain in enumerate(chains):
-        probes = attainable_beliefs(chain, belief_set.source_state[i], n_max)
+        probes = attainable_beliefs(chain, belief_set.source_state[i], belief_set.h + 40)
         if len(probes) > sample_cap:
             idx = rng.choice(len(probes), size=sample_cap, replace=False)
             probes = [probes[j] for j in idx]
@@ -426,7 +419,4 @@ def epsilon_belief_set(
     cap: int = PRODUCT_CAP,
 ) -> BeliefSet:
     """h-belief set sized so the point-based value error is within target_eps."""
-    h = horizon_for_eps(target_eps, scenario, chains)
-    out = build_h_belief_set(s0, h, chains, cap=cap)
-    out.target_eps = target_eps
-    return out
+    return build_h_belief_set(s0, horizon_for_eps(target_eps, scenario, chains), chains, cap=cap)

@@ -73,10 +73,19 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_speeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            speeds = list(range(int(lo), int(hi) + 1))
+        else:
+            speeds = [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(
+            f"--speeds expects LO..HI or A,B,... (e.g. 1..5 or 1,3,5), got {text!r}"
+        ) from exc
+    if not speeds:
+        raise ValidationError(f"--speeds {text!r} names no speed")
+    return speeds
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list[str]) -> None:
@@ -197,68 +206,61 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _d2d_cellular(scenario: ScenarioConfig, args) -> tuple:
+    chains = chains_for_scenario(scenario)
+    policy = solve_gcpbvi(scenario, chains, h=args.belief_h, cap=args.belief_cap)
+    return (
+        monte_carlo(policy, scenario, args.runs, args.seed, chains),
+        baseline_cellular(scenario, args.runs, args.seed, chains),
+    )
+
+
+def _centralized_distributed(scenario: ScenarioConfig, args) -> tuple:
+    return tuple(
+        run_multiuser(scenario, mode, args.runs, args.seed, h=args.belief_h, cap=args.belief_cap)
+        for mode in ("centralized", "distributed")
+    )
+
+
+# (mode_a, mode_b) -> (the two modes' metrics at a scenario, the relative gain of a over b)
+_COMPARISONS = {
+    ("d2d", "cellular"): (_d2d_cellular, lambda a, b: (a - b) / b if b > 0 else float("inf")),
+    ("centralized", "distributed"): (
+        _centralized_distributed,
+        lambda a, b: abs(a - b) / a if a > 0 else 0.0,
+    ),
+}
+
+
 def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
-    modes = [m.strip() for m in args.modes.split(",")]
+    modes = {m.strip() for m in args.modes.split(",")}
     speeds = _parse_speeds(args.speeds)
-    rows: list[dict] = []
-
-    def at_speed(v: int) -> ScenarioConfig:
-        relays = tuple(dataclasses.replace(r, speed=v) for r in scenario.relays)
-        return dataclasses.replace(scenario, relays=relays)
-
-    if set(modes) == {"d2d", "cellular"}:
-        if scenario.n_ues > 1:
-            raise ValidationError(
-                f"--modes d2d,cellular plays one UE and the scenario has {scenario.n_ues}; "
-                "compare them all with --modes centralized,distributed"
-            )
-        for v in speeds:
-            sped = at_speed(v)
-            chains = chains_for_scenario(sped)
-            policy = solve_gcpbvi(sped, chains, h=args.belief_h, cap=args.belief_cap)
-            d2d = monte_carlo(policy, sped, args.runs, args.seed, chains)
-            cell = baseline_cellular(sped, args.runs, args.seed, chains)
-            gain = (
-                (d2d.avg_cum_reward - cell.avg_cum_reward) / cell.avg_cum_reward
-                if cell.avg_cum_reward > 0
-                else float("inf")
-            )
-            rows.append(
-                {
-                    "speed": v,
-                    "mode_a": "d2d",
-                    "value_a": d2d.avg_cum_reward,
-                    "mode_b": "cellular",
-                    "value_b": cell.avg_cum_reward,
-                    "relative_gain": gain,
-                    "stderr_a": d2d.stderr_reward,
-                }
-            )
-    elif set(modes) == {"centralized", "distributed"}:
-        for v in speeds:
-            sped = at_speed(v)
-            cent = run_multiuser(sped, "centralized", args.runs, args.seed, h=args.belief_h, cap=args.belief_cap)
-            dist = run_multiuser(sped, "distributed", args.runs, args.seed, h=args.belief_h, cap=args.belief_cap)
-            gap = (
-                abs(cent.avg_cum_reward - dist.avg_cum_reward) / cent.avg_cum_reward
-                if cent.avg_cum_reward > 0
-                else 0.0
-            )
-            rows.append(
-                {
-                    "speed": v,
-                    "mode_a": "centralized",
-                    "value_a": cent.avg_cum_reward,
-                    "mode_b": "distributed",
-                    "value_b": dist.avg_cum_reward,
-                    "relative_gain": gap,
-                    "stderr_a": cent.stderr_reward,
-                }
-            )
-    else:
+    pair = next((key for key in _COMPARISONS if modes == set(key)), None)
+    if pair is None:
         raise ValidationError(
             f"--modes must be 'd2d,cellular' or 'centralized,distributed', got {args.modes}"
+        )
+    if pair == ("d2d", "cellular") and scenario.n_ues > 1:
+        raise ValidationError(
+            f"--modes d2d,cellular plays one UE and the scenario has {scenario.n_ues}; "
+            "compare them all with --modes centralized,distributed"
+        )
+    metrics, gain = _COMPARISONS[pair]
+    rows: list[dict] = []
+    for v in speeds:
+        relays = tuple(dataclasses.replace(r, speed=v) for r in scenario.relays)
+        a, b = metrics(dataclasses.replace(scenario, relays=relays), args)
+        rows.append(
+            {
+                "speed": v,
+                "mode_a": pair[0],
+                "value_a": a.avg_cum_reward,
+                "mode_b": pair[1],
+                "value_b": b.avg_cum_reward,
+                "relative_gain": gain(a.avg_cum_reward, b.avg_cum_reward),
+                "stderr_a": a.stderr_reward,
+            }
         )
 
     out = Path(args.out)
@@ -272,6 +274,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.max_k < 1:
+        raise ValidationError(f"--max-k must be >= 1, got {args.max_k}")
     sizes = {"S": args.states, "B": args.belief_points}
     rows = []
     for k in range(1, args.max_k + 1):

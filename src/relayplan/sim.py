@@ -104,15 +104,6 @@ class SimulationMetrics:
     per_ue: list[dict] = field(default_factory=list)
 
 
-@dataclass
-class StaticPolicy:
-    """Plays one fixed action every epoch (the cellular baseline uses {0})."""
-
-    action: Action
-    horizon: int
-    gamma: float
-
-
 class _SimContext:
     """One UE's reward and cost tables, and the relay-state sampler."""
 
@@ -240,10 +231,8 @@ class _Agent:
 
 
 def _policy_agent(policy, factors: FactorTable | None, first_ue: int = 0) -> _Agent:
-    """The agent playing a static, oracle-tree or alpha policy for UEs
-    ``first_ue`` on: one UE, or as many as the alpha policy's pairs hold."""
-    if isinstance(policy, StaticPolicy):
-        return _Agent((first_ue,), factors, action=policy.action)
+    """The agent playing an oracle-tree or alpha policy for UEs ``first_ue``
+    on: one UE, or as many as the alpha policy's pairs hold."""
     if policy.tree is not None:
         return _Agent((first_ue,), factors, tree=policy.tree)
     ues = tuple(range(first_ue, first_ue + policy.n_ues))
@@ -255,10 +244,9 @@ def _play_policy(
 ) -> tuple[list[_Agent], list[_SimContext]]:
     """The agent of ``policy`` and the contexts of the UEs it plays, the
     first of ``scenario``."""
-    horizon = getattr(policy, "horizon", scenario.horizon)
-    if horizon != scenario.horizon:
+    if policy.horizon != scenario.horizon:
         raise ValidationError(
-            f"policy horizon {horizon} does not match scenario horizon {scenario.horizon}"
+            f"policy horizon {policy.horizon} does not match scenario horizon {scenario.horizon}"
         )
     agent = _policy_agent(policy, FactorTable(chains))
     if len(agent.ues) > scenario.n_ues:
@@ -433,8 +421,9 @@ def baseline_cellular(
     chains: list[MarkovChain] | None = None,
 ) -> SimulationMetrics:
     """Always plays the direct link; the with/without comparison reference."""
-    policy = StaticPolicy(action=Action((0,)), horizon=scenario.horizon, gamma=scenario.gamma)
-    return monte_carlo(policy, scenario, n_runs, seed, chains)
+    chains = chains if chains is not None else chains_for_scenario(scenario)
+    agent = _Agent((0,), None, action=Action((0,)))
+    return _simulate([agent], [_SimContext(with_single_ue(scenario, 0), chains)], n_runs, seed)
 
 
 def exact_policy_value(

@@ -103,7 +103,6 @@ class PolicySolution:
     scenario_fingerprint: str
     initial_state: JointState
     epochs: list[list[AlphaPair]] | None = None
-    belief_set: BeliefSet | None = None
     tree: "OracleTree | None" = None
     stats: dict = field(default_factory=dict)
 
@@ -112,12 +111,11 @@ class PolicySolution:
         """The UEs the policy plays: 1 for an oracle tree."""
         return len(self.epochs[0][0].actions) if self.epochs and self.epochs[0] else 1
 
-    def planned_value(self, fb: FactoredBelief | None = None) -> tuple[float, float]:
+    def planned_value(self) -> tuple[float, float]:
         """Expected discounted (reward, largest per-UE cost) at the initial belief."""
         if self.tree is not None:
             return self.stats["oracle_value_r"], self.stats["oracle_value_c"]
-        if fb is None:
-            fb = FactoredBelief.one_hot(self.initial_state, self.chains[0].size)
+        fb = FactoredBelief.one_hot(self.initial_state, self.chains[0].size)
         pair, _ = select_pair(self, 1, fb)
         if pair is None:
             return 0.0, 0.0
@@ -705,17 +703,15 @@ def exact_backup(engine: _Engine, v_t: list[AlphaPair]) -> list[AlphaPair]:
                     alpha_r=engine.reward_flat(action).copy(),
                     alpha_cs=engine.cost_flat(action)[None].copy(),
                     actions=(action,),
-                    children={},
                 )
             )
             continue
         sel_axes = tuple(i - 1 for i in action.relays)
-        branch_states = list(itertools.product(range(engine.n), repeat=len(sel_axes)))
         branch_choices: list[np.ndarray] = []
         tensor_shape = (-1,) + engine.shape
         gr_t = gr.reshape(tensor_shape)
         gc_t = gc.reshape(tensor_shape)
-        for combo in branch_states:
+        for combo in itertools.product(range(engine.n), repeat=len(sel_axes)):
             index = (slice(None),) + tuple(
                 combo[sel_axes.index(ax)] if ax in sel_axes else slice(None)
                 for ax in range(engine.k)
@@ -731,16 +727,11 @@ def exact_backup(engine: _Engine, v_t: list[AlphaPair]) -> list[AlphaPair]:
             )
         for sigma in itertools.product(*branch_choices):
             at = engine.branch_index(np.asarray(sigma, dtype=int), sel_axes)
-            children = {
-                _branch_obs(action, combo, engine.k): v_t[j]
-                for combo, j in zip(branch_states, sigma)
-            }
             out.append(
                 AlphaPair(
                     alpha_r=engine.reward_flat(action) + gr[at],
                     alpha_cs=(engine.cost_flat(action) + gc[at])[None],
                     actions=(action,),
-                    children=children,
                 )
             )
 
@@ -892,7 +883,6 @@ def _solve_point_based(
         scenario_fingerprint=scenario.fingerprint(),
         initial_state=scenario.initial_states,
         epochs=epochs,
-        belief_set=belief_set,
         stats=_finish_stats(engine, stats, started),
     )
 
@@ -942,7 +932,6 @@ def pbvi_error_bound(
 def brute_force_oracle(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
-    horizon: int | None = None,
 ) -> PolicySolution:
     """Exact constrained optimum over deterministic observation-contingent
     plans, by multi-objective DP on forward-filtered state distributions.
@@ -954,7 +943,7 @@ def brute_force_oracle(
     _one_ue("oracle", scenario)
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    horizon = horizon or scenario.horizon
+    horizon = scenario.horizon
     k = scenario.n_relays
     n = scenario.n_regions
     flat = n**k
@@ -1108,10 +1097,12 @@ def save_policy(policy: PolicySolution, path) -> None:
 
     The archive is the uncompressed ``np.savez`` layout: ``chains`` (K, n, n);
     ``alpha_r_<e>`` (pairs, n^K) and ``alpha_c_<e>`` (pairs, N, n^K) for
-    every epoch ``e`` of a policy of N UEs; ``belief_points`` (B, K, n); and
-    ``meta``, a JSON string with the scalars, each pair's per-UE actions per
-    epoch, the belief-set depth and source, the stats and the oracle tree.
-    Member timestamps are fixed, so equal policies give equal bytes.
+    every epoch ``e`` of a policy of N UEs; and ``meta``, a JSON string with
+    the scalars, each pair's per-UE actions per epoch, the stats and the
+    oracle tree. The belief set a point-based solve anchored to is not
+    stored: playing a policy needs its pairs only, and the stats carry the
+    set's size and depth. Member timestamps are fixed, so equal policies
+    give equal bytes.
     """
     chains = np.stack([chain.matrix for chain in policy.chains])
     n_ues, flat = policy.n_ues, chains.shape[1] ** chains.shape[0]
@@ -1125,7 +1116,6 @@ def save_policy(policy: PolicySolution, path) -> None:
         "scenario_fingerprint": policy.scenario_fingerprint,
         "initial_state": list(policy.initial_state),
         "epoch_actions": None,
-        "belief_set": None,
         "stats": policy.stats,
         "tree": _tree_to_dict(policy.tree) if policy.tree is not None else None,
     }
@@ -1136,14 +1126,6 @@ def save_policy(policy: PolicySolution, path) -> None:
         for e, pairs in enumerate(policy.epochs, start=1):
             arrays[f"alpha_r_{e}"] = np.array([p.alpha_r for p in pairs]).reshape(len(pairs), flat)
             arrays[f"alpha_c_{e}"] = np.reshape([p.alpha_cs for p in pairs], (len(pairs), n_ues, flat))
-    if policy.belief_set is not None:
-        meta["belief_set"] = {
-            "h": policy.belief_set.h,
-            "source_state": list(policy.belief_set.source_state),
-        }
-        arrays["belief_points"] = np.array(
-            [np.stack(fb.per_relay) for fb in policy.belief_set.points]
-        )
     arrays["meta"] = np.array(json.dumps(meta))
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
         for name, value in arrays.items():
@@ -1155,11 +1137,13 @@ def save_policy(policy: PolicySolution, path) -> None:
 def load_policy(path) -> PolicySolution:
     """Read a policy archive written by :func:`save_policy`.
 
-    Every chain, pair and belief goes through its validating constructor.
-    A version-1 archive (one action and one cost row per pair) is read as a
-    policy of one UE. A file that is not a version-1 or version-2 policy
-    archive (an old JSON policy, a truncated or foreign file, a missing or
-    unknown version, a mis-shaped array) raises ``ValidationError``.
+    Every chain and pair goes through its validating constructor. A
+    version-1 archive (one action and one cost row per pair) is read as a
+    policy of one UE. The belief points and belief-set metadata that older
+    archives hold are ignored. A file that is not a version-1 or version-2
+    policy archive (an old JSON policy, a truncated or foreign file, a
+    missing or unknown version, a mis-shaped array) raises
+    ``ValidationError``.
     """
     with open(path, "rb") as fh:
         try:
@@ -1223,19 +1207,6 @@ def _read_policy(fh) -> PolicySolution:
             if len({len(pair.actions) for pairs in epochs for pair in pairs}) > 1:
                 raise ValidationError("epochs store pairs of different numbers of UEs")
 
-        belief_set = None
-        if meta["belief_set"] is not None:
-            points = archive["belief_points"]
-            if points.ndim != 3 or points.shape[1:] != (k, n):
-                raise ValidationError(
-                    f"belief points have shape {points.shape}, expected (B, {k}, {n})"
-                )
-            belief_set = BeliefSet(
-                points=[FactoredBelief(tuple(point)) for point in points],
-                h=meta["belief_set"]["h"],
-                source_state=tuple(meta["belief_set"]["source_state"]),
-            )
-
     return PolicySolution(
         method=meta["method"],
         horizon=meta["horizon"],
@@ -1245,7 +1216,6 @@ def _read_policy(fh) -> PolicySolution:
         scenario_fingerprint=meta["scenario_fingerprint"],
         initial_state=initial_state,
         epochs=epochs,
-        belief_set=belief_set,
         tree=_tree_from_dict(meta["tree"]) if meta["tree"] is not None else None,
         stats=meta["stats"],
     )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -13,6 +14,34 @@ from relayplan.model import Action, EMPTY_ACTION, total_cost, total_reward
 from relayplan.solvers import _Engine, exact_backup, solve_exact
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+
+def _branches(action: Action, k: int, n: int):
+    """``(observation, joint-state mask)`` of every observation branch of
+    ``action``: the states where its relays report those regions."""
+    sel = action.relays
+    states = list(itertools.product(range(n), repeat=k))
+    for combo in itertools.product(range(n), repeat=len(sel)):
+        obs = tuple(combo[sel.index(i)] if i in sel else None for i in range(1, k + 1))
+        yield obs, np.array([all(s[i - 1] == z for i, z in zip(sel, combo)) for s in states])
+
+
+def _branch_source(pair, mask, sources, scenario, chains):
+    """The source pair that ``pair`` continues with on the branch ``mask``:
+    the one whose prediction ``gamma * T @ alpha`` equals the pair's vectors,
+    net of their immediates, on that branch's joint states."""
+    (action,) = pair.actions
+    t = functools.reduce(np.kron, [chain.matrix for chain in chains])
+    rest_r = (pair.alpha_r - reward_tensor(scenario, action))[mask]
+    rest_c = (pair.alpha_cs[0] - cost_tensor(scenario, action))[mask]
+    for src in sources:
+        pred_r = scenario.gamma * (t @ src.alpha_r)[mask]
+        pred_c = scenario.gamma * (t @ src.alpha_cs[0])[mask]
+        if np.allclose(rest_r, pred_r, rtol=0, atol=1e-9) and np.allclose(
+            rest_c, pred_c, rtol=0, atol=1e-9
+        ):
+            return src
+    raise AssertionError(f"no source pair continues action {action.selected} on {mask}")
 
 
 class TestImmediatePair:
@@ -140,8 +169,8 @@ class TestCrossSum:
             (action,) = pair.actions
             expected_r = reward_tensor(sc, action)
             expected_c = cost_tensor(sc, action)
-            for z, child in pair.children.items():
-                mask = np.ones(2) if z[0] is None else np.eye(2)[z[0]]
+            for _, mask in _branches(action, 1, 2):
+                child = _branch_source(pair, mask, sources, sc, chains)
                 expected_r = expected_r + mask * (TWO_STATE.matrix @ child.alpha_r)
                 expected_c = expected_c + mask * (TWO_STATE.matrix @ child.alpha_cs[0])
             np.testing.assert_allclose(pair.alpha_r, expected_r, atol=1e-12)
@@ -155,41 +184,28 @@ class TestCrossSum:
 
 
 class TestPiecewiseLinearConsistency:
-    def _recursive_value(self, pair, fb, scenario, chains, gamma):
-        """Independent Bellman evaluation of a pair's plan via its branch
-        lineage: immediate belief reward plus probability-weighted child
-        values at the updated beliefs."""
+    def _recursive_value(self, pair, later, fb, scenario, chains):
+        """Independent Bellman evaluation of a pair's plan over the later
+        epochs' pairs ``later``: immediate belief reward plus
+        probability-weighted values, at the updated beliefs, of the source
+        each branch continues with (``_branch_source``)."""
         b = joint_belief(fb)
         (action,) = pair.actions
         r = float(reward_tensor(scenario, action) @ b)
         c = float(cost_tensor(scenario, action) @ b)
-        if not pair.children:
+        if not later:
             return r, c
-        sel = action.relays
-        k = scenario.n_relays
-        supports = [range(scenario.n_regions) for _ in sel] or [()]
-        if sel:
-            for combo in itertools.product(*supports):
-                p_z = 1.0
-                for i, region in zip(sel, combo):
-                    p_z *= float(fb.per_relay[i - 1][region])
-                if p_z == 0.0:
-                    continue
-                obs = tuple(
-                    combo[sel.index(i)] if i in sel else None for i in range(1, k + 1)
-                )
-                child = pair.children[obs]
-                nxt = advance_belief(fb, chains, action, obs)
-                cr, cc = self._recursive_value(child, nxt, scenario, chains, gamma)
-                r += gamma * p_z * cr
-                c += gamma * p_z * cc
-        else:
-            obs = (None,) * k
-            child = pair.children[obs]
+        for obs, mask in _branches(action, scenario.n_relays, scenario.n_regions):
+            p_z = 1.0
+            for i in action.relays:
+                p_z *= float(fb.per_relay[i - 1][obs[i - 1]])
+            if p_z == 0.0:
+                continue
+            child = _branch_source(pair, mask, later[0], scenario, chains)
             nxt = advance_belief(fb, chains, action, obs)
-            cr, cc = self._recursive_value(child, nxt, scenario, chains, gamma)
-            r += gamma * cr
-            c += gamma * cc
+            cr, cc = self._recursive_value(child, later[1:], nxt, scenario, chains)
+            r += scenario.gamma * p_z * cr
+            c += scenario.gamma * p_z * cc
         return r, c
 
     def test_exact_pairs_match_recursive_bellman(self):
@@ -203,7 +219,7 @@ class TestPiecewiseLinearConsistency:
                         fb = FactoredBelief(tuple(rng.dirichlet(np.ones(2)) for _ in range(1)))
                         direct_r, direct_c = pair.evaluate(fb)
                         rec_r, rec_c = self._recursive_value(
-                            pair, fb, scenario, chains, scenario.gamma
+                            pair, policy.epochs[epoch:], fb, scenario, chains
                         )
                         assert direct_r == pytest.approx(rec_r, abs=1e-9)
                         assert direct_c == pytest.approx(rec_c, abs=1e-9)

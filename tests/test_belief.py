@@ -301,7 +301,6 @@ class TestEpsilonSizing:
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
         bs = epsilon_belief_set(sc.initial_states, 0.1, sc, [chain])
         assert bs.h == 1
-        assert bs.target_eps == 0.1
 
     def test_scenario_sizing_runs(self):
         sc = line_scenario(3, [1], eps_fix=0.5)

@@ -290,6 +290,16 @@ class TestCompare:
             "--out", tmp_path / "x.csv",
         ]) == 2
 
+    @pytest.mark.parametrize("speeds", ["abc", "1..x", "", "2,,3", "3..1"])
+    def test_bad_speeds_exit_2(self, tiny_scenario, tmp_path, capsys, speeds):
+        out = tmp_path / "x.csv"
+        assert run([
+            "compare", "--scenario", tiny_scenario, "--modes", "d2d,cellular",
+            "--speeds", speeds, "--runs", "5", "--out", out,
+        ]) == 2
+        assert "--speeds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_table_and_ratio(self, tmp_path):
@@ -306,6 +316,13 @@ class TestBench:
         manifest = json.loads((tmp_path / "bench_manifest.json").read_text())
         assert manifest["command"] == "bench"
         assert str(out) in manifest["outputs"]
+
+    @pytest.mark.parametrize("max_k", ["0", "-1"])
+    def test_max_k_below_1_exits_2(self, tmp_path, capsys, max_k):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--max-k", max_k, "--out", out]) == 2
+        assert "--max-k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_rejected(self, tmp_path):
         # the closed-form table draws no random numbers

@@ -12,7 +12,6 @@ from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec, with_single_ue
 from relayplan.sim import (
     METRIC_COLUMNS,
-    StaticPolicy,
     baseline_cellular,
     complexity_model,
     complexity_ratio,
@@ -117,16 +116,12 @@ class TestMonteCarlo:
 
     def test_ee_single_term(self):
         sc = line_scenario(2, [1], horizon=1, direct=(10.0, 5.0), c_th=1e6)
-        metrics = monte_carlo(
-            StaticPolicy(Action((0,)), 1, 1.0), sc, 4, seed=0, chains=chains_for_scenario(sc)
-        )
+        metrics = baseline_cellular(sc, 4, seed=0, chains=chains_for_scenario(sc))
         assert metrics.avg_cum_ee == pytest.approx(2.0)
 
     def test_zero_cost_epochs_contribute_zero_ee(self):
         sc = line_scenario(2, [1], horizon=3, direct=(10.0, 0.0))
-        metrics = monte_carlo(
-            StaticPolicy(Action((0,)), 3, 1.0), sc, 2, seed=0, chains=chains_for_scenario(sc)
-        )
+        metrics = baseline_cellular(sc, 2, seed=0, chains=chains_for_scenario(sc))
         assert metrics.avg_cum_ee == 0.0
         assert metrics.avg_cum_cost == 0.0
 

@@ -110,9 +110,8 @@ class TestCpbviBackup:
         bs = build_h_belief_set(scenario.initial_states, scenario.horizon, chains)
         point_based = solve_cpbvi(scenario, chains, belief_set=bs)
         exact = solve_exact(scenario, chains)
-        fb0 = FactoredBelief.one_hot(scenario.initial_states, scenario.n_regions)
-        assert point_based.planned_value(fb0)[0] == pytest.approx(
-            exact.planned_value(fb0)[0], abs=1e-9
+        assert point_based.planned_value()[0] == pytest.approx(
+            exact.planned_value()[0], abs=1e-9
         )
 
     def test_zero_budget_zero_cost_actions_only(self):
@@ -347,7 +346,7 @@ class TestDistinctPairs:
         ues = tuple(UeSpec((int(rng.integers(1, n + 1)), 1)) for _ in range(int(rng.integers(1, 3))))
         multi = dataclasses.replace(scenario, ues=ues)
         central = solve_centralized(multi, chains, h=2, cap=cap)
-        epochs, bs = central.epochs, central.belief_set
+        epochs, bs = central.epochs, build_h_belief_set(multi.initial_states, 2, chains, cap=cap)
         reference = _chained_epochs("centralized", multi, chains, bs)
         self._check_epochs(epochs, reference)
         assert central.planned_value() == dataclasses.replace(
@@ -464,9 +463,7 @@ class TestOracle:
         rng = np.random.default_rng(19)
         scenario, chains = random_instance(rng, k=1, n=3, t=3, gamma=0.0)
         full = brute_force_oracle(scenario, chains)
-        import dataclasses
-
-        short = brute_force_oracle(dataclasses.replace(scenario, horizon=1), chains, horizon=1)
+        short = brute_force_oracle(dataclasses.replace(scenario, horizon=1), chains)
         assert full.stats["oracle_value_r"] == pytest.approx(
             short.stats["oracle_value_r"], abs=1e-12
         )
@@ -1109,14 +1106,6 @@ class TestPersistence:
             for a, b in zip(got, want):
                 assert _same_bits(a.alpha_r, b.alpha_r)
                 assert _same_bits(a.alpha_cs, b.alpha_cs)
-        if policy.belief_set is None:
-            assert again.belief_set is None
-        else:
-            assert again.belief_set.h == policy.belief_set.h
-            assert again.belief_set.source_state == policy.belief_set.source_state
-            assert len(again.belief_set) == len(policy.belief_set)
-            for a, b in zip(again.belief_set.points, policy.belief_set.points):
-                assert all(_same_bits(x, y) for x, y in zip(a.per_relay, b.per_relay))
         assert again.planned_value() == policy.planned_value()
         ran = monte_carlo(policy, scenario, 200, seed=17, chains=chains)
         assert dataclasses.asdict(monte_carlo(again, scenario, 200, seed=17, chains=chains)) == (
@@ -1190,7 +1179,7 @@ class TestPersistence:
         path = tmp_path / "oracle.json"
         save_policy(oracle, path)
         again = load_policy(path)
-        assert again.epochs is None and again.belief_set is None
+        assert again.epochs is None
         assert _tree_items(again.tree) == _tree_items(oracle.tree)
         assert again.stats == oracle.stats
         assert again.planned_value() == oracle.planned_value()
@@ -1233,18 +1222,35 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="epoch 2 stack.*relayplan solve"):
             load_policy(path)
 
-    @pytest.mark.parametrize("cut", [
-        lambda points: points[:, :, :-1],
-        lambda points: points[:, :1],
-        lambda points: points[0],
-    ], ids=["regions", "relays", "ndim"])
-    def test_misshaped_belief_points_rejected(self, saved, cut):
-        _, path = saved
-        with np.load(path) as archive:
-            points = archive["belief_points"]
-        _rewrite_archive(path, belief_points=cut(points))
-        with pytest.raises(ValidationError, match="belief points.*relayplan solve"):
-            load_policy(path)
+    def test_archive_with_belief_set_plays_identically(self, tmp_path):
+        """Older archives also hold the solve's belief set, as
+        ``belief_points`` and ``meta["belief_set"]``; it is ignored."""
+        rng = np.random.default_rng(23)
+        scenario, chains = random_instance(rng, k=2, n=2, t=2)
+        policy = solve_gcpbvi(scenario, chains, h=2)
+        bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=5000)
+        plain, older = tmp_path / "plain.npz", tmp_path / "older.npz"
+        save_policy(policy, plain)
+        save_policy(policy, older)
+
+        def with_belief_set(meta):
+            meta["belief_set"] = {"h": bs.h, "source_state": list(bs.source_state)}
+
+        points = np.array([np.stack(fb.per_relay) for fb in bs.points])
+        _rewrite_archive(older, with_belief_set, belief_points=points)
+        with np.load(older) as archive:
+            assert archive["belief_points"].shape == (len(bs), 2, 2)
+        with np.load(plain) as archive:
+            assert "belief_points" not in archive.files
+            assert "belief_set" not in json.loads(str(archive["meta"][()]))
+        got, want = load_policy(older), load_policy(plain)
+        for a, b in zip(got.epochs, want.epochs, strict=True):
+            assert [_pair_bits(p) for p in a] == [_pair_bits(p) for p in b]
+        assert got.stats == want.stats
+        assert got.planned_value() == want.planned_value()
+        assert dataclasses.asdict(monte_carlo(got, scenario, 100, 9, chains)) == (
+            dataclasses.asdict(monte_carlo(want, scenario, 100, 9, chains))
+        )
 
     @pytest.mark.parametrize("kind", ["old_json", "truncated", "foreign_zip", "empty"])
     def test_not_a_policy_archive_rejected(self, saved, kind):
