@@ -32,7 +32,6 @@ from .belief import (  # noqa: F401
     build_h_belief_set,
     density_bound,
     empirical_density,
-    epsilon_belief_set,
     joint_belief,
     update_relay_belief,
 )

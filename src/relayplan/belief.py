@@ -8,6 +8,9 @@ transition-matrix row for observed relays and the one-step prediction
 ``b P`` for the rest. Every belief reachable from a known start is therefore
 either the initial one-hot or a row of some matrix power, which is exactly
 the family the h-belief set enumerates.
+
+``density_bound`` covers a whole h-belief set; the solvers turn it into
+value-error bounds and a depth for a target error (``horizon_for_eps``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain
-from .model import Action, JointState, ScenarioConfig, value_ranges
+from .model import Action, JointState
 
 # Per-relay entry of an observation vector: a region index for selected
 # relays, None for unselected ones (their only observation is "nothing").
@@ -366,57 +369,3 @@ def empirical_density(belief_set: BeliefSet, chains: list[MarkovChain]) -> float
         dists = np.abs(probe_arr[:, None, :] - family[None, :, :]).sum(axis=2).min(axis=1)
         worst += float(dists.max())
     return worst
-
-
-def horizon_for_target(
-    target_eps: float,
-    gamma: float,
-    t: int,
-    k: int,
-    lam: float,
-    pi_min: float,
-    r_range: float,
-    c_range: float,
-) -> int:
-    """Smallest h whose coverage guarantee pushes both value errors below
-    ``target_eps``; clamps to 1 when the chains mix immediately or the
-    target is already met at h=1."""
-    if target_eps <= 0:
-        raise ValidationError(f"target_eps must be > 0, got {target_eps}")
-    if lam <= 0.0:
-        return 1
-
-    def f(span: float) -> float:
-        if span <= 0:
-            return 0.0
-        if gamma == 1.0:
-            return math.log(target_eps * pi_min / (2 * k * t * span))
-        return math.log(target_eps * pi_min * (1 - gamma) ** 2 / (2 * k * span))
-
-    h = math.ceil(min(f(r_range), f(c_range)) / math.log(lam))
-    return max(1, h)
-
-
-def horizon_for_eps(
-    target_eps: float, scenario: ScenarioConfig, chains: list[MarkovChain]
-) -> int:
-    """Belief-set horizon needed for a value-error target on a scenario."""
-    lam = max(chain.slem for chain in chains)
-    if lam <= 0.0:
-        return 1
-    pi_min = min(float(chain.stationary.min()) for chain in chains)
-    r_range, c_range = value_ranges(scenario)
-    return horizon_for_target(
-        target_eps, scenario.gamma, scenario.horizon, len(chains), lam, pi_min, r_range, c_range
-    )
-
-
-def epsilon_belief_set(
-    s0: JointState,
-    target_eps: float,
-    scenario: ScenarioConfig,
-    chains: list[MarkovChain],
-    cap: int = PRODUCT_CAP,
-) -> BeliefSet:
-    """h-belief set sized so the point-based value error is within target_eps."""
-    return build_h_belief_set(s0, horizon_for_eps(target_eps, scenario, chains), chains, cap=cap)

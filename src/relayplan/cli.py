@@ -43,6 +43,7 @@ from .sim import (
 )
 from .solvers import (
     brute_force_oracle,
+    horizon_for_eps,
     load_policy,
     save_policy,
     solve_cpbvi,
@@ -67,9 +68,12 @@ GEN_DEFAULTS = {
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         sx, sy = text.lower().split("x")
-        return int(sx), int(sy)
+        grid = int(sx), int(sy)
     except Exception as exc:
         raise ValidationError(f"--grid expects AxB (e.g. 4x4), got {text!r}") from exc
+    if min(grid) < 1:
+        raise ValidationError(f"--grid dimensions must be >= 1, got {text!r}")
+    return grid
 
 
 def _parse_speeds(text: str) -> list[int]:
@@ -153,9 +157,8 @@ def cmd_solve(args) -> int:
     elif args.method == "oracle":
         policy = brute_force_oracle(scenario, chains)
     else:
-        policy = _POINT_BASED[args.method](
-            scenario, chains, eps=args.eps, h=args.belief_h, cap=args.belief_cap
-        )
+        h = args.belief_h if args.eps is None else horizon_for_eps(args.eps, scenario, chains)
+        policy = _POINT_BASED[args.method](scenario, chains, h=h, cap=args.belief_cap)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -324,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="solve a scenario and persist the policy")
     slv.add_argument("--scenario", required=True)
     slv.add_argument("--method", required=True)
-    slv.add_argument("--eps", type=float, default=None, help="target value error for belief sizing")
-    slv.add_argument("--belief-h", dest="belief_h", type=int, default=None)
+    depth = slv.add_mutually_exclusive_group()
+    depth.add_argument("--eps", type=float, default=None, help="target value error for belief sizing")
+    depth.add_argument("--belief-h", dest="belief_h", type=int, default=None)
     slv.add_argument("--belief-cap", dest="belief_cap", type=int, default=256)
     slv.add_argument("--out", required=True)
     slv.set_defaults(func=cmd_solve)

@@ -156,7 +156,7 @@ class ScenarioConfig:
             return self.direct_link.reward
         return link_metric(self.ues[ue].position, self.bs_position, self)
 
-    def direct_cost(self, ue: int = 0) -> float:
+    def direct_cost(self) -> float:
         if self.direct_link is not None:
             return self.direct_link.cost
         return 0.0

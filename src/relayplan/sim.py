@@ -515,7 +515,6 @@ def solve_centralized(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
     h: int | None = None,
-    eps: float | None = None,
     cap: int = 64,
 ) -> PolicySolution:
     """Joint greedy solve over every UE's (UE, option) elements with per-UE
@@ -523,7 +522,7 @@ def solve_centralized(
     method ``centralized``. A relay any UE selects is observed by all;
     continuation choices follow the per-branch local rule with every UE's
     budget."""
-    return _solve_point_based("centralized", scenario, chains, None, eps, h, cap)
+    return _solve_point_based("centralized", scenario, chains, h, cap)
 
 
 def _multi_user(
@@ -531,19 +530,16 @@ def _multi_user(
     mode: str,
     chains: list[MarkovChain],
     h: int | None,
-    eps: float | None,
     cap: int,
 ) -> tuple[list[_Agent], list[_SimContext]]:
     """The solved agents and per-UE contexts of a multi-user run: one agent
     for all UEs (centralized) or one single-user agent per UE (distributed)."""
     if mode == "centralized":
-        policy = solve_centralized(scenario, chains, h=h, eps=eps, cap=cap)
+        policy = solve_centralized(scenario, chains, h=h, cap=cap)
         return _play_policy(policy, scenario, chains)
     factors = FactorTable(chains)
     agents = [
-        _policy_agent(
-            solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, eps=eps, cap=cap), factors, u
-        )
+        _policy_agent(solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, cap=cap), factors, u)
         for u in range(scenario.n_ues)
     ]
     return agents, [_SimContext(with_single_ue(scenario, u), chains) for u in range(scenario.n_ues)]
@@ -556,7 +552,6 @@ def run_multiuser(
     seed: int = 0,
     chains: list[MarkovChain] | None = None,
     h: int | None = None,
-    eps: float | None = None,
     cap: int = 64,
 ) -> SimulationMetrics:
     """Simulate N UEs sharing one relay pool, centralized or distributed.
@@ -567,7 +562,7 @@ def run_multiuser(
     if mode not in ("centralized", "distributed"):
         raise ValidationError(f"mode must be centralized or distributed, got {mode!r}")
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    return _simulate(*_multi_user(scenario, mode, chains, h, eps, cap), n_runs, seed)
+    return _simulate(*_multi_user(scenario, mode, chains, h, cap), n_runs, seed)
 
 
 # --- complexity model ----------------------------------------------------------
@@ -578,17 +573,19 @@ def complexity_log10(method: str, k: int, sizes: dict | None = None) -> float:
 
     ``sizes`` may carry ``S`` (regions), ``B`` (belief points), ``Z``
     (observation branches, default ``S**K``), ``V`` (stored pairs, default
-    ``B``) and ``N`` (UEs). The enumerated methods are doubly exponential,
+    ``B``) and ``N`` (UEs), each at least 1. The enumerated methods are doubly exponential,
     so the estimates are kept in log space; they are order-of-magnitude
     models meant for ratios and trend plots. Measured operation counters
     live in each PolicySolution's stats for empirical cross-checks.
     """
-    sizes = dict(sizes or {})
-    s = max(1, sizes.get("S", 16))
-    b = max(1, sizes.get("B", 32))
-    z = max(1, sizes.get("Z", s**k))
-    v = max(1, sizes.get("V", b))
-    n = max(1, sizes.get("N", 1))
+    sizes = sizes or {}
+    if min(sizes.values(), default=1) < 1:
+        raise ValidationError(f"sizes must be >= 1, got {sizes}")
+    s = sizes.get("S", 16)
+    b = sizes.get("B", 32)
+    z = sizes.get("Z", s**k)
+    v = sizes.get("V", b)
+    n = sizes.get("N", 1)
     lg = math.log10
     if method == "exact":
         return k * lg(2) + z * lg(v)

@@ -15,11 +15,12 @@ once:
 
 The centralized multi-user solve is gcpbvi's backup over every UE's
 (UE, option) elements with per-UE budgets; a single UE is N = 1. The other
-solves plan one UE and refuse a scenario of several. Also here: a
+solves plan one UE and refuse a scenario of several. A point-based solve
+takes its anchors as a depth h and a cap; ``horizon_for_eps`` picks the
+smallest h whose reported error bounds fit a target. Also here: a
 brute-force oracle (observation-contingent plan enumeration by
 multi-objective dynamic programming over forward-filtered distributions,
-sharing no code with the alpha-vector machinery) and the error-bound
-calculators.
+sharing no code with the alpha-vector machinery).
 
 Cumulative values weight the epoch-t term by ``gamma**(t-1)``; the budget
 constrains the same discounted sum. Point-based backups never materialise
@@ -45,7 +46,7 @@ import json
 import math
 import time
 import zipfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -57,7 +58,6 @@ from .belief import (
     Observation,
     build_h_belief_set,
     density_bound,
-    epsilon_belief_set,
     joint_support,
 )
 from .errors import CapExceededError, SpectralError, ValidationError
@@ -383,7 +383,7 @@ class _Engine:
         ``fb``: the sum of the selected options' means under their own
         belief factors."""
         r = self.scenario.direct_reward(ue) if 0 in action else 0.0
-        c = self.scenario.direct_cost(ue) if 0 in action else 0.0
+        c = self.scenario.direct_cost() if 0 in action else 0.0
         for i in action.relays:
             r += float(fb.per_relay[i - 1] @ self.r_vecs[ue][i])
             c += float(fb.per_relay[i - 1] @ self.c_vecs[i])
@@ -778,17 +778,6 @@ def _pointwise_undominated(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 # --- top-level solves --------------------------------------------------------
 
 
-def _resolve_belief_set(scenario, chains, belief_set, eps, h, cap) -> BeliefSet:
-    if belief_set is not None:
-        return belief_set
-    s0 = scenario.initial_states
-    if eps is not None and h is not None:
-        raise ValidationError("give the belief set's density eps or its depth h, not both")
-    if eps is not None:
-        return epsilon_belief_set(s0, eps, scenario, chains, cap=cap)
-    return build_h_belief_set(s0, h if h is not None else scenario.horizon, chains, cap=cap)
-
-
 def _one_ue(method: str, scenario: ScenarioConfig) -> None:
     """Refuse a scenario of several UEs for a method that plans one UE."""
     if scenario.n_ues > 1:
@@ -831,28 +820,54 @@ def solve_exact(
     )
 
 
+def _error_bounds(scenario: ScenarioConfig, chains: list[MarkovChain], h: int) -> tuple:
+    """The whole depth-h set's density bound and the worst-case reward and
+    cost errors (eta_r, eta_c) it implies, the reward's range N times the
+    largest UE's (it sums over UEs); SpectralError if the chains do not mix."""
+    bound = density_bound(chains, h)
+    r_range, c_range = value_ranges(scenario)
+    etas = pbvi_error_bound(bound, scenario.gamma, scenario.horizon, scenario.n_ues * r_range, c_range)
+    return bound, *etas
+
+
+def horizon_for_eps(eps: float, scenario: ScenarioConfig, chains: list[MarkovChain]) -> int:
+    """The smallest depth h whose whole-set eta_r and eta_c bounds are both within ``eps``."""
+    if eps <= 0:
+        raise ValidationError(f"eps must be > 0, got {eps}")
+
+    def fits(h: int) -> bool:
+        return max(_error_bounds(scenario, chains, h)[1:]) <= eps
+
+    lo, hi = 0, 1  # the bounds fall with h: double until one fits, then bisect
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 def _solve_point_based(
     method: str,
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None,
-    belief_set: BeliefSet | None,
-    eps: float | None,
     h: int | None,
     cap: int,
 ) -> PolicySolution:
     """cpbvi, gcpbvi or centralized over the horizon, from the last epoch
-    back. Centralized is gcpbvi's backup for every UE of ``scenario``; the
-    others refuse a scenario of several UEs. Each backup returns one pair per
-    anchor belief; the epoch stores its distinct pairs (``_distinct_pairs``),
-    and only those reach the next backup, the policy file and the execution
-    rule."""
+    back, at the first ``cap`` points of the depth-h belief set (h defaults
+    to the horizon). Centralized is gcpbvi's backup for every UE; the others
+    refuse several UEs. Each epoch stores the distinct pairs of its backup's
+    one pair per anchor (``_distinct_pairs``). The density and eta bounds
+    describe the whole h-set, so a truncated set reports them as None."""
     if method != "centralized":
         _one_ue(method, scenario)
     started = time.perf_counter()
     chains = chains if chains is not None else chains_for_scenario(scenario)
     engine = _Engine(scenario, chains)
+    h = h if h is not None else scenario.horizon
     with engine.timed("time_belief_set_s"):
-        belief_set = _resolve_belief_set(scenario, chains, belief_set, eps, h, cap)
+        belief_set = build_h_belief_set(scenario.initial_states, h, chains, cap=cap)
     backup = cpbvi_backup if method == "cpbvi" else gcpbvi_backup
     horizon = scenario.horizon
     epochs: list[list[AlphaPair] | None] = [None] * horizon
@@ -860,19 +875,16 @@ def _solve_point_based(
     for tau in range(1, horizon + 1):
         v = epochs[horizon - tau] = _distinct_pairs(backup(engine, v, belief_set))
 
+    bounds = (None, None, None)  # on a truncated set, or chains that do not mix
+    if len(belief_set) == math.prod(len(f) for f in belief_set.per_relay_families):
+        with suppress(SpectralError):
+            bounds = _error_bounds(scenario, chains, h)
     stats = {
         "belief_points": len(belief_set),
-        "belief_h": belief_set.h,
+        "belief_h": h,
         "pairs_per_epoch": [len(e) for e in epochs],
     }
-    try:
-        bound = density_bound(chains, belief_set.h)
-        r_range, c_range = value_ranges(scenario)  # per UE; the reward sums over UEs
-        eta_r, eta_c = pbvi_error_bound(bound, scenario.gamma, horizon, scenario.n_ues * r_range, c_range)
-        stats.update(density_bound=bound, eta_r_bound=eta_r, eta_c_bound=eta_c)
-    except SpectralError:
-        # immobile or otherwise non-ergodic chains have no mixing guarantee
-        stats.update(density_bound=None, eta_r_bound=None, eta_c_bound=None)
+    stats.update(zip(("density_bound", "eta_r_bound", "eta_c_bound"), bounds))
     stats.update({phase: round(t, 6) for phase, t in engine.timings.items()})
     return PolicySolution(
         method=method,
@@ -890,23 +902,19 @@ def _solve_point_based(
 def solve_cpbvi(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
-    belief_set: BeliefSet | None = None,
-    eps: float | None = None,
     h: int | None = None,
     cap: int = 5000,
 ) -> PolicySolution:
-    return _solve_point_based("cpbvi", scenario, chains, belief_set, eps, h, cap)
+    return _solve_point_based("cpbvi", scenario, chains, h, cap)
 
 
 def solve_gcpbvi(
     scenario: ScenarioConfig,
     chains: list[MarkovChain] | None = None,
-    belief_set: BeliefSet | None = None,
-    eps: float | None = None,
     h: int | None = None,
     cap: int = 5000,
 ) -> PolicySolution:
-    return _solve_point_based("gcpbvi", scenario, chains, belief_set, eps, h, cap)
+    return _solve_point_based("gcpbvi", scenario, chains, h, cap)
 
 
 def pbvi_error_bound(

@@ -132,7 +132,7 @@ def test_criterion_3_point_based_error_within_prop_bound():
             continue
         h = int(rng.integers(1, t + 3))
         belief_set = build_h_belief_set(scenario.initial_states, h, chains, cap=200)
-        point_based = solve_cpbvi(scenario, chains, belief_set=belief_set)
+        point_based = solve_cpbvi(scenario, chains, h=h, cap=200)
         oracle = brute_force_oracle(scenario, chains)
         density = empirical_density(belief_set, chains)
         r_range, _ = value_ranges(scenario)
@@ -193,7 +193,7 @@ def test_criterion_5_q_functions_are_monotone_submodular():
         scenario, chains = random_instance(rng, k=k, n=n, t=t)
         belief_set = build_h_belief_set(scenario.initial_states, 2, chains, cap=12)
         solver = solve_gcpbvi if i % 2 else solve_cpbvi
-        policy = solver(scenario, chains, belief_set=belief_set)
+        policy = solver(scenario, chains, h=2, cap=12)
         fb = belief_set.points[int(rng.integers(0, len(belief_set)))]
         epoch = int(rng.integers(1, t + 1))
         for element in (1, 2):
@@ -244,8 +244,8 @@ def test_criterion_6_greedy_values_within_squared_greedy_factor():
         t = int(rng.integers(1, 4))
         scenario, chains = random_instance(rng, k=k, n=n, t=t)
         belief_set = build_h_belief_set(scenario.initial_states, min(t, 3), chains, cap=24)
-        point_based = solve_cpbvi(scenario, chains, belief_set=belief_set)
-        greedy = solve_gcpbvi(scenario, chains, belief_set=belief_set)
+        point_based = solve_cpbvi(scenario, chains, h=min(t, 3), cap=24)
+        greedy = solve_gcpbvi(scenario, chains, h=min(t, 3), cap=24)
         for epoch in range(1, t + 1):
             to_go = t - epoch + 1
             factor = (1 - 1 / math.e) ** (2 * to_go)
@@ -283,12 +283,11 @@ def test_criterion_7_budget_safety_everywhere():
     tiny1, tiny1_chains = random_instance(rng, k=1, n=2, t=2, gamma=1.0, c_th=150.0)
     tiny2, tiny2_chains = random_instance(rng, k=2, n=2, t=2, gamma=1.0, c_th=200.0)
     for scenario, chains in ((tiny1, tiny1_chains), (tiny2, tiny2_chains)):
-        belief_set = build_h_belief_set(scenario.initial_states, scenario.horizon, chains, cap=64)
         policies = [
             solve_exact(scenario, chains),
             brute_force_oracle(scenario, chains),
-            solve_cpbvi(scenario, chains, belief_set=belief_set),
-            solve_gcpbvi(scenario, chains, belief_set=belief_set),
+            solve_cpbvi(scenario, chains, h=scenario.horizon, cap=64),
+            solve_gcpbvi(scenario, chains, h=scenario.horizon, cap=64),
         ]
         for policy in policies:
             metrics = monte_carlo(policy, scenario, 100, seed=11, chains=chains)

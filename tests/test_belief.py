@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,13 @@ from relayplan.belief import (
     build_h_belief_set,
     density_bound,
     empirical_density,
-    epsilon_belief_set,
-    horizon_for_eps,
-    horizon_for_target,
     joint_belief,
     update_relay_belief,
 )
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
-from relayplan.model import Action, EMPTY_ACTION, total_cost, total_reward
-from relayplan.solvers import _Engine, _SupportScores
+from relayplan.model import Action, EMPTY_ACTION, UeSpec, total_cost, total_reward, value_ranges
+from relayplan.solvers import _Engine, _SupportScores, horizon_for_eps, pbvi_error_bound, solve_gcpbvi
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
@@ -280,33 +279,58 @@ class TestDensity:
         np.testing.assert_array_equal(beliefs[0], [1.0, 0.0])
 
 
+def _printed_etas(scenario, chains, h):
+    """The (eta_r, eta_c) a solve at depth h prints on a whole belief set."""
+    r_range, c_range = value_ranges(scenario)
+    return pbvi_error_bound(
+        density_bound(chains, h), scenario.gamma, scenario.horizon, scenario.n_ues * r_range, c_range
+    )
+
+
 class TestEpsilonSizing:
-    def test_worked_example(self):
-        assert horizon_for_target(0.1, 1.0, 5, 1, 0.7, 1 / 3, 1.0, 1.0) == 16
+    """``horizon_for_eps`` picks the smallest depth whose printed eta bounds
+    are both within the target."""
 
-    def test_monotone_in_eps(self):
-        h_small = horizon_for_target(0.05, 1.0, 5, 1, 0.7, 1 / 3, 1.0, 1.0)
-        h_large = horizon_for_target(0.5, 1.0, 5, 1, 0.7, 1 / 3, 1.0, 1.0)
-        assert h_large <= h_small
+    @pytest.mark.parametrize(
+        "ues, want", [(((1, 1),), 96), (((1, 1), (2, 1), (1, 2)), 108)], ids=["one_ue", "three_ues"]
+    )
+    def test_table1_depth_is_the_smallest_that_fits(self, table1_scenario, ues, want):
+        sc = dataclasses.replace(table1_scenario, ues=tuple(UeSpec(p) for p in ues))
+        chains = chains_for_scenario(sc)
+        h = horizon_for_eps(5000.0, sc, chains)
+        assert h == want
+        assert max(_printed_etas(sc, chains, h)) <= 5000.0 < max(_printed_etas(sc, chains, h - 1))
 
-    def test_clamped_to_one(self):
-        assert horizon_for_target(1e9, 1.0, 5, 1, 0.7, 1 / 3, 1.0, 1.0) == 1
+    def test_monotone_in_eps(self, table1_scenario):
+        chains = chains_for_scenario(table1_scenario)
+        h_small = horizon_for_eps(500.0, table1_scenario, chains)
+        h_large = horizon_for_eps(5000.0, table1_scenario, chains)
+        assert h_large < h_small
 
-    def test_discounted_form_differs(self):
-        h_discounted = horizon_for_target(0.1, 0.9, 5, 1, 0.7, 1 / 3, 1.0, 1.0)
-        assert h_discounted >= horizon_for_target(0.1, 1.0, 5, 1, 0.7, 1 / 3, 1.0, 1.0)
+    def test_clamped_to_one(self, table1_scenario):
+        assert horizon_for_eps(1e12, table1_scenario, chains_for_scenario(table1_scenario)) == 1
+
+    def test_discounted_form_differs(self, table1_scenario):
+        chains = chains_for_scenario(table1_scenario)
+        discounted = dataclasses.replace(table1_scenario, gamma=0.9)
+        assert horizon_for_eps(5000.0, discounted, chains) > horizon_for_eps(
+            5000.0, table1_scenario, chains
+        )
 
     def test_rank_one_chain_h_is_one(self):
         sc = line_scenario(2, [1])
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        bs = epsilon_belief_set(sc.initial_states, 0.1, sc, [chain])
-        assert bs.h == 1
+        assert horizon_for_eps(0.1, sc, [chain]) == 1
 
     def test_scenario_sizing_runs(self):
         sc = line_scenario(3, [1], eps_fix=0.5)
-        from relayplan.mobility import chains_for_scenario
-
         chains = chains_for_scenario(sc)
         h = horizon_for_eps(0.5, sc, chains)
-        bs = epsilon_belief_set(sc.initial_states, 0.5, sc, chains)
-        assert bs.h == h >= 1
+        policy = solve_gcpbvi(sc, chains, h=h)
+        assert policy.stats["belief_h"] == h
+        assert policy.stats["eta_r_bound"] <= 0.5 and policy.stats["eta_c_bound"] <= 0.5
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_nonpositive_eps_raises(self, table1_scenario, eps):
+        with pytest.raises(ValidationError):
+            horizon_for_eps(eps, table1_scenario, chains_for_scenario(table1_scenario))

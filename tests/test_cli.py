@@ -47,6 +47,11 @@ class TestGenerate:
         out = tmp_path / "bad.json"
         assert run(["generate", "--grid", "2x2", "--relays", "1", "--eps-fix", "1.2", "--out", out]) == 2
 
+    def test_empty_grid_exits_2(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run(["generate", "--grid", "0x3", "--relays", "1", "--out", out]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -88,13 +93,19 @@ class TestSolve:
         ]) == 0
         report = out.with_suffix(".report.txt").read_text()
         assert "belief_h=" in report
+        # --eps picks the smallest depth whose printed bounds fit
+        stats = dict(line.split("=", 1) for line in report.splitlines())
+        assert float(stats["eta_r_bound"]) <= 50.0
+        assert float(stats["eta_c_bound"]) <= 50.0
 
     def test_eps_with_belief_h_exits_2(self, tiny_scenario, tmp_path):
         out = tmp_path / "p.npz"
-        assert run([
-            "solve", "--scenario", tiny_scenario, "--method", "gcpbvi",
-            "--eps", "50.0", "--belief-h", "2", "--out", out,
-        ]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "solve", "--scenario", tiny_scenario, "--method", "gcpbvi",
+                "--eps", "50.0", "--belief-h", "2", "--out", out,
+            ])
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_oracle_over_cap_exits_3(self, tmp_path):
@@ -323,6 +334,11 @@ class TestBench:
         assert run(["bench", "--max-k", max_k, "--out", out]) == 2
         assert "--max-k" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, size", [("--states", "0"), ("--belief-points", "-3")])
+    def test_size_below_1_exits_2(self, tmp_path, flag, size):
+        assert run(["bench", flag, size, "--out", tmp_path / "bench.csv"]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_rejected(self, tmp_path):
         # the closed-form table draws no random numbers

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import line_scenario, random_instance
 from relayplan.alpha import AlphaPair
-from relayplan.belief import FactoredBelief, build_h_belief_set, joint_belief
+from relayplan.belief import FactoredBelief, joint_belief
 from relayplan.errors import ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec, with_single_ue
@@ -243,7 +243,7 @@ class TestMultiUser:
             bs_position=(3, 1),
             r_max=400.0, c_max=200.0, c_th=100.0, horizon=3, gamma=1.0,
         )
-        agents, contexts = _multi_user(sc, "centralized", chains_for_scenario(sc), 2, None, 64)
+        agents, contexts = _multi_user(sc, "centralized", chains_for_scenario(sc), 2, 64)
         assert len(agents) == 1
         differ = 0
         for seed in range(10):
@@ -403,11 +403,10 @@ class TestComplexityModel:
     def test_measured_counters_favor_greedy_in_action_heavy_regimes(self):
         rng = np.random.default_rng(14)
         scenario, chains = random_instance(rng, k=2, n=2, t=2, c_th=1e9)
-        bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=16)
         from relayplan.solvers import solve_cpbvi
 
-        cp = solve_cpbvi(scenario, chains, belief_set=bs)
-        gc = solve_gcpbvi(scenario, chains, belief_set=bs)
+        cp = solve_cpbvi(scenario, chains, h=2, cap=16)
+        gc = solve_gcpbvi(scenario, chains, h=2, cap=16)
         assert gc.stats["pair_evaluations"] <= cp.stats["pair_evaluations"]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import line_scenario, random_chain, random_instance
 from relayplan import solvers
 from relayplan.alpha import AlphaPair, reward_tensor
-from relayplan.belief import BeliefSet, FactoredBelief, FactorTable, build_h_belief_set
+from relayplan.belief import BeliefSet, FactoredBelief, FactorTable, build_h_belief_set, density_bound
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import (
@@ -23,6 +23,7 @@ from relayplan.model import (
     all_actions,
     cost_vector,
     reward_vector,
+    value_ranges,
     with_single_ue,
 )
 from relayplan.sim import (
@@ -107,8 +108,7 @@ class TestCpbviBackup:
     def test_slack_budget_matches_exact_at_anchors(self):
         rng = np.random.default_rng(11)
         scenario, chains = random_instance(rng, k=1, n=3, t=2, gamma=1.0, c_th=1e9)
-        bs = build_h_belief_set(scenario.initial_states, scenario.horizon, chains)
-        point_based = solve_cpbvi(scenario, chains, belief_set=bs)
+        point_based = solve_cpbvi(scenario, chains, h=scenario.horizon)
         exact = solve_exact(scenario, chains)
         assert point_based.planned_value()[0] == pytest.approx(
             exact.planned_value()[0], abs=1e-9
@@ -117,8 +117,7 @@ class TestCpbviBackup:
     def test_zero_budget_zero_cost_actions_only(self):
         sc = line_scenario(2, [1], c_th=0.0, horizon=2, direct=(10.0, 0.0))
         chains = [MarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]))]
-        bs = build_h_belief_set(sc.initial_states, 2, chains)
-        policy = solve_cpbvi(sc, chains, belief_set=bs)
+        policy = solve_cpbvi(sc, chains, h=2)
         for pairs in policy.epochs:
             for pair in pairs:
                 assert pair.actions[0].selected in ((), (0,))
@@ -248,8 +247,8 @@ class TestGcpbvi:
         for _ in range(5):
             scenario, chains = random_instance(rng, k=1, c_th=1e9)
             bs = build_h_belief_set(scenario.initial_states, scenario.horizon, chains, cap=30)
-            cp = solve_cpbvi(scenario, chains, belief_set=bs)
-            gc = solve_gcpbvi(scenario, chains, belief_set=bs)
+            cp = solve_cpbvi(scenario, chains, h=scenario.horizon, cap=30)
+            gc = solve_gcpbvi(scenario, chains, h=scenario.horizon, cap=30)
             for epoch in range(1, scenario.horizon + 1):
                 for fb in bs.points:
                     vb, _ = select_pair(cp, epoch, fb)
@@ -261,8 +260,8 @@ class TestGcpbvi:
         for _ in range(8):
             scenario, chains = random_instance(rng)
             bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=16)
-            cp = solve_cpbvi(scenario, chains, belief_set=bs)
-            gc = solve_gcpbvi(scenario, chains, belief_set=bs)
+            cp = solve_cpbvi(scenario, chains, h=2, cap=16)
+            gc = solve_gcpbvi(scenario, chains, h=2, cap=16)
             for epoch in range(1, scenario.horizon + 1):
                 for fb in bs.points:
                     pb, _ = select_pair(cp, epoch, fb)
@@ -323,7 +322,7 @@ class TestDistinctPairs:
         runs, run_seed = 20, int(rng.integers(1000))
         bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=cap)
         for solve in (solve_cpbvi, solve_gcpbvi):
-            policy = solve(scenario, chains, belief_set=bs)
+            policy = solve(scenario, chains, h=2, cap=cap)
             reference = dataclasses.replace(
                 policy, epochs=_chained_epochs(policy.method, scenario, chains, bs)
             )
@@ -405,12 +404,13 @@ class TestCentralized:
 
     def test_reward_bound_covers_every_ue(self):
         """``eta_r_bound`` bounds a reward summed over N UEs with N times the
-        largest UE's reward range; the per-UE cost bound is unchanged."""
+        largest UE's reward range; the per-UE cost bound is unchanged. The
+        cap keeps the whole 7 x 7 set, so the bounds are printed."""
         rng = np.random.default_rng(5)
         scenario, chains = random_instance(rng, k=2, n=3, t=2)
         multi = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((3, 1))))
-        central = solve_centralized(multi, chains, h=2, cap=6)
-        greedy = [solve_gcpbvi(with_single_ue(multi, u), chains, h=2, cap=6) for u in (0, 1)]
+        central = solve_centralized(multi, chains, h=2, cap=49)
+        greedy = [solve_gcpbvi(with_single_ue(multi, u), chains, h=2, cap=49) for u in (0, 1)]
         assert (central.n_ues, greedy[0].n_ues) == (2, 1)
         top = max(g.stats["eta_r_bound"] for g in greedy)
         assert central.stats["eta_r_bound"] == pytest.approx(2 * top)
@@ -442,6 +442,26 @@ class TestErrorBounds:
     def test_negative_density_rejected(self):
         with pytest.raises(ValidationError):
             pbvi_error_bound(-0.1, 1.0, 5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("solve", [solve_cpbvi, solve_gcpbvi, solve_centralized])
+    def test_printed_on_whole_sets_only(self, solve):
+        """The bounds describe the whole h-set (here 7 x 7 products): a cap
+        below its size prints None, one that keeps it prints the formula."""
+        rng = np.random.default_rng(5)
+        scenario, chains = random_instance(rng, k=2, n=3, t=2)
+        keys = ("density_bound", "eta_r_bound", "eta_c_bound")
+        for cap in (6, 48):
+            stats = solve(scenario, chains, h=2, cap=cap).stats
+            assert stats["belief_points"] == cap
+            assert [stats[key] for key in keys] == [None, None, None]
+        r_range, c_range = value_ranges(scenario)
+        bound = density_bound(chains, 2)
+        for cap in (49, 5000):
+            stats = solve(scenario, chains, h=2, cap=cap).stats
+            assert stats["belief_points"] == 49
+            assert (stats["density_bound"], stats["eta_r_bound"], stats["eta_c_bound"]) == (
+                bound, *pbvi_error_bound(bound, scenario.gamma, scenario.horizon, r_range, c_range)
+            )
 
 
 class TestOracle:
@@ -544,7 +564,7 @@ class TestQEvaluation:
         scenario, chains = random_instance(rng, k=2, n=n, t=t)
         bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=12)
         solve = solve_gcpbvi if seed % 2 else solve_cpbvi
-        policy = solve(scenario, chains, belief_set=bs)
+        policy = solve(scenario, chains, h=2, cap=12)
         fb = bs.points[int(rng.integers(len(bs)))]
         epoch = int(rng.integers(1, scenario.horizon + 1))
         actions = all_actions(2)
@@ -562,11 +582,10 @@ class TestQEvaluation:
         execution rule passes each branch the budget its plan gave it."""
         rng = np.random.default_rng(seed)
         scenario, chains = random_instance(rng)
-        bs = build_h_belief_set(scenario.initial_states, 2, chains, cap=12)
         for policy in (
             solve_exact(scenario, chains),
-            solve_cpbvi(scenario, chains, belief_set=bs),
-            solve_gcpbvi(scenario, chains, belief_set=bs),
+            solve_cpbvi(scenario, chains, h=2, cap=12),
+            solve_gcpbvi(scenario, chains, h=2, cap=12),
         ):
             r, c = exact_policy_value(policy, scenario, chains)
             planned_r, _ = policy.planned_value()
