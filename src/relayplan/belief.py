@@ -161,9 +161,11 @@ def joint_belief(fb: FactoredBelief) -> np.ndarray:
     return out
 
 
-def joint_support(fb: FactoredBelief) -> tuple[np.ndarray, np.ndarray]:
+def joint_support(fb: FactoredBelief) -> tuple[np.ndarray | None, np.ndarray]:
     """The belief's support: the joint states where every factor is positive,
-    as ascending flat row-major indices, and ``joint_belief(fb)`` there,
+    as ascending flat row-major indices that gather a joint-space vector's
+    entries there with ``take`` (None when the support is the whole space
+    and the vector serves as it is), and ``joint_belief(fb)`` there,
     bitwise, without building the rest."""
     idx = np.zeros(1, dtype=np.intp)
     out = np.ones(1)
@@ -171,7 +173,7 @@ def joint_support(fb: FactoredBelief) -> tuple[np.ndarray, np.ndarray]:
         s = np.flatnonzero(b)
         idx = np.add.outer(idx * b.shape[0], s).ravel()
         out = np.multiply.outer(out, b[s]).ravel()
-    return idx, out
+    return (None if len(idx) == math.prod(b.shape[0] for b in fb.per_relay) else idx), out
 
 
 @dataclass
@@ -221,8 +223,10 @@ def _relay_family(chain: MarkovChain, s0: int, h: int) -> list[tuple[int, np.nda
 
     family.sort(key=lambda item: item[0])
     kept: list[tuple[int, np.ndarray]] = []
+    rows = np.empty((len(family), n))  # the kept vectors, one distance vector per candidate
     for epoch, vec in family:
-        if all(np.abs(vec - v).sum() > DEDUP_TOL for _, v in kept):
+        if (np.abs(rows[: len(kept)] - vec).sum(axis=1) > DEDUP_TOL).all():
+            rows[len(kept)] = vec
             kept.append((epoch, vec))
     return kept
 
@@ -354,6 +358,11 @@ def empirical_density(belief_set: BeliefSet, chains: list[MarkovChain]) -> float
     the attainable beliefs (initial one-hot plus all matrix-power rows up to
     power ``h + 40``), subsampled to 10,000 by a generator seeded with 0 if
     it holds more. Used in validation only, never on the solver path.
+
+    The distances are measured to the per-relay families
+    (``per_relay_families``), not to the product points the set keeps, so a
+    cap does not change the value: on a truncated set it describes the
+    whole depth-h set and says nothing about the anchors kept.
     """
     sample_cap = 10_000
     rng = np.random.default_rng(0)

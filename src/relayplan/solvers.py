@@ -37,6 +37,10 @@ unless an approximation fired, and the stats count each one:
 * ``local_mode_selections``: a relay set with more than ``ROOT_BRANCH_CAP``
   branches, or any relay set of a multi-user solve, chose per branch under a
   local budget instead.
+
+The merge costs what its data holds: the leading branches whose column has
+one running record (every branch when one pair is stored) are folded in one
+sequential sum, bitwise the branch-by-branch merge (``_Engine._root_merge``).
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ def _ranked(pairs: list, fb: FactoredBelief) -> tuple[list, np.ndarray]:
     their per-UE costs-to-go there as a (pairs, UEs) array in that order.
     Values are sums over the belief's support, each pair's entries gathered
     there."""
-    idx, b = _support_index(fb)
+    idx, b = joint_support(fb)
     keyed = []
     for pair in pairs:
         if idx is None:
@@ -172,14 +176,6 @@ def select_pair(
     if j is None:
         return None, (EMPTY_ACTION,) * policy.n_ues
     return ranked[j], ranked[j].actions
-
-
-def _support_index(fb: FactoredBelief) -> tuple[np.ndarray | None, np.ndarray]:
-    """The flat indices that gather a joint-space vector's entries on the
-    belief's support (with ``take``; None when the support is the whole space
-    and the vector serves as it is), and the joint belief there."""
-    idx, b = joint_support(fb)
-    return (None if len(idx) == math.prod(f.shape[0] for f in fb.per_relay) else idx), b
 
 
 def _running_records(rs: np.ndarray) -> np.ndarray:
@@ -217,13 +213,18 @@ def _pareto_indices(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _keep_records(order[rec], rs[rec])
 
 
-def _column_frontiers(wr: np.ndarray, wc: np.ndarray) -> list[np.ndarray]:
-    """``_pareto_indices(wr[:, z], wc[:, z])`` for every column ``z``, sorted at once."""
+def _column_frontiers(wr: np.ndarray, wc: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``_pareto_indices(wr[:, z], wc[:, z])`` for every column ``z``, sorted at once,
+    as ``(lead, rest)``: the row of each column of the leading run that has
+    one running record (the column's frontier), and the frontiers after it."""
     rows = np.broadcast_to(np.arange(len(wr))[:, None], wr.shape)
     order = np.lexsort((rows, -wr, wc), axis=0)
     rs = np.take_along_axis(wr, order, axis=0)
     rec = _running_records(rs)
-    return [_keep_records(order[rec[:, z], z], rs[rec[:, z], z]) for z in range(wr.shape[1])]
+    single = rec.sum(axis=0) == 1
+    run = len(single) if single.all() else int(single.argmin())
+    lead = order[rec[:, :run].argmax(axis=0), np.arange(run)]
+    return lead, [_keep_records(order[rec[:, z], z], rs[rec[:, z], z]) for z in range(run, wr.shape[1])]
 
 
 @dataclass
@@ -231,16 +232,18 @@ class _Continuation:
     """The continuation points of one relay set at one anchor belief.
 
     Point ``i`` adds ``r[i]`` to the reward and ``cs[u, i]`` to UE ``u``'s
-    cost. The local rule leaves one point, whose branch choices are
-    ``sigma``; a root merge leaves its Pareto frontier, and ``steps[z]``
-    holds ``(parents, choices)``: frontier point ``i`` after branch ``z``
-    extends point ``parents[i]`` of the frontier before it with row
-    ``choices[i]``.
+    cost. Every point takes row ``lead[z]`` at the first ``len(lead)``
+    branches. The local rule leaves one point, all of whose branch choices
+    are ``lead``; a root merge folds its leading single-record branches into
+    ``lead`` and leaves its Pareto frontier, and ``steps[z]`` holds
+    ``(parents, choices)`` for the branch ``len(lead) + z`` after them:
+    frontier point ``i`` there extends point ``parents[i]`` of the frontier
+    before it with row ``choices[i]``.
     """
 
     r: np.ndarray
     cs: np.ndarray
-    sigma: np.ndarray | None = None
+    lead: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     steps: list = field(default_factory=list)
 
     def pick(self, rho_r: float, rho_cs: list[float], limit: float):
@@ -257,12 +260,12 @@ class _Continuation:
 
     def choices(self, point: int) -> np.ndarray:
         """The source row of every branch at ``point``."""
-        if self.sigma is not None:
-            return self.sigma
-        sigma = np.zeros(len(self.steps), dtype=int)
+        start = len(self.lead)
+        sigma = np.empty(start + len(self.steps), dtype=int)
+        sigma[:start] = self.lead
         for z in range(len(self.steps) - 1, -1, -1):
             parents, choices = self.steps[z]
-            sigma[z] = choices[point]
+            sigma[start + z] = choices[point]
             point = int(parents[point])
         return sigma
 
@@ -456,7 +459,7 @@ class _Engine:
                     cont = _Continuation(
                         np.array([wr[sigma, cols].sum()]),
                         wcs[:, sigma, cols].sum(axis=1)[:, None],
-                        sigma=sigma,
+                        lead=sigma,
                     )
         anchor.continuations[sel_axes] = cont
         return cont
@@ -467,11 +470,26 @@ class _Engine:
         (0, 0). After each branch only points with cost within the budget
         survive, and a frontier longer than ``FRONTIER_CAP`` is thinned to that
         many evenly spaced points. None when some branch has no choice within
-        the budget."""
+        the budget; ``branch_merges`` counts the branches before it.
+
+        The leading branches whose column has one running record each add
+        that row to a frontier of one point, where the cap cannot fire, so
+        they are folded in one ``np.add.accumulate`` over ``[0.0, w_0, w_1,
+        ...]``: it is sequential, so its partial sums, signed zeros included,
+        and the first that fails ``<= limit`` are the branch-by-branch ones."""
         limit = self.c_th + _budget_tol(self.c_th)
-        r, c = np.zeros(1), np.zeros(1)
+        lead, frontiers = _column_frontiers(wr, wc)
+        cols = np.arange(len(lead))
+        rs = np.add.accumulate(np.concatenate(([0.0], wr[lead, cols])))
+        cs = np.add.accumulate(np.concatenate(([0.0], wc[lead, cols])))
+        over = np.flatnonzero(~(cs[1:] <= limit))
+        if len(over):
+            self.counters["branch_merges"] += int(over[0])
+            return None
+        self.counters["branch_merges"] += len(lead)
+        r, c = rs[-1:], cs[-1:]
         steps = []
-        for z, cand in enumerate(_column_frontiers(wr, wc)):
+        for z, cand in enumerate(frontiers, start=len(lead)):
             rr = (r[:, None] + wr[cand, z][None, :]).ravel()
             cc = (c[:, None] + wc[cand, z][None, :]).ravel()
             ok = np.flatnonzero(cc <= limit)
@@ -484,7 +502,7 @@ class _Engine:
                 keep = keep[np.unique(np.linspace(0, len(keep) - 1, FRONTIER_CAP).round().astype(int))]
             r, c = rr[keep], cc[keep]
             steps.append((keep // len(cand), cand[keep % len(cand)]))
-        return _Continuation(r, c[None], steps=steps)
+        return _Continuation(r, c[None], lead=lead, steps=steps)
 
     def _local_select(self, wr: np.ndarray, wcs: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Per-branch choices under a local budget: at each branch ``z`` the

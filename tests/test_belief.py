@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from conftest import line_scenario, random_chain
 from relayplan.belief import (
+    DEDUP_TOL,
     FactoredBelief,
     FactorTable,
     advance_belief,
     advance_ids,
+    _observable_steps,
+    _relay_family,
     attainable_beliefs,
     build_h_belief_set,
     density_bound,
     empirical_density,
     joint_belief,
+    joint_support,
     update_relay_belief,
 )
 from relayplan.errors import CapExceededError, ValidationError
@@ -198,7 +202,9 @@ class TestFactorTable:
     @pytest.mark.parametrize("seed", range(20))
     def test_ids_match_repeated_advance_belief(self, seed):
         """Along random action/observation sequences the id of each relay
-        names, bit for bit, the factor repeated ``advance_belief`` computes."""
+        names, bit for bit, the factor repeated ``advance_belief`` computes,
+        and ``joint_support`` of that belief gathers its nonzero entries
+        (no indices when it covers the whole joint space)."""
         rng = np.random.default_rng(seed)
         k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         chains = [random_chain(rng, n) for _ in range(k)]
@@ -213,6 +219,12 @@ class TestFactorTable:
                 a.tobytes() == b.tobytes()
                 for a, b in zip(table.belief(ids).per_relay, fb.per_relay)
             )
+            idx, b = joint_support(table.belief(ids))
+            joint = joint_belief(fb)
+            want = np.flatnonzero(joint)
+            assert (idx is None) == (len(want) == len(joint))
+            assert idx is None or idx.tolist() == want.tolist()
+            assert b.tobytes() == joint[want].tobytes()
             options = [e for e in range(k + 1) if rng.random() < 0.4]
             action = Action(tuple(options))
             obs = tuple(
@@ -251,6 +263,30 @@ class TestBeliefSetConstruction:
         chain = MarkovChain(np.array([[0.6, 0.4], [0.6, 0.4]]))
         bs = build_h_belief_set((0,), 6, [chain])
         assert len(bs) == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_family_matches_pairwise_dedup(self, seed):
+        """The family keeps what a candidate-by-candidate L1 test against
+        every kept row keeps: the same epochs and bitwise the same rows."""
+        rng = np.random.default_rng(seed)
+        n, h = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+        chain = random_chain(rng, n)
+        s0 = int(rng.integers(n))
+        powers = [np.eye(n)]
+        for _ in range(h):
+            powers.append(powers[-1] @ chain.matrix)
+        steps = _observable_steps(chain, s0)
+        family = [(0, np.eye(n)[s0])] + [
+            (1 + steps[s] + m, powers[m][s]) for s in range(n) if steps[s] >= 0 for m in range(1, h + 1)
+        ]
+        family.sort(key=lambda item: item[0])
+        want = []
+        for epoch, vec in family:
+            if all(np.abs(vec - v).sum() > DEDUP_TOL for _, v in want):
+                want.append((epoch, vec))
+        got = _relay_family(chain, s0, h)
+        assert [e for e, _ in got] == [e for e, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
 
 
 class TestDensity:

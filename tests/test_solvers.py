@@ -4,6 +4,7 @@ import json
 import math
 import time
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -676,6 +677,15 @@ def _loop_pareto(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.asarray(keep, dtype=int)
 
 
+def _record_count(r: np.ndarray, c: np.ndarray) -> int:
+    """How many points of the frontier sort beat the reward of every point before them."""
+    best, count = -np.inf, 0
+    for i in np.lexsort((np.arange(len(r)), -r, c)):
+        if r[i] > best:
+            best, count = r[i], count + 1
+    return count
+
+
 def _loop_merge(r0, c0, wr, wc, limit, cap):
     """Every branch merged in turn: the reference merge.
 
@@ -702,6 +712,65 @@ def _loop_merge(r0, c0, wr, wc, limit, cap):
         r, c = rr[keep], cc[keep]
         trace.append((parents[keep], choices[keep]))
     return r, c, trace, wr.shape[1], hits
+
+
+def _traced(trace: list, point: int) -> list[int]:
+    """The branch choices of ``point`` of the reference merge's last frontier."""
+    sigma = [0] * len(trace)
+    for z in range(len(trace) - 1, -1, -1):
+        parents, choices = trace[z]
+        sigma[z] = int(choices[point])
+        point = int(parents[point])
+    return sigma
+
+
+def _merge_matches_loop(wr: np.ndarray, wc: np.ndarray, budget: float, cap: int):
+    """``_root_merge`` of an engine whose budget is ``budget`` agrees with the
+    reference merge by ``tobytes`` on its points, on both counters and on the
+    choices of every point. Returns the continuation."""
+    sc = dataclasses.replace(line_scenario(3, (1,)), c_th=budget)
+    engine = _Engine(sc, chains_for_scenario(sc))
+    limit = engine.c_th + 1e-9 * max(1.0, abs(engine.c_th))
+    with mock.patch.object(solvers, "FRONTIER_CAP", cap):
+        cont = engine._root_merge(wr, wc)
+    r, c, trace, merged, hits = _loop_merge(0.0, 0.0, wr, wc, limit, cap)
+    assert engine.counters["branch_merges"] == merged
+    assert engine.counters["frontier_cap_hits"] == hits
+    if r is None:
+        assert cont is None
+        return None
+    assert cont.r.tobytes() == r.tobytes() and cont.cs[0].tobytes() == c.tobytes()
+    for point in range(len(r)):
+        assert cont.choices(point).tolist() == _traced(trace, point)
+    return cont
+
+
+@st.composite
+def _led_stacks(draw, rows=st.integers(1, 4)):
+    """Branch scores whose leading columns each have a dominant row (the
+    highest reward at the lowest cost) before columns of free values, and a
+    budget that is free or sits at, or just below, a running cost of the
+    dominant rows, so it may fail inside the leading run."""
+    m, n_cols = draw(rows), draw(st.integers(1, 12))
+    run = draw(st.integers(0, n_cols))
+    cells = draw(st.lists(st.tuples(_values, _costs), min_size=m * n_cols, max_size=m * n_cols))
+    wr = np.array([p[0] for p in cells], dtype=float).reshape(m, n_cols)
+    wc = np.array([p[1] for p in cells], dtype=float).reshape(m, n_cols)
+    lead = []
+    for z in range(run):
+        j = draw(st.integers(0, m - 1))
+        wr[j, z], wc[j, z] = wr[:, z].max(), wc[:, z].min()
+        lead.append(wc[j, z])
+    running = np.add.accumulate([0.0] + lead).tolist()
+    budget = draw(
+        st.one_of(
+            st.floats(0.0, 5.0 * n_cols, allow_subnormal=False),
+            st.tuples(st.sampled_from(running), st.sampled_from([0.0, 1e-6, 0.5])).map(
+                lambda at: max(0.0, at[0] - at[1])
+            ),
+        )
+    )
+    return wr, wc, budget, draw(st.sampled_from([1, 2, 2048]))
 
 
 # rewards at or near the 1e-15 tie margin, exact duplicates and signed zeros
@@ -752,47 +821,68 @@ class TestFrontierMerge:
         flat = data.draw(cells)
         wr = np.array([p[0] for p in flat], dtype=float).reshape(m, n_cols)
         wc = np.array([p[1] for p in flat], dtype=float).reshape(m, n_cols)
-        got = _column_frontiers(wr, wc)
-        assert [g.tolist() for g in got] == [
+        lead, rest = _column_frontiers(wr, wc)
+        assert [[int(row)] for row in lead] + [g.tolist() for g in rest] == [
             _loop_pareto(wr[:, z], wc[:, z]).tolist() for z in range(n_cols)
         ]
+        records = [_record_count(wr[:, z], wc[:, z]) for z in range(n_cols)]
+        assert records[: len(lead)] == [1] * len(lead)
+        assert len(lead) == n_cols or records[len(lead)] != 1
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_root_select_matches_full_loop(self, seed, monkeypatch):
+    def test_root_select_matches_full_loop(self, seed):
         """The root merge from (0, 0) and a pick under immediates (rho_r,
         rho_c) select what the reference merge does: the best point whose
         total cost fits, traced back to its branch choices."""
         rng = np.random.default_rng(seed)
-        rho_r, rho_c, wr, wc, limit, cap = _random_merge_input(rng)
-        monkeypatch.setattr(solvers, "FRONTIER_CAP", cap)
-        sc = dataclasses.replace(line_scenario(3, (1,)), c_th=limit)
-        engine = _Engine(sc, chains_for_scenario(sc))
-        limit = engine.c_th + 1e-9 * max(1.0, abs(engine.c_th))
-
-        cont = engine._root_merge(wr, wc)
-        got = cont.pick(rho_r, [rho_c], limit) if cont is not None else None
-
-        r, c, trace, merged, hits = _loop_merge(0.0, 0.0, wr, wc, limit, cap)
-        assert engine.counters["branch_merges"] == merged
-        assert engine.counters["frontier_cap_hits"] == hits
-        if r is None:
-            assert cont is None
+        rho_r, rho_c, wr, wc, budget, cap = _random_merge_input(rng)
+        cont = _merge_matches_loop(wr, wc, budget, cap)
+        if cont is None:
             return
-        assert cont.r.tobytes() == r.tobytes() and cont.cs[0].tobytes() == c.tobytes()
-        total_r, total_c = rho_r + r, rho_c + c
+        limit = budget + 1e-9 * max(1.0, abs(budget))
+        got = cont.pick(rho_r, [rho_c], limit)
+        total_r, total_c = rho_r + cont.r, rho_c + cont.cs[0]
         fits = np.flatnonzero(total_c <= limit)
         if not len(fits):
             assert got is None
             return
         best = int(fits[np.lexsort((total_c[fits], -total_r[fits]))[0]])
-        sigma = np.zeros(len(trace), dtype=int)
-        idx = best
-        for z in range(len(trace) - 1, -1, -1):
-            parents, choices = trace[z]
-            sigma[z] = choices[idx]
-            idx = int(parents[idx])
         assert got == (float(total_r[best]), (float(total_c[best]),), best)
-        assert cont.choices(best).tolist() == sigma.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_led_stacks())
+    def test_folded_merge_matches_loop(self, stack):
+        """Leading columns with one running record are folded in one sum, the
+        rest merged branch by branch, and the result is the reference
+        merge's, including when the budget fails inside the folded run."""
+        _merge_matches_loop(*stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_led_stacks(rows=st.just(1)))
+    def test_one_row_stack_folds_whole(self, stack):
+        """A stack of one row, as every stored epoch after the first holds on
+        the benchmark's solves, merges to one point with no per-branch step."""
+        cont = _merge_matches_loop(*stack)
+        if cont is not None:
+            assert cont.steps == [] and len(cont.r) == 1
+            assert cont.choices(0).tolist() == [0] * stack[0].shape[1]
+
+    @pytest.mark.parametrize(
+        "wr, wc",
+        [
+            ([[-0.0, -0.0, -0.0]], [[-0.0, 0.0, -0.0]]),
+            ([[1e-15, -0.0, 1e-15, 1e-15]], [[0.0, 1e-15, 0.0, 1e-15]]),
+            ([[1e-15, 0.0], [2e-15, 1e-15]], [[0.0, 0.0], [0.0, 0.0]]),
+            ([[0.0, 1e-15, 1.0], [-0.0, 2.5e-15, 1.0 + 1e-15]], [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+            ([[1.0] + [1e-16] * 9], [[0.0] * 10]),
+            ([[1.0, 1.0, 1.0]], [[0.0, math.nan, 0.0]]),
+        ],
+    )
+    def test_fold_keeps_signed_zeros_ties_and_order(self, wr, wc):
+        """The folded sum starts at +0.0 and adds in branch order, as the
+        loop does: a run of -0.0 rewards sums to +0.0, ten terms do not sum
+        pairwise, and a NaN cost fails the budget."""
+        _merge_matches_loop(np.array(wr), np.array(wc), 2.0, 2048)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_element_frontier_best_matches_full_loop(self, seed, monkeypatch):
