@@ -137,13 +137,6 @@ class FactorTable:
         return fb
 
 
-def advance_ids(ids: tuple[tuple[int, int], ...], obs: Observation) -> tuple[tuple[int, int], ...]:
-    """``advance_belief`` on belief ids: observed relays reset, the rest advance."""
-    return tuple(
-        (s, m + 1) if obs[i] is None else (obs[i], 1) for i, (s, m) in enumerate(ids)
-    )
-
-
 def joint_belief(fb: FactoredBelief) -> np.ndarray:
     """Outer product of the factors, flattened in row-major relay order.
 

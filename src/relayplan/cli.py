@@ -219,8 +219,11 @@ def _d2d_cellular(scenario: ScenarioConfig, args) -> tuple:
 
 
 def _centralized_distributed(scenario: ScenarioConfig, args) -> tuple:
+    chains = chains_for_scenario(scenario)
     return tuple(
-        run_multiuser(scenario, mode, args.runs, args.seed, h=args.belief_h, cap=args.belief_cap)
+        run_multiuser(
+            scenario, mode, args.runs, args.seed, chains, h=args.belief_h, cap=args.belief_cap
+        )
         for mode in ("centralized", "distributed")
     )
 

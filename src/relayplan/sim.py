@@ -13,26 +13,19 @@ over every UE's elements in one solve, a relay observed when any UE selects
 it, budgets per UE) and a distributed mode (independent single-UE gcpbvi
 solves and private beliefs in a shared world). A policy plays the first N
 UEs of a scenario, N = 1 for a single user. Single-user runs and both modes
-share one episode loop, ``run_episode``, one execution rule and one metric
-reduction.
+share one episode loop, ``_run_batch``, which steps all of a run's episodes
+together as arrays, one execution rule and one metric reduction.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import (
-    FactoredBelief,
-    FactorTable,
-    Observation,
-    advance_belief,
-    advance_ids,
-)
+from .belief import FactoredBelief, FactorTable, Observation, advance_belief
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
 from .model import (
@@ -42,6 +35,7 @@ from .model import (
     ScenarioConfig,
     cost_vector,
     reward_vector,
+    total_cost,
     with_single_ue,
 )
 from .solvers import (
@@ -49,6 +43,7 @@ from .solvers import (
     OracleTree,
     PolicySolution,
     _branch_obs,
+    _budget_tol,
     _Engine,
     _first_fit,
     _ranked,
@@ -81,11 +76,6 @@ class EpisodeTrace:
     cum_cost: tuple[float, ...]
     cum_ee: tuple[float, ...]
 
-    def __post_init__(self):
-        for t, rec in enumerate(self.records, start=1):
-            if rec.epoch != t:
-                raise ValidationError("trace epochs must be 1..T in order")
-
 
 @dataclass
 class SimulationMetrics:
@@ -111,21 +101,27 @@ class _SimContext:
         self.scenario = scenario
         self.r_vecs = {i: reward_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
         self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
-        self.cum_rows = [_sampling_rows(c.matrix).tolist() for c in chains]
+        self.cum_rows = [_sampling_rows(c.matrix) for c in chains]
 
-    def outcome(self, state: JointState, action: Action) -> tuple[float, float]:
-        """The (reward, cost) of ``action`` in ``state``."""
-        r = self.scenario.direct_reward() if 0 in action else 0.0
-        c = self.scenario.direct_cost() if 0 in action else 0.0
-        for i in action.relays:
-            r += float(self.r_vecs[i][state[i - 1]])
-            c += float(self.c_vecs[i][state[i - 1]])
+    def outcomes(self, states: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rewards and costs in ``states`` (runs, K) of the actions whose
+        options ``sel`` (runs, K + 1) marks, summed as ``model.total_reward``
+        and ``total_cost`` sum them."""
+        r = np.where(sel[:, 0], self.scenario.direct_reward(), 0.0)
+        c = np.where(sel[:, 0], self.scenario.direct_cost(), 0.0)
+        for i in self.r_vecs:
+            np.add(r, self.r_vecs[i][states[:, i - 1]], out=r, where=sel[:, i])
+            np.add(c, self.c_vecs[i][states[:, i - 1]], out=c, where=sel[:, i])
         return r, c
 
-    def step_states(self, state: JointState, rng: np.random.Generator) -> JointState:
-        # bisect_right on Python floats is searchsorted(side="right"), minus numpy's call cost
-        draws = rng.random(len(state)).tolist()
-        return tuple(bisect.bisect_right(self.cum_rows[i][s], draws[i]) for i, s in enumerate(state))
+    def step_states(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """The next relay states of a batch, ``states`` and ``draws`` both
+        (runs, K): a relay moves to the count of its sampling row's entries at
+        or below its draw, which is ``bisect_right`` on the row."""
+        return np.stack(
+            [(rows[s] <= d[:, None]).sum(axis=1) for rows, s, d in zip(self.cum_rows, states.T, draws.T)],
+            axis=1,
+        )
 
 
 def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
@@ -137,6 +133,19 @@ def _sampling_rows(matrix: np.ndarray) -> np.ndarray:
     last = matrix.shape[1] - 1 - np.argmax(matrix[:, ::-1] > 0.0, axis=1)
     cum[np.arange(matrix.shape[1]) >= last[:, None]] = np.inf
     return cum
+
+
+def _groups(*columns: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of integer ``(values, bound)`` columns, each value
+    below its bound, by one int64 code per row: the first row of each group
+    and every row's group."""
+    code = np.zeros(len(columns[0][0]), dtype=np.int64)
+    for values, bound in columns:
+        if (int(code.max()) + 1) * bound > 2**62:  # renumber the groups so far to stay in int64
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * bound + values
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 @dataclass
@@ -179,7 +188,7 @@ class _Agent:
     ``c_th``; and the plan's own continuation fits, so with exact beliefs
     the policy earns at least its planned value.
 
-    ``decide`` memoises the ranking per (epoch, belief ids), a pure function
+    ``ranking`` memoises the ranking per (epoch, belief ids), a pure function
     of the two, and builds a ``FactoredBelief`` from ``factors`` on a miss.
     """
 
@@ -193,41 +202,115 @@ class _Agent:
     memo: dict = field(default_factory=dict)
 
     def act(self, epoch: int, fb: FactoredBelief, budgets: tuple, node):
-        """``(actions, choice)``; ``choice`` is what ``next_budgets`` needs."""
+        """``(actions, choice)`` at one belief; ``choice`` is the rule's
+        ``(ranking, j)``, ``j`` the played pair or None, and None for a tree
+        or a fixed action."""
         if self.tree is not None:
             return (node.action if node is not None else EMPTY_ACTION,), None
         if self.epochs is None:
             return (self.action,), None
-        return self._play(_Ranking(fb, *_ranked(self.epochs[epoch - 1], fb)), budgets)
-
-    def decide(self, epoch: int, ids, budgets: tuple, node):
-        if self.epochs is None:
-            return self.act(epoch, None, budgets, node)
-        ranking = self.memo.get((epoch, ids))
-        if ranking is None:
-            fb = self.factors.belief(ids)
-            ranking = self.memo[(epoch, ids)] = _Ranking(fb, *_ranked(self.epochs[epoch - 1], fb))
-        return self._play(ranking, budgets)
-
-    def _play(self, ranking: _Ranking, budgets: tuple):
+        ranking = _Ranking(fb, *_ranked(self.epochs[epoch - 1], fb))
         j = _first_fit(ranking.costs, budgets, self.c_th)
         if j is None:
             return (EMPTY_ACTION,) * len(self.ues), (ranking, None)
         return ranking.pairs[j].actions, (ranking, j)
 
-    def next_budgets(self, choice, budgets: tuple, obs: Observation, spent: tuple) -> tuple:
-        """Each UE's next budget after ``choice`` met ``obs`` and cost ``spent``."""
-        if choice is None:
-            return budgets
+    def ranking(self, epoch: int, ids) -> _Ranking:
+        ranking = self.memo.get((epoch, ids))
+        if ranking is None:
+            fb = self.factors.belief(ids)
+            ranking = self.memo[(epoch, ids)] = _Ranking(fb, *_ranked(self.epochs[epoch - 1], fb))
+        return ranking
+
+    def next_budgets(self, budgets: np.ndarray, planned, at_branch, spent) -> np.ndarray:
+        """Each UE's next budget, elementwise: the played pair's costs-to-go
+        ``planned`` at the belief and ``at_branch`` at the observed branch
+        (both 0 when the rule idled), and the cost ``spent``."""
         if self.gamma == 0.0:  # later costs do not count
-            return (math.inf,) * len(budgets)
-        ranking, j = choice
-        planned = at_branch = (0.0,) * len(budgets)
-        if j is not None:
-            planned, at_branch = ranking.costs[j].tolist(), ranking.at_posterior(j, obs)
-        return tuple(
-            (d - p + a - c) / self.gamma for d, p, a, c in zip(budgets, planned, at_branch, spent)
+            return np.full(budgets.shape, math.inf)
+        return (budgets - planned + at_branch - spent) / self.gamma
+
+
+class _Walk:
+    """One agent across a batch of episodes, a row per episode: its belief
+    ids as ``(sid, mid)`` arrays (see ``belief.FactorTable``), its UEs'
+    budgets, and its oracle-tree cursor as an index into ``nodes``, the
+    distinct nodes the runs reached."""
+
+    def __init__(self, agent: _Agent, scenario: ScenarioConfig, runs: int):
+        self.agent = agent
+        self.n_regions, self.horizon = scenario.n_regions, scenario.horizon
+        self.sid = np.tile(np.asarray(scenario.initial_states, dtype=np.int64), (runs, 1))
+        self.mid = np.zeros_like(self.sid)
+        self.budgets = np.full((runs, len(agent.ues)), scenario.c_th)
+        self.nodes = [agent.tree]
+        self.cursor = np.zeros(runs, dtype=np.intp)
+
+    def choose(self, epoch: int) -> tuple[list, np.ndarray]:
+        """This epoch's distinct choices, each ``(actions, how)``, and every
+        run's index into them: ``how`` is the rule's ``(ranking, j)`` (see
+        ``_Agent.act``) or the tree node played. Rankings are looked up once
+        per distinct belief ids; the first fit is taken for every run at once
+        over the rankings' costs, padded with NaN, which fits no budget."""
+        agent = self.agent
+        if agent.tree is not None:
+            return [((EMPTY_ACTION if n is None else n.action,), n) for n in self.nodes], self.cursor
+        if agent.epochs is None:
+            return [((agent.action,), None)], self.cursor
+        first, group = _groups(
+            *((ids, self.n_regions) for ids in self.sid.T),
+            *((ids, self.horizon) for ids in self.mid.T),
         )
+        rankings = [
+            agent.ranking(epoch, tuple(zip(s, m)))
+            for s, m in zip(self.sid[first].tolist(), self.mid[first].tolist())
+        ]
+        width = max(len(ranking.pairs) for ranking in rankings)
+        costs = np.full((len(rankings), width, len(agent.ues)), np.nan)
+        for g, ranking in enumerate(rankings):
+            costs[g, : len(ranking.pairs)] = ranking.costs
+        fits = (costs[group] <= (self.budgets + _budget_tol(agent.c_th))[:, None, :]).all(axis=2)
+        j = np.where(fits.any(axis=1), fits.argmax(axis=1), width)
+        first, inverse = _groups((group, len(rankings)), (j, width + 1))
+        picks = zip((rankings[g] for g in group[first].tolist()), j[first].tolist())
+        idle = (EMPTY_ACTION,) * len(agent.ues)
+        return [
+            (idle, (r, None)) if jj == width else (r.pairs[jj].actions, (r, jj)) for r, jj in picks
+        ], inverse
+
+    def advance(self, choices: list, inverse: np.ndarray, state: np.ndarray, seen: np.ndarray, spent):
+        """Carry every run past its epoch: it observes ``state`` on the relays
+        ``seen`` (runs, K) marks, and its UEs paid ``spent`` (runs, UEs). The
+        next budgets and tree nodes are looked up once per distinct choice
+        and observation."""
+        agent = self.agent
+        if agent.tree is None and agent.epochs is None:
+            return
+        first, branch = _groups(
+            (inverse, len(choices)),
+            *((np.where(z, s, self.n_regions), self.n_regions + 1) for s, z in zip(state.T, seen.T)),
+        )
+        branches = [
+            (choices[inverse[r]][1], _observation(state[r].tolist(), seen[r].tolist()))
+            for r in first.tolist()
+        ]
+        if agent.tree is not None:
+            self.nodes = [n.children.get(obs) if n is not None else None for n, obs in branches]
+            self.cursor = branch
+            return
+        planned = np.zeros((len(branches), len(agent.ues)))
+        at_branch = np.zeros_like(planned)
+        for row, ((ranking, j), obs) in enumerate(branches):
+            if j is not None:
+                planned[row], at_branch[row] = ranking.costs[j], ranking.at_posterior(j, obs)
+        self.budgets = agent.next_budgets(self.budgets, planned[branch], at_branch[branch], spent)
+        self.sid = np.where(seen, state, self.sid)
+        self.mid = np.where(seen, 1, self.mid + 1)
+
+
+def _observation(state: list, seen: list) -> Observation:
+    """One run's observation: its ``state`` on the relays ``seen`` marks."""
+    return tuple(s if z else None for s, z in zip(state, seen))
 
 
 def _policy_agent(policy, factors: FactorTable | None, first_ue: int = 0) -> _Agent:
@@ -254,79 +337,80 @@ def _play_policy(
     return [agent], [_SimContext(with_single_ue(scenario, u), chains) for u in agent.ues]
 
 
+def _run_batch(
+    agents: list[_Agent], contexts: list[_SimContext], seeds: list
+) -> tuple[np.ndarray, np.ndarray, list[EpochRecord]]:
+    """The episodes of ``seeds``, played together, a row of arrays per
+    episode; identical seeds produce identical episodes.
+
+    ``contexts`` holds one context per UE; ``agents`` are one agent for a
+    single user, one per UE (distributed) or one for all UEs (centralized).
+    Each agent carries its own belief ids, oracle-tree cursor and per-UE
+    budgets (see ``_Walk``), and observes the relays its UEs selected. Each
+    episode's uniforms are drawn up front from its own seed, bitwise the
+    draws of one ``rng.random(K)`` per epoch but the last.
+
+    Returns the discounted reward, cost and energy-efficiency terms
+    ``(runs, 3, T, UEs)``, their per-UE running sums in epoch order
+    ``(runs, 3, UEs)``, and the first episode's epoch records.
+    """
+    scenario = contexts[0].scenario
+    horizon, gamma, k = scenario.horizon, scenario.gamma, scenario.n_relays
+    runs = len(seeds)
+    draws = np.empty((runs, horizon - 1, k))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).random(out=row)
+    state = np.tile(np.asarray(scenario.initial_states, dtype=np.int64), (runs, 1))
+    walks = [_Walk(agent, scenario, runs) for agent in agents]
+    terms = np.empty((runs, 3, horizon, len(contexts)))
+    cum = np.zeros((runs, 3, len(contexts)))
+    records = []
+    for epoch in range(1, horizon + 1):
+        decided = [walk.choose(epoch) for walk in walks]
+        sel = np.zeros((len(contexts), runs, k + 1), dtype=bool)
+        for walk, (choices, inverse) in zip(walks, decided):
+            for q, u in enumerate(walk.agent.ues):
+                options = [[o in acts[q] for o in range(k + 1)] for acts, _ in choices]
+                sel[u] = np.array(options)[inverse]
+        rewards, costs = np.stack([ctx.outcomes(state, s) for ctx, s in zip(contexts, sel)], axis=2)
+        ees = np.divide(rewards, costs, out=np.zeros_like(rewards), where=costs > 0)
+        w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
+        for m, term in enumerate((w * rewards, w * costs, w_ee * ees)):
+            terms[:, m, epoch - 1] = term
+            cum[:, m] += term
+        seen = [sel[list(walk.agent.ues), :, 1:].any(axis=0) for walk in walks]
+        row = state[0].tolist()
+        records.append(EpochRecord(
+            epoch, tuple(row), tuple(Action(tuple(np.flatnonzero(s[0]).tolist())) for s in sel),
+            tuple(_observation(row, z[0].tolist()) for z in seen),
+            tuple(rewards[0].tolist()), tuple(costs[0].tolist()),
+        ))
+        if epoch < horizon:
+            for walk, (choices, inverse), z in zip(walks, decided, seen):
+                walk.advance(choices, inverse, state, z, costs[:, list(walk.agent.ues)])
+            state = contexts[0].step_states(state, draws[:, epoch - 1])
+    return terms, cum, records
+
+
 def run_episode(
     agents: list[_Agent],
     contexts: list[_SimContext],
     seed: int | np.random.SeedSequence = 0,
 ) -> EpisodeTrace:
-    """One seeded episode; identical seeds produce identical traces.
-
-    ``contexts`` holds one context per UE; ``agents`` are one agent for a
-    single user, one per UE (distributed) or one for all UEs (centralized).
-    Each agent carries its own belief ids (see ``belief.FactorTable``),
-    oracle-tree cursor and per-UE budgets (see ``_Agent``), and observes
-    the relays its UEs selected.
-    """
-    scenario = contexts[0].scenario
-    horizon = scenario.horizon
-    gamma = scenario.gamma
-    rng = np.random.default_rng(seed)
-    state = scenario.initial_states
-    ids = [tuple((s, 0) for s in state)] * len(agents)
-    cursors = [agent.tree for agent in agents]
-    budgets = [(scenario.c_th,) * len(agent.ues) for agent in agents]
-    n_ues = len(contexts)
-    cum_r = [0.0] * n_ues
-    cum_c = [0.0] * n_ues
-    cum_ee = [0.0] * n_ues
-    records = []
-    for epoch in range(1, horizon + 1):
-        actions = [EMPTY_ACTION] * n_ues
-        choices = []
-        for a, agent in enumerate(agents):
-            acts, choice = agent.decide(epoch, ids[a], budgets[a], cursors[a])
-            choices.append(choice)
-            for u, action in zip(agent.ues, acts):
-                actions[u] = action
-        rewards, costs = zip(*(ctx.outcome(state, act) for ctx, act in zip(contexts, actions)))
-        w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
-        for u, (r, c) in enumerate(zip(rewards, costs)):
-            cum_r[u] += w * r
-            cum_c[u] += w * c
-            cum_ee[u] += w_ee * (r / c if c > 0 else 0.0)
-        observations = []
-        for a, agent in enumerate(agents):
-            seen = {i - 1 for u in agent.ues for i in actions[u].relays}
-            obs = tuple(s if i in seen else None for i, s in enumerate(state))
-            observations.append(obs)
-            if epoch < horizon:
-                budgets[a] = agent.next_budgets(
-                    choices[a], budgets[a], obs, tuple(costs[u] for u in agent.ues)
-                )
-            ids[a] = advance_ids(ids[a], obs)
-            if cursors[a] is not None:
-                cursors[a] = cursors[a].children.get(obs)
-        records.append(
-            EpochRecord(epoch, state, tuple(actions), tuple(observations), rewards, costs)
-        )
-        state = contexts[0].step_states(state, rng)
-    return EpisodeTrace(records, tuple(cum_r), tuple(cum_c), tuple(cum_ee))
+    """One seeded episode with its epoch records: the batch of one seed (see
+    ``_run_batch``); identical seeds produce identical traces."""
+    _, cum, records = _run_batch(agents, contexts, [seed])
+    return EpisodeTrace(records, *(tuple(x) for x in cum[0].tolist()))
 
 
 def _simulate(
     agents: list[_Agent], contexts: list[_SimContext], n_runs: int, seed: int
 ) -> SimulationMetrics:
-    """``run_episode`` over ``n_runs`` seeds spawned from ``seed``, reduced.
-
-    Each trace is cut to its ``_episode_sums`` as soon as it is played, so a
-    batch never holds more than one trace."""
+    """The batch of ``n_runs`` episodes on seeds spawned from ``seed``, reduced."""
     if n_runs < 1:
         raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-    scenario = contexts[0].scenario
-    seeds = np.random.SeedSequence(seed).spawn(n_runs)
-    return _reduce(
-        [_episode_sums(run_episode(agents, contexts, s), scenario) for s in seeds], scenario
-    )
+    terms, cum, _ = _run_batch(agents, contexts, np.random.SeedSequence(seed).spawn(n_runs))
+    return _reduce(terms, cum, contexts[0].scenario)
 
 
 def monte_carlo(
@@ -341,67 +425,42 @@ def monte_carlo(
     return _simulate(*_play_policy(policy, scenario, chains), n_runs, seed)
 
 
-def _episode_sums(trace: EpisodeTrace, scenario: ScenarioConfig) -> tuple:
-    """What the metric reduction needs of one episode: the trace's per-UE
-    cumulative reward, cost and energy efficiency, and per epoch ``e`` its
-    discounted reward, cost and energy-efficiency terms over epochs 1..e,
-    summed over UEs."""
-    horizon = scenario.horizon
-    gamma = scenario.gamma
-    terms_r: list[float] = []
-    terms_c: list[float] = []
-    terms_ee: list[float] = []
-    running = []
-    for rec in trace.records:
-        w, w_ee = gamma ** (rec.epoch - 1), gamma ** (horizon - rec.epoch)
-        terms_r.extend(w * r for r in rec.rewards)
-        terms_c.extend(w * c for c in rec.costs)
-        terms_ee.extend(w_ee * (r / c if c > 0 else 0.0) for r, c in zip(rec.rewards, rec.costs))
-        running.append((math.fsum(terms_r), math.fsum(terms_c), math.fsum(terms_ee)))
-    return trace.cum_reward, trace.cum_cost, trace.cum_ee, running
+def _reduce(terms: np.ndarray, cum: np.ndarray, scenario: ScenarioConfig) -> SimulationMetrics:
+    """Compensated averages over a batch's episodes (see ``_run_batch``):
+    totals and running per-epoch values summed over UEs, and each UE's own.
+    An episode's running value after epoch ``e`` is the ``math.fsum`` of its
+    terms over epochs 1..e and every UE, and its total the ``math.fsum`` of
+    its per-UE running sums."""
+    n, _, horizon, n_ues = terms.shape
+    running = np.empty((n, 3, horizon))
+    totals = np.empty((n, 3))
+    for lo in range(0, n, 256):  # a few episodes' floats at a time as Python lists
+        block = slice(lo, lo + 256)
+        running[block] = [
+            [[math.fsum(flat[: e * n_ues]) for e in range(1, horizon + 1)] for flat in episode]
+            for episode in terms[block].reshape(-1, 3, horizon * n_ues).tolist()
+        ]
+        totals[block] = [list(map(math.fsum, episode)) for episode in cum[block].tolist()]
 
+    def mean(values: list) -> float:
+        return math.fsum(values) / n
 
-def _reduce(episodes: list[tuple], scenario: ScenarioConfig) -> SimulationMetrics:
-    """Compensated averages over the ``_episode_sums`` of every episode:
-    totals and running per-epoch values summed over UEs, and each UE's own."""
-    n = len(episodes)
-    cum_r, cum_c, cum_ee, running = zip(*episodes)
-    rewards = [math.fsum(r) for r in cum_r]
-    costs = [math.fsum(c) for c in cum_c]
-    ees = [math.fsum(ee) for ee in cum_ee]
-    per_epoch = []
-    for e in range(1, scenario.horizon + 1):
-        cr, cc, cee = zip(*(run[e - 1] for run in running))
-        per_epoch.append(
-            {
-                "epoch": e,
-                "avg_cum_reward": math.fsum(cr) / n,
-                "avg_cum_cost": math.fsum(cc) / n,
-                "avg_cum_ee": math.fsum(cee) / n,
-                "stderr_reward": _stderr(cr),
-            }
-        )
-    per_ue = [
-        {
-            "ue": u,
-            "avg_cum_reward": math.fsum(r[u] for r in cum_r) / n,
-            "avg_cum_cost": math.fsum(c[u] for c in cum_c) / n,
-            "avg_cum_ee": math.fsum(ee[u] for ee in cum_ee) / n,
-            "stderr_cost": _stderr([c[u] for c in cum_c]),
-        }
-        for u in range(len(cum_r[0]))
+    per_epoch = [
+        {"epoch": e + 1, "avg_cum_reward": mean(r), "avg_cum_cost": mean(c),
+         "avg_cum_ee": mean(ee), "stderr_reward": _stderr(r)}
+        for e, (r, c, ee) in enumerate(x.tolist() for x in running.transpose(2, 1, 0))
     ]
+    per_ue = [
+        {"ue": u, "avg_cum_reward": mean(r), "avg_cum_cost": mean(c),
+         "avg_cum_ee": mean(ee), "stderr_cost": _stderr(c)}
+        for u, (r, c, ee) in enumerate(x.tolist() for x in cum.transpose(2, 1, 0))
+    ]
+    rewards, costs, ees = totals.T.tolist()
     return SimulationMetrics(
-        runs=n,
-        horizon=scenario.horizon,
-        gamma=scenario.gamma,
-        avg_cum_reward=math.fsum(rewards) / n,
-        avg_cum_cost=math.fsum(costs) / n,
-        avg_cum_ee=math.fsum(ees) / n,
-        stderr_reward=_stderr(rewards),
-        stderr_cost=_stderr(costs),
-        per_epoch=per_epoch,
-        per_ue=per_ue,
+        runs=n, horizon=horizon, gamma=scenario.gamma,
+        avg_cum_reward=mean(rewards), avg_cum_cost=mean(costs), avg_cum_ee=mean(ees),
+        stderr_reward=_stderr(rewards), stderr_cost=_stderr(costs),
+        per_epoch=per_epoch, per_ue=per_ue,
     )
 
 
@@ -452,7 +511,6 @@ def exact_policy_value(
     k = scenario.n_relays
     if scenario.n_regions**k > EXACT_STATE_CAP:
         raise CapExceededError(f"exact policy evaluation needs |S|^K <= {EXACT_STATE_CAP}")
-    ctx = _SimContext(scenario, chains)
     agent = _policy_agent(policy, None)
     if len(agent.ues) != 1:
         raise ValidationError("exact policy evaluation plays a policy of one UE")
@@ -478,8 +536,13 @@ def exact_policy_value(
             obs = _branch_obs(act, combo, k)
             child = cursor.children.get(obs) if cursor is not None else None
             left = budget
-            if e < horizon:
-                (left,) = agent.next_budgets(choice, (budget,), obs, (ctx.outcome(obs, act)[1],))
+            if e < horizon and choice is not None:
+                ranking, j = choice
+                planned = at_branch = 0.0
+                if j is not None:
+                    planned, at_branch = ranking.costs[j], ranking.at_posterior(j, obs)
+                spent = total_cost(obs, act, scenario)
+                (left,) = agent.next_budgets(np.array([budget]), planned, at_branch, spent).tolist()
             fr, fc = recurse(e + 1, advance_belief(b, chains, act, obs), child, None, left)
             total_r += gamma * p_z * fr
             total_c += gamma * p_z * fc

@@ -15,6 +15,15 @@ from relayplan.model import (
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def advance_ids(ids: tuple[tuple[int, int], ...], obs) -> tuple[tuple[int, int], ...]:
+    """``advance_belief`` on the belief ids of ``belief.FactorTable``, one
+    episode's: observed relays reset to ``(region, 1)``, the rest advance
+    ``(s, m)`` to ``(s, m + 1)``."""
+    return tuple(
+        (s, m + 1) if obs[i] is None else (obs[i], 1) for i, (s, m) in enumerate(ids)
+    )
+
+
 @pytest.fixture
 def table1_scenario() -> ScenarioConfig:
     return load_scenario(REPO_ROOT / "scenarios" / "table1.json")

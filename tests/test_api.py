@@ -8,8 +8,10 @@ from conftest import REPO_ROOT
 PACKAGE = REPO_ROOT / "src" / "relayplan"
 
 # Validation entry points: the tests and the acceptance gate call them, the
-# solvers and the simulator do not.
+# solvers and the simulator do not. ``run_episode`` is one seeded episode with
+# its epoch records, the batch of one seed that the simulator plays many of.
 ENTRY_POINTS = {
+    "run_episode",
     "exact_policy_value",
     "discrete_derivative",
     "empirical_density",

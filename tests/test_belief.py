@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_scenario, random_chain
+from conftest import advance_ids, line_scenario, random_chain
 from relayplan.belief import (
     DEDUP_TOL,
     FactoredBelief,
     FactorTable,
     advance_belief,
-    advance_ids,
     _observable_steps,
     _relay_family,
     attainable_beliefs,

@@ -283,6 +283,27 @@ class TestCompare:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(float(row[4]), abs=1e-9)
 
+    @pytest.mark.parametrize("modes", ["d2d,cellular", "centralized,distributed"])
+    def test_chains_built_once_per_speed(self, tmp_path, monkeypatch, modes):
+        import relayplan.cli
+        import relayplan.sim
+
+        built = []
+
+        def counted(scenario):
+            built.append(scenario)
+            return chains_for_scenario(scenario)
+
+        monkeypatch.setattr(relayplan.cli, "chains_for_scenario", counted)
+        monkeypatch.setattr(relayplan.sim, "chains_for_scenario", counted)
+        sc = tmp_path / "sc.json"
+        run(["generate", "--grid", "3x1", "--relays", "1", "--horizon", "2", "--out", sc])
+        assert run([
+            "compare", "--scenario", sc, "--modes", modes, "--speeds", "1..2",
+            "--runs", "3", "--belief-h", "2", "--out", tmp_path / "cmp.csv",
+        ]) == 0
+        assert [s.relays[0].speed for s in built] == [1, 2]
+
     def test_d2d_vs_cellular_on_two_ues_exits_2(self, tmp_path, capsys):
         sc = tmp_path / "two.json"
         run(["generate", "--grid", "3x2", "--relays", "2", "--ues", "2", "--seed", "5", "--out", sc])

@@ -1,17 +1,29 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from conftest import line_scenario, random_instance
+from conftest import advance_ids, line_scenario, random_instance
 from relayplan.alpha import AlphaPair
-from relayplan.belief import FactoredBelief, joint_belief
+from relayplan.belief import FactoredBelief, FactorTable, joint_belief
 from relayplan.errors import ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
-from relayplan.model import Action, RelaySpec, ScenarioConfig, UeSpec, with_single_ue
+from relayplan.model import (
+    EMPTY_ACTION,
+    Action,
+    RelaySpec,
+    ScenarioConfig,
+    UeSpec,
+    total_cost,
+    total_reward,
+    with_single_ue,
+)
 from relayplan.sim import (
     METRIC_COLUMNS,
+    EpisodeTrace,
+    EpochRecord,
     baseline_cellular,
     complexity_model,
     complexity_ratio,
@@ -21,7 +33,10 @@ from relayplan.sim import (
     _Agent,
     _multi_user,
     _play_policy,
+    _groups,
     _SimContext,
+    _simulate,
+    _stderr,
     run_episode,
     run_multiuser,
     solve_centralized,
@@ -72,20 +87,14 @@ class TestRunEpisode:
                     assert observation[i - 1] is None
 
 
-class _LargestDraws:
-    """A generator stub whose every draw is the largest double below 1."""
-
-    def random(self, size):
-        return np.full(size, 1.0 - 2.0**-53)
-
-
 class TestStepStates:
     # rows may sum to 1 - 5e-10; the last positive column of row 0 is 1
     CHAIN = MarkovChain(np.array([[0.5, 0.5 - 5e-10, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]]))
 
     def test_draw_past_row_sum_stays_on_grid(self):
         ctx = _SimContext(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN])
-        assert ctx.step_states((0, 1), _LargestDraws()) == (1, 2)
+        largest = np.full((1, 2), 1.0 - 2.0**-53)  # the largest double below 1
+        assert ctx.step_states(np.array([[0, 1]]), largest).tolist() == [[1, 2]]
 
     def test_draws_in_range_unchanged(self):
         ctx = _SimContext(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN])
@@ -98,8 +107,221 @@ class TestStepStates:
             expected = tuple(
                 int(np.searchsorted(cum[s], d, side="right")) for s, d in zip(state, draws)
             )
-            state = ctx.step_states(state, np.random.default_rng(seed))
+            state = tuple(ctx.step_states(np.array([state]), draws[None])[0].tolist())
             assert state == expected
+
+
+class TestBatch:
+    """``_simulate`` plays all of its episodes together; each episode is
+    what ``run_episode`` plays alone on its seed."""
+
+    @pytest.mark.parametrize("t, k", [(1, 1), (3, 2), (5, 3), (4, 7)])
+    def test_draws_up_front_are_the_draws_per_epoch(self, t, k):
+        seed = np.random.SeedSequence(t * 10 + k)
+        at_once = np.random.default_rng(seed).random((t, k))
+        rng = np.random.default_rng(seed)
+        per_epoch = np.stack([rng.random(k) for _ in range(t)])
+        assert at_once.tobytes() == per_epoch.tobytes()
+        into = np.empty((2, t, k))
+        np.random.default_rng(seed).random(out=into[1])
+        assert into[1].tobytes() == per_epoch.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_equals_episodes_one_by_one(self, seed):
+        rng = np.random.default_rng(seed)
+        gamma = (0.0, 0.9, 1.0)[seed % 3]  # 0: every later budget is infinite
+        k, n, t = ((1, 3, 3), (2, 2, 2), (1, 2, 3), (2, 2, 3))[seed % 4]
+        c_th = float(rng.uniform(5.0, 150.0))  # low enough that the rule idles on some seeds
+        scenario, chains = random_instance(rng, k=k, n=n, t=t, gamma=gamma, c_th=c_th)
+        ues = tuple(UeSpec((int(rng.integers(1, n + 1)), 1)) for _ in range(3))
+        multi = dataclasses.replace(scenario, ues=ues)
+        cellular = _Agent((0,), None, action=Action((0,)))
+        kinds = {
+            "alpha": _play_policy(solve_gcpbvi(scenario, chains, h=2, cap=8), scenario, chains),
+            "oracle": _play_policy(brute_force_oracle(scenario, chains), scenario, chains),
+            "cellular": ([cellular], [_SimContext(scenario, chains)]),
+            "centralized": _multi_user(multi, "centralized", chains, 2, 6),
+            "distributed": _multi_user(multi, "distributed", chains, 2, 6),
+        }
+        runs, master = 40, seed + 100
+        for kind, (agents, contexts) in kinds.items():
+            seeds = np.random.SeedSequence(master).spawn(runs)
+            traces = [run_episode(agents, contexts, s) for s in seeds]
+            for s, trace in zip(seeds, traces):
+                assert repr(trace) == repr(_reference_episode(agents, contexts, s)), kind
+            want = _reduce_traces(traces, contexts[0].scenario)
+            for key, value in dataclasses.asdict(_simulate(agents, contexts, runs, master)).items():
+                assert repr(value) == repr(want[key]), (kind, key)
+
+    @pytest.mark.parametrize("seed", [303, 7])
+    def test_table1_batch_equals_reference_loop(self, table1_scenario, seed):
+        chains = chains_for_scenario(table1_scenario)
+        policy = solve_gcpbvi(table1_scenario, chains, h=2, cap=24)
+        agents, contexts = _play_policy(policy, table1_scenario, chains)
+        runs = 300
+        traces = [
+            _reference_episode(agents, contexts, s)
+            for s in np.random.SeedSequence(seed).spawn(runs)
+        ]
+        want = _reduce_traces(traces, table1_scenario)
+        got = dataclasses.asdict(_simulate(agents, contexts, runs, seed))
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_pairs_batch_equals_reference_loop(self, seed):
+        """Random stored pairs, up to a dozen an epoch with random actions, so
+        that every epoch's decisions turn on the belief ids and the budgets."""
+        rng = np.random.default_rng(seed)
+        k, n = ((2, 3), (3, 2))[seed % 2]
+        scenario, chains = random_instance(rng, k=k, n=n, t=4, gamma=(0.9, 1.0)[seed // 2 % 2])
+        n_ues = 1 + seed % 3
+        ues = tuple(UeSpec((int(rng.integers(1, n + 1)), 1)) for _ in range(n_ues))
+        multi = dataclasses.replace(scenario, ues=ues)
+        epochs = [
+            [
+                AlphaPair(
+                    rng.uniform(0.0, 100.0, n**k),
+                    rng.uniform(0.0, 2.0 * multi.c_th, (n_ues, n**k)),
+                    tuple(
+                        Action(tuple(o for o in range(k + 1) if rng.random() < 0.5))
+                        for _ in range(n_ues)
+                    ),
+                )
+                for _ in range(int(rng.integers(1, 13)))
+            ]
+            for _ in range(multi.horizon)
+        ]
+        agents = [
+            _Agent(tuple(range(n_ues)), FactorTable(chains), epochs, multi.c_th, multi.gamma)
+        ]
+        contexts = [_SimContext(with_single_ue(multi, u), chains) for u in range(n_ues)]
+        runs, master = 120, seed + 200
+        traces = [
+            _reference_episode(agents, contexts, s)
+            for s in np.random.SeedSequence(master).spawn(runs)
+        ]
+        want = _reduce_traces(traces, multi)
+        assert repr(dataclasses.asdict(_simulate(agents, contexts, runs, master))) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_groups_are_the_distinct_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        runs = int(rng.integers(1, 200))
+        bounds = [int(b) for b in rng.choice([1, 2, 3, 16, 2**20, 2**40], size=int(rng.integers(1, 7)))]
+        columns = [rng.integers(0, min(b, 4), size=runs) * (b // min(b, 4)) for b in bounds]
+        first, inverse = _groups(*zip(columns, bounds))
+        rows = np.stack(columns, axis=1)
+        _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        assert sorted(first.tolist()) == sorted(want_first.tolist())
+        # the same partition, each group named by its first row
+        assert (first[inverse] == want_first[want_inverse.ravel()]).all()
+
+
+def _reference_episode(agents, contexts, seed) -> EpisodeTrace:
+    """The scalar episode loop that the batch replaces, as a reference: one
+    epoch at a time, each agent's rule applied by ``_Agent.act`` at its
+    belief, and the states sampled by ``searchsorted`` on one
+    ``rng.random(K)`` per epoch."""
+    scenario = contexts[0].scenario
+    horizon, gamma = scenario.horizon, scenario.gamma
+    rng = np.random.default_rng(seed)
+    state = scenario.initial_states
+    ids = [tuple((s, 0) for s in state)] * len(agents)
+    nodes = [agent.tree for agent in agents]
+    budgets = [np.full(len(agent.ues), scenario.c_th) for agent in agents]
+    cum_r, cum_c, cum_ee = ([0.0] * len(contexts) for _ in range(3))
+    records = []
+    for epoch in range(1, horizon + 1):
+        actions = [EMPTY_ACTION] * len(contexts)
+        choices = []
+        for a, agent in enumerate(agents):
+            fb = agent.factors.belief(ids[a]) if agent.epochs is not None else None
+            acts, choice = agent.act(epoch, fb, tuple(budgets[a].tolist()), nodes[a])
+            choices.append(choice)
+            for u, action in zip(agent.ues, acts):
+                actions[u] = action
+        rewards = tuple(total_reward(state, a, c.scenario) for c, a in zip(contexts, actions))
+        costs = tuple(total_cost(state, a, c.scenario) for c, a in zip(contexts, actions))
+        w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
+        for u, (r, c) in enumerate(zip(rewards, costs)):
+            cum_r[u] += w * r
+            cum_c[u] += w * c
+            cum_ee[u] += w_ee * (r / c if c > 0 else 0.0)
+        observations = []
+        for a, agent in enumerate(agents):
+            seen = {i - 1 for u in agent.ues for i in actions[u].relays}
+            obs = tuple(s if i in seen else None for i, s in enumerate(state))
+            observations.append(obs)
+            if epoch < horizon and choices[a] is not None:
+                ranking, j = choices[a]
+                planned = at_branch = 0.0
+                if j is not None:
+                    planned, at_branch = ranking.costs[j], ranking.at_posterior(j, obs)
+                spent = np.array([costs[u] for u in agent.ues])
+                budgets[a] = agent.next_budgets(budgets[a], planned, at_branch, spent)
+            ids[a] = advance_ids(ids[a], obs)
+            if nodes[a] is not None:
+                nodes[a] = nodes[a].children.get(obs)
+        records.append(
+            EpochRecord(epoch, state, tuple(actions), tuple(observations), rewards, costs)
+        )
+        draws = rng.random(len(state))
+        state = tuple(
+            int(np.searchsorted(rows[s], d, side="right"))
+            for rows, s, d in zip(contexts[0].cum_rows, state, draws)
+        )
+    return EpisodeTrace(records, tuple(cum_r), tuple(cum_c), tuple(cum_ee))
+
+
+def _reduce_traces(traces, scenario) -> dict:
+    """The metrics of one-episode traces, reduced one episode at a time:
+    the reference for ``_simulate``'s reduction from arrays."""
+    n, horizon, gamma = len(traces), scenario.horizon, scenario.gamma
+    running = []
+    for trace in traces:
+        terms_r, terms_c, terms_ee, sums = [], [], [], []
+        for rec in trace.records:
+            w, w_ee = gamma ** (rec.epoch - 1), gamma ** (horizon - rec.epoch)
+            terms_r.extend(w * r for r in rec.rewards)
+            terms_c.extend(w * c for c in rec.costs)
+            terms_ee.extend(
+                w_ee * (r / c if c > 0 else 0.0) for r, c in zip(rec.rewards, rec.costs)
+            )
+            sums.append((math.fsum(terms_r), math.fsum(terms_c), math.fsum(terms_ee)))
+        running.append(sums)
+    rewards = [math.fsum(t.cum_reward) for t in traces]
+    costs = [math.fsum(t.cum_cost) for t in traces]
+    ees = [math.fsum(t.cum_ee) for t in traces]
+    per_epoch = []
+    for e in range(horizon):
+        cr, cc, cee = zip(*(sums[e] for sums in running))
+        per_epoch.append({
+            "epoch": e + 1,
+            "avg_cum_reward": math.fsum(cr) / n,
+            "avg_cum_cost": math.fsum(cc) / n,
+            "avg_cum_ee": math.fsum(cee) / n,
+            "stderr_reward": _stderr(cr),
+        })
+    per_ue = [
+        {
+            "ue": u,
+            "avg_cum_reward": math.fsum(t.cum_reward[u] for t in traces) / n,
+            "avg_cum_cost": math.fsum(t.cum_cost[u] for t in traces) / n,
+            "avg_cum_ee": math.fsum(t.cum_ee[u] for t in traces) / n,
+            "stderr_cost": _stderr([t.cum_cost[u] for t in traces]),
+        }
+        for u in range(len(traces[0].cum_reward))
+    ]
+    return {
+        "runs": n, "horizon": horizon, "gamma": gamma,
+        "avg_cum_reward": math.fsum(rewards) / n,
+        "avg_cum_cost": math.fsum(costs) / n,
+        "avg_cum_ee": math.fsum(ees) / n,
+        "stderr_reward": _stderr(rewards),
+        "stderr_cost": _stderr(costs),
+        "per_epoch": per_epoch,
+        "per_ue": per_ue,
+    }
 
 
 class TestMonteCarlo:
@@ -141,6 +363,30 @@ class TestMonteCarlo:
         metrics = monte_carlo(policy, scenario, 4000, seed=13, chains=chains)
         assert abs(metrics.avg_cum_reward - exact_r) <= 3 * metrics.stderr_reward + 1e-9
         assert abs(metrics.avg_cum_cost - exact_c) <= 3 * metrics.stderr_cost + 1e-9
+
+
+def _metrics_digest(metrics) -> str:
+    return hashlib.sha256(repr(dataclasses.asdict(metrics)).encode()).hexdigest()
+
+
+class TestTable1Regression:
+    """Seeded table1 metrics, pinned by the SHA-256 of their ``repr``: every
+    field, every bit."""
+
+    def test_gcpbvi_monte_carlo(self, table1_scenario):
+        chains = chains_for_scenario(table1_scenario)
+        policy = solve_gcpbvi(table1_scenario, chains, h=2, cap=24)
+        metrics = monte_carlo(policy, table1_scenario, 1500, seed=303, chains=chains)
+        assert metrics.avg_cum_reward == 629.6805555555555
+        assert _metrics_digest(metrics) == (
+            "e57dd82268a11af86d2ca6ce86ce693b5006dedd49229f61e451aa00a59b10ac"
+        )
+
+    def test_baseline_cellular(self, table1_scenario):
+        metrics = baseline_cellular(table1_scenario, 200, seed=303)
+        assert _metrics_digest(metrics) == (
+            "c1dc11793adeddfbcb0d0a0a8d27941071ff5f21c8ad21fa18d68647e7e65b00"
+        )
 
 
 class TestBaseline:
