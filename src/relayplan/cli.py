@@ -106,6 +106,8 @@ def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list[str])
 
 def cmd_generate(args) -> int:
     grid_x, grid_y = _parse_grid(args.grid)
+    if min(args.relays, args.ues) < 1:
+        raise ValidationError(f"--relays and --ues must be >= 1, got {args.relays} and {args.ues}")
     rng = np.random.default_rng(args.seed)
     positions = [
         (int(x), int(y))

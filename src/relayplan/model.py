@@ -266,20 +266,6 @@ def value_ranges(scenario: ScenarioConfig) -> tuple[float, float]:
 
 # --- scenario file schema ------------------------------------------------
 
-_TOP_KEYS = {
-    "grid_x", "grid_y", "relays", "ues", "bs_position", "r_max", "c_max",
-    "c_th", "horizon", "gamma", "direct_link",
-}
-_RELAY_KEYS = {"eps_fix", "speed", "initial_state"}
-_UE_KEYS = {"position"}
-_DIRECT_KEYS = {"reward", "cost"}
-
-
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
-    return data[key]
-
 
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -299,105 +285,72 @@ def _as_coord(value, path: str) -> Coord:
     return _as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]")
 
 
-def _reject_unknown(data: dict, allowed: set, path: str) -> None:
-    unknown = set(data) - allowed
+def _as_list(cls):
+    """Reader of a list of ``cls`` objects, entry ``i`` at ``path[i]``; a
+    tuple, as ``scenario_to_dict`` gives, reads as a list."""
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise SchemaError(path, "expected a list")
+        return tuple(_parse(cls, entry, f"{path}[{i}]") for i, entry in enumerate(value))
+    return read
+
+
+def _as_object(cls):
+    """Reader of one ``cls`` object, or None for a null."""
+    return lambda value, path: None if value is None else _parse(cls, value, path)
+
+
+# The scenario file's layout: every field of each object and its reader, in
+# the order the fields are read (so the first problem in a file is reported).
+_LAYOUT = {
+    RelaySpec: {"eps_fix": _as_number, "speed": _as_int, "initial_state": _as_coord},
+    UeSpec: {"position": _as_coord},
+    DirectLink: {"reward": _as_number, "cost": _as_number},
+    ScenarioConfig: {
+        "relays": _as_list(RelaySpec), "ues": _as_list(UeSpec), "direct_link": _as_object(DirectLink),
+        "grid_x": _as_int, "grid_y": _as_int, "bs_position": _as_coord, "r_max": _as_number,
+        "c_max": _as_number, "c_th": _as_number, "horizon": _as_int, "gamma": _as_number,
+    },
+}
+
+
+def _parse(cls, data, path: str):
+    """Read a ``cls`` object at dotted ``path`` by its ``_LAYOUT`` entry.
+
+    Unknown keys are rejected, then every field is read in order; a field
+    may be left out exactly when its dataclass gives it a default. A value
+    the dataclass refuses is reported at ``path``.
+    """
+    prefix = f"{path}." if path else ""
+    if not isinstance(data, dict):
+        raise SchemaError(path, "expected an object")
+    layout = _LAYOUT[cls]
+    unknown = sorted(set(data) - set(layout))
     if unknown:
-        key = sorted(unknown)[0]
-        raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
+        raise SchemaError(prefix + unknown[0], "unknown field")
+    optional = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    values = {}
+    for key, read in layout.items():
+        if key in data:
+            values[key] = read(data[key], prefix + key)
+        elif key not in optional:
+            raise SchemaError(prefix + key, "missing required field")
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise SchemaError("", "scenario file must contain a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "")
-
-    relays_raw = _require(data, "relays", "")
-    if not isinstance(relays_raw, list):
-        raise SchemaError("relays", "expected a list")
-    relays = []
-    for i, entry in enumerate(relays_raw):
-        path = f"relays[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
-        _reject_unknown(entry, _RELAY_KEYS, path)
-        try:
-            relays.append(RelaySpec(
-                eps_fix=_as_number(_require(entry, "eps_fix", path), f"{path}.eps_fix"),
-                speed=_as_int(_require(entry, "speed", path), f"{path}.speed"),
-                initial_state=_as_coord(_require(entry, "initial_state", path), f"{path}.initial_state"),
-            ))
-        except ValidationError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(path, str(exc)) from exc
-
-    ues_raw = _require(data, "ues", "")
-    if not isinstance(ues_raw, list):
-        raise SchemaError("ues", "expected a list")
-    ues = []
-    for i, entry in enumerate(ues_raw):
-        path = f"ues[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
-        _reject_unknown(entry, _UE_KEYS, path)
-        ues.append(UeSpec(position=_as_coord(_require(entry, "position", path), f"{path}.position")))
-
-    direct = None
-    if data.get("direct_link") is not None:
-        entry = data["direct_link"]
-        if not isinstance(entry, dict):
-            raise SchemaError("direct_link", "expected an object")
-        _reject_unknown(entry, _DIRECT_KEYS, "direct_link")
-        direct = DirectLink(
-            reward=_as_number(_require(entry, "reward", "direct_link"), "direct_link.reward"),
-            cost=_as_number(entry.get("cost", 0.0), "direct_link.cost"),
-        )
-
-    try:
-        return ScenarioConfig(
-            grid_x=_as_int(_require(data, "grid_x", ""), "grid_x"),
-            grid_y=_as_int(_require(data, "grid_y", ""), "grid_y"),
-            relays=tuple(relays),
-            ues=tuple(ues),
-            bs_position=_as_coord(_require(data, "bs_position", ""), "bs_position"),
-            r_max=_as_number(_require(data, "r_max", ""), "r_max"),
-            c_max=_as_number(_require(data, "c_max", ""), "c_max"),
-            c_th=_as_number(_require(data, "c_th", ""), "c_th"),
-            horizon=_as_int(_require(data, "horizon", ""), "horizon"),
-            gamma=_as_number(_require(data, "gamma", ""), "gamma"),
-            direct_link=direct,
-        )
-    except ValidationError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError("", str(exc)) from exc
+    return _parse(ScenarioConfig, data, "")
 
 
 def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    out = {
-        "grid_x": scenario.grid_x,
-        "grid_y": scenario.grid_y,
-        "bs_position": list(scenario.bs_position),
-        "r_max": scenario.r_max,
-        "c_max": scenario.c_max,
-        "c_th": scenario.c_th,
-        "horizon": scenario.horizon,
-        "gamma": scenario.gamma,
-        "relays": [
-            {
-                "eps_fix": r.eps_fix,
-                "speed": r.speed,
-                "initial_state": list(r.initial_state),
-            }
-            for r in scenario.relays
-        ],
-        "ues": [{"position": list(u.position)} for u in scenario.ues],
-    }
-    if scenario.direct_link is not None:
-        out["direct_link"] = {
-            "reward": scenario.direct_link.reward,
-            "cost": scenario.direct_link.cost,
-        }
+    out = dataclasses.asdict(scenario)
+    if out["direct_link"] is None:
+        del out["direct_link"]
     return out
 
 

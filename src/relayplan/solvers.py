@@ -71,6 +71,8 @@ from .model import (
     Action,
     JointState,
     ScenarioConfig,
+    _as_int,
+    _as_number,
     all_actions,
     cost_vector,
     reward_vector,
@@ -805,10 +807,18 @@ def _one_ue(method: str, scenario: ScenarioConfig) -> None:
         )
 
 
-def _finish_stats(engine: _Engine, stats: dict, started: float) -> dict:
-    stats.update(engine.counters)
+def _solution(
+    method: str, scenario: ScenarioConfig, chains: list[MarkovChain], started: float,
+    stats: dict, **plan,
+) -> PolicySolution:
+    """The solved ``plan`` (its epochs or its tree) with the scenario's
+    scalars and the stats, closed by the wall time since ``started``."""
     stats["wall_time_s"] = round(time.perf_counter() - started, 6)
-    return stats
+    return PolicySolution(
+        method=method, horizon=scenario.horizon, gamma=scenario.gamma, c_th=scenario.c_th,
+        chains=chains, scenario_fingerprint=scenario.fingerprint(),
+        initial_state=scenario.initial_states, stats=stats, **plan,
+    )
 
 
 def solve_exact(
@@ -824,18 +834,8 @@ def solve_exact(
     v: list[AlphaPair] = []
     for tau in range(1, horizon + 1):
         v = epochs[horizon - tau] = exact_backup(engine, v)
-    stats = {"pairs_per_epoch": [len(e) for e in epochs]}
-    return PolicySolution(
-        method="exact",
-        horizon=horizon,
-        gamma=engine.gamma,
-        c_th=engine.c_th,
-        chains=chains,
-        scenario_fingerprint=scenario.fingerprint(),
-        initial_state=scenario.initial_states,
-        epochs=epochs,
-        stats=_finish_stats(engine, stats, started),
-    )
+    stats = {"pairs_per_epoch": [len(e) for e in epochs], **engine.counters}
+    return _solution("exact", scenario, chains, started, stats, epochs=epochs)
 
 
 def _error_bounds(scenario: ScenarioConfig, chains: list[MarkovChain], h: int) -> tuple:
@@ -904,17 +904,8 @@ def _solve_point_based(
     }
     stats.update(zip(("density_bound", "eta_r_bound", "eta_c_bound"), bounds))
     stats.update({phase: round(t, 6) for phase, t in engine.timings.items()})
-    return PolicySolution(
-        method=method,
-        horizon=horizon,
-        gamma=scenario.gamma,
-        c_th=scenario.c_th,
-        chains=chains,
-        scenario_fingerprint=scenario.fingerprint(),
-        initial_state=scenario.initial_states,
-        epochs=epochs,
-        stats=_finish_stats(engine, stats, started),
-    )
+    stats.update(engine.counters)
+    return _solution(method, scenario, chains, started, stats, epochs=epochs)
 
 
 def solve_cpbvi(
@@ -1056,23 +1047,8 @@ def brute_force_oracle(
         best = (0.0, 0.0, OracleTree(action=EMPTY_ACTION))
     else:
         best = max(feasible, key=lambda item: (item[0], -item[1]))
-    stats = {
-        "oracle_value_r": best[0],
-        "oracle_value_c": best[1],
-        "contexts": len(memo),
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    return PolicySolution(
-        method="oracle",
-        horizon=horizon,
-        gamma=gamma,
-        c_th=c_th,
-        chains=chains,
-        scenario_fingerprint=scenario.fingerprint(),
-        initial_state=scenario.initial_states,
-        tree=best[2],
-        stats=stats,
-    )
+    stats = {"oracle_value_r": best[0], "oracle_value_c": best[1], "contexts": len(memo)}
+    return _solution("oracle", scenario, chains, started, stats, tree=best[2])
 
 
 def _pareto_plans(items: list) -> list:
@@ -1108,14 +1084,22 @@ def _tree_to_dict(tree: OracleTree) -> dict:
     }
 
 
-def _tree_from_dict(data: dict) -> OracleTree:
+def _tree_from_dict(data: dict, k: int) -> OracleTree:
     return OracleTree(
-        action=Action(tuple(data["action"])),
+        action=_stored_action(data["action"], k),
         children={
-            _obs_from_key(key): _tree_from_dict(sub)
+            _obs_from_key(key): _tree_from_dict(sub, k)
             for key, sub in data.get("children", {}).items()
         },
     )
+
+
+def _stored_action(selected: list, k: int) -> Action:
+    """A policy file's action, refused if it names an option outside 0..K."""
+    action = Action(tuple(selected))
+    if action.selected and action.selected[-1] > k:
+        raise ValidationError(f"stored action {action.selected} names an option outside 0..{k}")
+    return action
 
 
 def save_policy(policy: PolicySolution, path) -> None:
@@ -1203,9 +1187,18 @@ def _read_policy(fh) -> PolicySolution:
             raise ValidationError(f"chains have shape {stacked.shape}, expected (K, n, n)")
         k, n = stacked.shape[:2]
         chains = [MarkovChain(m) for m in stacked]
-        initial_state = tuple(int(s) for s in meta["initial_state"])
+        gamma, c_th = _as_number(meta["gamma"], "gamma"), _as_number(meta["c_th"], "c_th")
+        if not 0.0 <= gamma <= 1.0:
+            raise ValidationError(f"gamma must be in [0, 1], got {gamma}")
+        if c_th < 0:
+            raise ValidationError(f"c_th must be >= 0, got {c_th}")
+        initial_state = tuple(
+            _as_int(s, f"initial_state[{i}]") for i, s in enumerate(meta["initial_state"])
+        )
         if len(initial_state) != k:
             raise ValidationError(f"initial state {initial_state} does not have {k} relays")
+        if not all(0 <= s < n for s in initial_state):
+            raise ValidationError(f"initial state {initial_state} has a region outside 0..{n - 1}")
 
         epochs = None
         if meta["epoch_actions"] is not None:
@@ -1223,7 +1216,7 @@ def _read_policy(fh) -> PolicySolution:
                         f"expected ({len(actions)}, {n**k}) and ({len(actions)}, N, {n**k})"
                     )
                 epochs.append([
-                    AlphaPair(r, cs, tuple(Action(tuple(a)) for a in acts))
+                    AlphaPair(r, cs, tuple(_stored_action(a, k) for a in acts))
                     for r, cs, acts in zip(rewards, costs, actions)
                 ])
             if len(epochs) != meta["horizon"]:
@@ -1236,12 +1229,12 @@ def _read_policy(fh) -> PolicySolution:
     return PolicySolution(
         method=meta["method"],
         horizon=meta["horizon"],
-        gamma=meta["gamma"],
-        c_th=meta["c_th"],
+        gamma=gamma,
+        c_th=c_th,
         chains=chains,
         scenario_fingerprint=meta["scenario_fingerprint"],
         initial_state=initial_state,
         epochs=epochs,
-        tree=_tree_from_dict(meta["tree"]) if meta["tree"] is not None else None,
+        tree=_tree_from_dict(meta["tree"], k) if meta["tree"] is not None else None,
         stats=meta["stats"],
     )

@@ -39,21 +39,34 @@ def _used_names(tree: ast.AST, skip: set[ast.AST]) -> set[str]:
     return out
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds (constants, tables, type aliases)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+
 def test_every_top_level_definition_is_used():
     modules = _modules()
     del modules["__init__.py"]
     unused = []
     for name, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
             own = set(ast.walk(node))
-            used = any(
-                node.name in _used_names(other, own if other_name == name else set())
-                for other_name, other in modules.items()
-            )
-            if not used and node.name not in ENTRY_POINTS:
-                unused.append(f"{name}:{node.name}")
+            for defined in _defined_names(node):
+                used = any(
+                    defined in _used_names(other, own if other_name == name else set())
+                    for other_name, other in modules.items()
+                )
+                if not used and defined not in ENTRY_POINTS:
+                    unused.append(f"{name}:{defined}")
     assert unused == []
 
 

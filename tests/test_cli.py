@@ -52,6 +52,14 @@ class TestGenerate:
         assert run(["generate", "--grid", "0x3", "--relays", "1", "--out", out]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("counts", [("-5", "1"), ("2", "-3"), ("0", "1"), ("1", "0")])
+    def test_counts_below_1_exit_2(self, tmp_path, capsys, counts):
+        out = tmp_path / "g.json"
+        relays, ues = counts
+        assert run(["generate", "--grid", "4x4", "--relays", relays, "--ues", ues, "--out", out]) == 2
+        assert "--relays and --ues must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -180,6 +188,65 @@ class TestSimulate:
         assert "relayplan solve" in capsys.readouterr().err
 
 
+def _rewrite_meta(policy, edit) -> None:
+    """Apply ``edit`` to the metadata of the policy archive at ``policy``."""
+    with np.load(policy) as archive:
+        members = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(members["meta"]))
+    edit(meta)
+    members["meta"] = np.array(json.dumps(meta))
+    with open(policy, "wb") as fh:
+        np.savez(fh, **members)
+
+
+class TestPolicyFileChecks:
+    """A policy file whose metadata is out of range is refused on load (exit
+    2), before ``simulate`` plays anything."""
+
+    def _simulate(self, scenario, method, edit, tmp_path, capsys) -> str:
+        policy = tmp_path / "pol.npz"
+        run(["solve", "--scenario", scenario, "--method", method, "--out", policy])
+        _rewrite_meta(policy, edit)
+        capsys.readouterr()
+        assert run([
+            "simulate", "--scenario", scenario, "--policy", policy,
+            "--runs", "20", "--seed", "3", "--out", tmp_path / "m.csv",
+        ]) == 2
+        assert not (tmp_path / "m.csv").exists()
+        return capsys.readouterr().err
+
+    def test_gamma_outside_unit_interval(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(gamma=7.5), tmp_path, capsys)
+        assert "gamma must be in [0, 1], got 7.5" in err
+
+    def test_negative_budget(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(c_th=-1.0), tmp_path, capsys)
+        assert "c_th must be >= 0, got -1.0" in err
+
+    def test_initial_state_outside_the_grid(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(initial_state=[99]), tmp_path, capsys)
+        assert "region outside 0..1" in err
+
+    def test_epoch_action_names_an_unknown_relay(self, tiny_scenario, tmp_path, capsys):
+        def edit(meta):
+            for pairs in meta["epoch_actions"]:
+                for actions in pairs:
+                    actions[:] = [[0, 7] for _ in actions]
+
+        err = self._simulate(tiny_scenario, "gcpbvi", edit, tmp_path, capsys)
+        assert "stored action (0, 7) names an option outside 0..1" in err
+
+    def test_oracle_tree_action_names_an_unknown_relay(self, tiny_scenario, tmp_path, capsys):
+        def edit(meta):
+            node = meta["tree"]
+            while node["children"]:
+                node = next(iter(node["children"].values()))
+            node["action"] = [0, 7]
+
+        err = self._simulate(tiny_scenario, "oracle", edit, tmp_path, capsys)
+        assert "stored action (0, 7) names an option outside 0..1" in err
+
+
 class TestCentralizedPolicyFile:
     """``solve --method centralized`` writes a policy of every UE, and
     ``simulate`` plays it as ``run_multiuser`` does."""
@@ -240,13 +307,8 @@ class TestCentralizedPolicyFile:
         one_ue = tmp_path / "one.json"
         save_scenario(with_single_ue(load_scenario(two_ues), 0), one_ue)
         # give the policy the one-UE scenario's fingerprint, so that only its UEs differ
-        with np.load(policy) as archive:
-            members = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(members["meta"]))
-        meta["scenario_fingerprint"] = load_scenario(one_ue).fingerprint()
-        members["meta"] = np.array(json.dumps(meta))
-        with open(policy, "wb") as fh:
-            np.savez(fh, **members)
+        fingerprint = load_scenario(one_ue).fingerprint()
+        _rewrite_meta(policy, lambda meta: meta.update(scenario_fingerprint=fingerprint))
         assert run([
             "simulate", "--scenario", one_ue, "--policy", policy,
             "--runs", "5", "--out", tmp_path / "m.csv",
