@@ -96,11 +96,11 @@ def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list[str])
     manifest = {
         "command": command,
         "version": __version__,
-        "args": {k: v for k, v in args.items() if v is not None},
+        "args": {k: v for k, v in args.items() if v is not None and k != "func"},
         "outputs": outputs,
     }
     (out_dir / f"{command}_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -108,6 +108,8 @@ def cmd_generate(args) -> int:
     grid_x, grid_y = _parse_grid(args.grid)
     if min(args.relays, args.ues) < 1:
         raise ValidationError(f"--relays and --ues must be >= 1, got {args.relays} and {args.ues}")
+    if args.direct_cost is not None and args.direct_reward is None:
+        raise ValidationError("--direct-cost needs --direct-reward; without both the link costs 0")
     rng = np.random.default_rng(args.seed)
     positions = [
         (int(x), int(y))
@@ -123,7 +125,7 @@ def cmd_generate(args) -> int:
     ues = tuple(UeSpec(position=positions[args.relays + i]) for i in range(args.ues))
     direct = None
     if args.direct_reward is not None:
-        direct = DirectLink(reward=args.direct_reward, cost=args.direct_cost)
+        direct = DirectLink(args.direct_reward, 0.0 if args.direct_cost is None else args.direct_cost)
     scenario = ScenarioConfig(
         grid_x=grid_x,
         grid_y=grid_y,
@@ -152,6 +154,10 @@ _SOLVERS = {"exact", "oracle", *_POINT_BASED}
 def cmd_solve(args) -> int:
     if args.method not in _SOLVERS:
         raise ValidationError(f"--method must be one of {sorted(_SOLVERS)}, got {args.method}")
+    sizing = {"--belief-h": args.belief_h, "--belief-cap": args.belief_cap, "--eps": args.eps}
+    given = [flag for flag, value in sizing.items() if value is not None]
+    if args.method not in _POINT_BASED and given:
+        raise ValidationError(f"--method {args.method} uses no belief set; drop {', '.join(given)}")
     scenario = load_scenario(args.scenario)
     chains = chains_for_scenario(scenario)
     if args.method == "exact":
@@ -160,7 +166,8 @@ def cmd_solve(args) -> int:
         policy = brute_force_oracle(scenario, chains)
     else:
         h = args.belief_h if args.eps is None else horizon_for_eps(args.eps, scenario, chains)
-        policy = _POINT_BASED[args.method](scenario, chains, h=h, cap=args.belief_cap)
+        cap = 256 if args.belief_cap is None else args.belief_cap
+        policy = _POINT_BASED[args.method](scenario, chains, h=h, cap=cap)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--horizon", type=int, default=GEN_DEFAULTS["horizon"])
     gen.add_argument("--gamma", type=float, default=GEN_DEFAULTS["gamma"])
     gen.add_argument("--direct-reward", dest="direct_reward", type=float, default=None)
-    gen.add_argument("--direct-cost", dest="direct_cost", type=float, default=0.0)
+    gen.add_argument("--direct-cost", dest="direct_cost", type=float, default=None, help="default 0")
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     depth = slv.add_mutually_exclusive_group()
     depth.add_argument("--eps", type=float, default=None, help="target value error for belief sizing")
     depth.add_argument("--belief-h", dest="belief_h", type=int, default=None)
-    slv.add_argument("--belief-cap", dest="belief_cap", type=int, default=256)
+    slv.add_argument("--belief-cap", dest="belief_cap", type=int, default=None, help="default 256")
     slv.add_argument("--out", required=True)
     slv.set_defaults(func=cmd_solve)
 

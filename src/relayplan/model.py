@@ -26,12 +26,21 @@ Coord = tuple[int, int]
 JointState = tuple[int, ...]
 
 
+def _floats(obj, *names: str) -> None:
+    """Store a frozen ``obj``'s numbers ``names`` as floats, as a scenario file reads them."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class DirectLink:
     """Constant reward/cost of the index-0 option (direct cellular link)."""
 
     reward: float
     cost: float = 0.0
+
+    def __post_init__(self):
+        _floats(self, "reward", "cost")
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,7 @@ class RelaySpec:
             raise ValidationError(f"eps_fix must be in [0, 1], got {self.eps_fix}")
         if not (isinstance(self.speed, int) and self.speed >= 1):
             raise ValidationError(f"speed must be an integer >= 1, got {self.speed}")
+        _floats(self, "eps_fix")
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,7 @@ class ScenarioConfig:
             self._check_position(f"relays[{i}].initial_state", relay.initial_state)
         for i, ue in enumerate(self.ues):
             self._check_position(f"ues[{i}].position", ue.position)
+        _floats(self, "r_max", "c_max", "c_th", "gamma")
 
     def _check_position(self, name: str, pos: Coord) -> None:
         x, y = pos

@@ -1,12 +1,13 @@
 """Policy execution and evaluation.
 
-Episodes draw relay trajectories from the scenario chains, apply the stored
-policy through the execution rule (the reward argmax over the epoch's pairs
-at the current belief among those that fit the budget the plan left to
-this branch, see ``_Agent``), and accumulate discounted reward, cost, and
-energy efficiency. Episode randomness derives from a master seed
-through spawned child sequences, so runs are reproducible and independent
-of execution order; metric reductions use compensated summation.
+Episodes draw relay trajectories from the scenario chains, play an agent of
+one of two kinds, an oracle tree (the cellular baseline is a one-path tree)
+or the stored policy's execution rule (the reward argmax over the epoch's
+pairs at the current belief among those that fit the budget the plan left
+to this branch, see ``_Agent``), and accumulate discounted reward, cost, and
+energy efficiency. Episode randomness derives from a master seed through
+spawned child sequences, so runs are reproducible and independent of
+execution order; metric reductions use compensated summation.
 
 The multi-user entry point supports a centralized mode (gcpbvi's greedy
 over every UE's elements in one solve, a relay observed when any UE selects
@@ -43,10 +44,10 @@ from .solvers import (
     OracleTree,
     PolicySolution,
     _branch_obs,
-    _budget_tol,
     _Engine,
     _first_fit,
-    _ranked,
+    _play,
+    _Ranking,
     _solve_point_based,
     select_pair,  # unused here; perfbench/tracing.py wraps relayplan.sim.select_pair
     solve_gcpbvi,
@@ -149,47 +150,19 @@ def _groups(*columns: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class _Ranking:
-    """The stored pairs at one belief ``fb`` and epoch in ``solvers._ranked``
-    order, their per-UE costs-to-go there, and those at the posteriors seen
-    so far."""
-
-    fb: FactoredBelief
-    pairs: list
-    costs: np.ndarray
-    posteriors: dict = field(default_factory=dict)
-
-    def at_posterior(self, j: int, obs: Observation) -> list[float]:
-        """Pair ``j``'s per-UE costs-to-go at ``fb`` given the observation:
-        the observed relays' axes indexed, the others contracted with their
-        factors."""
-        key = (j, obs)
-        if key not in self.posteriors:
-            t = self.pairs[j].alpha_cs.reshape((-1,) + tuple(len(f) for f in self.fb.per_relay))
-            t = t[(slice(None),) + tuple(slice(None) if z is None else z for z in obs)]
-            for f, z in reversed(list(zip(self.fb.per_relay, obs))):
-                if z is None:
-                    t = t @ f
-            self.posteriors[key] = t.tolist()
-        return self.posteriors[key]
-
-
-@dataclass
 class _Agent:
-    """A decision maker for the UEs ``ues``: an oracle ``tree``, a fixed
-    ``action``, or the execution rule over ``epochs`` (each epoch's pairs).
+    """A decision maker for the UEs ``ues``, of two kinds: an oracle
+    ``tree``, or the execution rule over ``epochs`` (each epoch's pairs) at
+    the beliefs ``factors`` builds from belief ids.
 
-    The rule plays the first pair in ``solvers._ranked`` order at the belief
-    whose costs-to-go fit every UE's budget, or idles every UE. Budgets
-    start at ``c_th``; a UE's next one is ``(budget - the pair's cost-to-go
-    at the belief + its cost-to-go at the posterior of the observed branch -
-    the cost paid) / gamma``: what the plan gave that branch plus the slack.
-    Over the branches that is the budget, so the expected cost stays within
-    ``c_th``; and the plan's own continuation fits, so with exact beliefs
-    the policy earns at least its planned value.
-
-    ``ranking`` memoises the ranking per (epoch, belief ids), a pure function
-    of the two, and builds a ``FactoredBelief`` from ``factors`` on a miss.
+    The rule (``solvers._play``) plays the first pair in ``solvers._Ranking``
+    order whose costs-to-go fit every UE's budget, or idles every UE.
+    Budgets start at ``c_th``; a UE's next one is ``(budget - the pair's
+    cost-to-go at the belief + its cost-to-go at the posterior of the
+    observed branch - the cost paid) / gamma``: what the plan gave that
+    branch plus the slack. Over the branches that is the budget, so the
+    expected cost stays within ``c_th``; and the plan's own continuation
+    fits, so with exact beliefs the policy earns at least its planned value.
     """
 
     ues: tuple[int, ...]
@@ -197,30 +170,16 @@ class _Agent:
     epochs: list | None = None
     c_th: float = 0.0
     gamma: float = 1.0
-    action: Action | None = None
     tree: OracleTree | None = None
-    memo: dict = field(default_factory=dict)
 
     def act(self, epoch: int, fb: FactoredBelief, budgets: tuple, node):
         """``(actions, choice)`` at one belief; ``choice`` is the rule's
-        ``(ranking, j)``, ``j`` the played pair or None, and None for a tree
-        or a fixed action."""
+        ``(ranking, j)``, ``j`` the played pair or None, and None for a tree."""
         if self.tree is not None:
             return (node.action if node is not None else EMPTY_ACTION,), None
-        if self.epochs is None:
-            return (self.action,), None
-        ranking = _Ranking(fb, *_ranked(self.epochs[epoch - 1], fb))
-        j = _first_fit(ranking.costs, budgets, self.c_th)
-        if j is None:
-            return (EMPTY_ACTION,) * len(self.ues), (ranking, None)
-        return ranking.pairs[j].actions, (ranking, j)
-
-    def ranking(self, epoch: int, ids) -> _Ranking:
-        ranking = self.memo.get((epoch, ids))
-        if ranking is None:
-            fb = self.factors.belief(ids)
-            ranking = self.memo[(epoch, ids)] = _Ranking(fb, *_ranked(self.epochs[epoch - 1], fb))
-        return ranking
+        ranking, j = _play(self.epochs[epoch - 1], fb, budgets, self.c_th)
+        acts = (EMPTY_ACTION,) * len(self.ues) if j is None else ranking.pairs[j].actions
+        return acts, (ranking, j)
 
     def next_budgets(self, budgets: np.ndarray, planned, at_branch, spent) -> np.ndarray:
         """Each UE's next budget, elementwise: the played pair's costs-to-go
@@ -249,28 +208,21 @@ class _Walk:
     def choose(self, epoch: int) -> tuple[list, np.ndarray]:
         """This epoch's distinct choices, each ``(actions, how)``, and every
         run's index into them: ``how`` is the rule's ``(ranking, j)`` (see
-        ``_Agent.act``) or the tree node played. Rankings are looked up once
-        per distinct belief ids; the first fit is taken for every run at once
-        over the rankings' costs, padded with NaN, which fits no budget."""
+        ``_Agent.act``) or the tree node played. The pairs are ranked once per
+        distinct belief ids, and one ``_first_fit`` call fits every run."""
         agent = self.agent
         if agent.tree is not None:
             return [((EMPTY_ACTION if n is None else n.action,), n) for n in self.nodes], self.cursor
-        if agent.epochs is None:
-            return [((agent.action,), None)], self.cursor
         first, group = _groups(
             *((ids, self.n_regions) for ids in self.sid.T),
             *((ids, self.horizon) for ids in self.mid.T),
         )
         rankings = [
-            agent.ranking(epoch, tuple(zip(s, m)))
+            _Ranking.of(agent.epochs[epoch - 1], agent.factors.belief(tuple(zip(s, m))))
             for s, m in zip(self.sid[first].tolist(), self.mid[first].tolist())
         ]
-        width = max(len(ranking.pairs) for ranking in rankings)
-        costs = np.full((len(rankings), width, len(agent.ues)), np.nan)
-        for g, ranking in enumerate(rankings):
-            costs[g, : len(ranking.pairs)] = ranking.costs
-        fits = (costs[group] <= (self.budgets + _budget_tol(agent.c_th))[:, None, :]).all(axis=2)
-        j = np.where(fits.any(axis=1), fits.argmax(axis=1), width)
+        width = len(agent.epochs[epoch - 1])
+        j = _first_fit(np.stack([r.costs for r in rankings])[group], self.budgets, agent.c_th)
         first, inverse = _groups((group, len(rankings)), (j, width + 1))
         picks = zip((rankings[g] for g in group[first].tolist()), j[first].tolist())
         idle = (EMPTY_ACTION,) * len(agent.ues)
@@ -284,8 +236,6 @@ class _Walk:
         next budgets and tree nodes are looked up once per distinct choice
         and observation."""
         agent = self.agent
-        if agent.tree is None and agent.epochs is None:
-            return
         first, branch = _groups(
             (inverse, len(choices)),
             *((np.where(z, s, self.n_regions), self.n_regions + 1) for s, z in zip(state.T, seen.T)),
@@ -481,8 +431,16 @@ def baseline_cellular(
 ) -> SimulationMetrics:
     """Always plays the direct link; the with/without comparison reference."""
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    agent = _Agent((0,), None, action=Action((0,)))
-    return _simulate([agent], [_SimContext(with_single_ue(scenario, 0), chains)], n_runs, seed)
+    contexts = [_SimContext(with_single_ue(scenario, 0), chains)]
+    return _simulate([_cellular_agent(scenario)], contexts, n_runs, seed)
+
+
+def _cellular_agent(scenario: ScenarioConfig) -> _Agent:
+    """The cellular baseline: a one-path oracle tree playing the direct link."""
+    tree = None
+    for _ in range(scenario.horizon):
+        tree = OracleTree(Action((0,)), {} if tree is None else {(None,) * scenario.n_relays: tree})
+    return _Agent((0,), None, tree=tree)
 
 
 def exact_policy_value(

@@ -138,46 +138,67 @@ def _budget_tol(c_th: float) -> float:
     return 1e-9 * max(1.0, abs(c_th))
 
 
-def _ranked(pairs: list, fb: FactoredBelief) -> tuple[list, np.ndarray]:
-    """The execution rule's order at ``fb``: the pairs, best total reward
-    first, ties toward lower summed cost, then the smallest actions, and
-    their per-UE costs-to-go there as a (pairs, UEs) array in that order.
-    Values are sums over the belief's support, each pair's entries gathered
-    there."""
-    idx, b = joint_support(fb)
-    keyed = []
-    for pair in pairs:
-        if idx is None:
-            r, cs = pair.alpha_r.dot(b), pair.alpha_cs.dot(b).tolist()
-        else:
-            r, cs = pair.alpha_r.take(idx).dot(b), pair.alpha_cs.take(idx, axis=1).dot(b).tolist()
-        keyed.append((-float(r), sum(cs), pair.actions, cs, pair))
-    keyed.sort(key=itemgetter(0, 1, 2))
-    return [entry[4] for entry in keyed], np.array([entry[3] for entry in keyed])
+@dataclass
+class _Ranking:
+    """An epoch's ``pairs`` in the execution rule's order at the belief ``fb``
+    (best total reward first, ties toward lower summed cost, then the
+    smallest actions) and their per-UE costs-to-go there, ``costs``."""
+
+    fb: FactoredBelief
+    pairs: list
+    costs: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: list, fb: FactoredBelief) -> "_Ranking":
+        """The ranking at ``fb``, each pair's entries gathered on its support."""
+        idx, b = joint_support(fb)
+        keyed = []
+        for pair in pairs:
+            if idx is None:
+                r, cs = pair.alpha_r.dot(b), pair.alpha_cs.dot(b).tolist()
+            else:
+                r, cs = pair.alpha_r.take(idx).dot(b), pair.alpha_cs.take(idx, axis=1).dot(b).tolist()
+            keyed.append((-float(r), sum(cs), pair.actions, cs, pair))
+        keyed.sort(key=itemgetter(0, 1, 2))
+        return cls(fb, [entry[4] for entry in keyed], np.array([entry[3] for entry in keyed]))
+
+    def at_posterior(self, j: int, obs: Observation) -> list[float]:
+        """Pair ``j``'s per-UE costs-to-go at ``fb`` given the observation:
+        the observed relays' axes indexed, the others contracted with their
+        factors."""
+        t = self.pairs[j].alpha_cs.reshape((-1,) + tuple(len(f) for f in self.fb.per_relay))
+        t = t[(slice(None),) + tuple(slice(None) if z is None else z for z in obs)]
+        for f, z in reversed(list(zip(self.fb.per_relay, obs))):
+            if z is None:
+                t = t @ f
+        return t.tolist()
 
 
-def _first_fit(costs: np.ndarray, budgets: tuple, c_th: float) -> int | None:
-    """The first row of ``costs`` (pairs, UEs) in which every UE's
-    cost-to-go fits its budget, or None."""
-    tol = _budget_tol(c_th)
-    for j in range(len(costs)):
-        if all(costs.item(j, u) <= d + tol for u, d in enumerate(budgets)):
-            return j
-    return None
+def _first_fit(costs: np.ndarray, budgets: np.ndarray, c_th: float) -> np.ndarray:
+    """Per row of ``costs`` (rows, pairs, UEs), the first pair whose every
+    UE's cost-to-go fits that row's budget in ``budgets`` (rows, UEs), or
+    the pair count where none fits and the rule idles."""
+    fits = (costs <= (budgets + _budget_tol(c_th))[:, None, :]).all(axis=2)
+    return np.where(fits.any(axis=1), fits.argmax(axis=1), costs.shape[1])
+
+
+def _play(pairs: list, fb: FactoredBelief, budgets: tuple, c_th: float) -> tuple[_Ranking, int | None]:
+    """The execution rule at one belief: the ranking of ``pairs`` at ``fb``
+    and the first of them that fits ``budgets``, or None."""
+    ranking = _Ranking.of(pairs, fb)
+    (j,) = _first_fit(ranking.costs[None], np.array([budgets], dtype=float), c_th).tolist()
+    return ranking, (j if j < len(pairs) else None)
 
 
 def select_pair(
     policy: PolicySolution, epoch: int, fb: FactoredBelief
 ) -> tuple[AlphaPair | None, tuple[Action, ...]]:
-    """Execution rule at the full budgets: the first pair of ``_ranked``
-    whose every UE's cost-to-go at ``fb`` fits ``c_th``, with its actions, or
-    ``(None, empty actions)``. Episodes pass later epochs the budgets the
-    plan left them (``sim._Agent``)."""
-    ranked, costs = _ranked(policy.epochs[epoch - 1], fb)
-    j = _first_fit(costs, (policy.c_th,) * policy.n_ues, policy.c_th)
-    if j is None:
-        return None, (EMPTY_ACTION,) * policy.n_ues
-    return ranked[j], ranked[j].actions
+    """Execution rule at the full budgets (``_play``): the best-ranked pair
+    whose every UE's cost-to-go at ``fb`` fits ``c_th`` and its actions, or
+    ``(None, empty actions)``; episodes pass the budgets left (``sim._Agent``)."""
+    ranking, j = _play(policy.epochs[epoch - 1], fb, (policy.c_th,) * policy.n_ues, policy.c_th)
+    pair = None if j is None else ranking.pairs[j]
+    return pair, (EMPTY_ACTION,) * policy.n_ues if pair is None else pair.actions
 
 
 def _running_records(rs: np.ndarray) -> np.ndarray:

@@ -21,6 +21,16 @@ ENTRY_POINTS = {
     "total_cost",
 }
 
+# Result fields the simulator fills for its callers, as ``run_episode``'s
+# trace and ``SimulationMetrics``: the package writes them and reads none.
+RESULT_FIELDS = {
+    "EpochRecord.observations",
+    "EpisodeTrace.cum_reward",
+    "EpisodeTrace.cum_cost",
+    "EpisodeTrace.cum_ee",
+    "SimulationMetrics.stderr_cost",
+}
+
 
 def _modules() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -53,20 +63,41 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
 
 
+def _members(node: ast.stmt) -> list[tuple[str, ast.stmt]]:
+    """The non-dunder methods and annotated (dataclass) fields of a class
+    statement, each with the statement that defines it."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    out = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef):
+            out.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            out.append((stmt.target.id, stmt))
+    return [(member, stmt) for member, stmt in out if not member.startswith("__")]
+
+
 def test_every_top_level_definition_is_used():
+    """Every top-level definition, class method and dataclass field is read
+    somewhere in the package outside its own definition."""
     modules = _modules()
     del modules["__init__.py"]
     unused = []
     for name, tree in modules.items():
         for node in tree.body:
             own = set(ast.walk(node))
-            for defined in _defined_names(node):
+            defined = [(d, own, d in ENTRY_POINTS) for d in _defined_names(node)]
+            defined += [
+                (member, set(ast.walk(stmt)), f"{node.name}.{member}" in RESULT_FIELDS)
+                for member, stmt in _members(node)
+            ]
+            for what, skip, entry_point in defined:
                 used = any(
-                    defined in _used_names(other, own if other_name == name else set())
+                    what in _used_names(other, skip if other_name == name else set())
                     for other_name, other in modules.items()
                 )
-                if not used and defined not in ENTRY_POINTS:
-                    unused.append(f"{name}:{defined}")
+                if not used and not entry_point:
+                    unused.append(f"{name}:{what}")
     assert unused == []
 
 
@@ -78,6 +109,13 @@ def test_entry_points_exist():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert ENTRY_POINTS <= defined
+    members = {
+        f"{node.name}.{member}"
+        for tree in _modules().values()
+        for node in tree.body
+        for member, _ in _members(node)
+    }
+    assert RESULT_FIELDS <= members
 
 
 def test_every_export_resolves():

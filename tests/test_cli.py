@@ -6,7 +6,7 @@ import pytest
 
 from relayplan.cli import main
 from relayplan.mobility import chains_for_scenario
-from relayplan.model import load_scenario, save_scenario, with_single_ue
+from relayplan.model import DirectLink, load_scenario, save_scenario, with_single_ue
 from relayplan.sim import METRIC_COLUMNS, metrics_rows, monte_carlo, run_multiuser, write_csv
 from relayplan.solvers import load_policy
 
@@ -60,6 +60,17 @@ class TestGenerate:
         assert "--relays and --ues must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_direct_cost_without_direct_reward_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run(["generate", "--grid", "4x4", "--relays", "1", "--direct-cost", "5", "--out", out]) == 2
+        assert "--direct-cost needs --direct-reward" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_direct_reward_alone_costs_0(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run(["generate", "--grid", "4x4", "--relays", "1", "--direct-reward", "7", "--out", out]) == 0
+        assert load_scenario(out).direct_link == DirectLink(7.0, 0.0)
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -71,10 +82,8 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["exact", "oracle", "cpbvi", "gcpbvi", "centralized"])
     def test_all_methods_on_tiny(self, tiny_scenario, tmp_path, method):
         out = tmp_path / f"{method}.json"
-        assert run([
-            "solve", "--scenario", tiny_scenario, "--method", method,
-            "--belief-h", "2", "--out", out,
-        ]) == 0
+        depth = ["--belief-h", "2"] if method in ("cpbvi", "gcpbvi", "centralized") else []
+        assert run(["solve", "--scenario", tiny_scenario, "--method", method, *depth, "--out", out]) == 0
         assert out.exists()
         report = out.with_suffix(".report.txt").read_text()
         assert f"method={method}" in report
@@ -114,6 +123,14 @@ class TestSolve:
                 "--eps", "50.0", "--belief-h", "2", "--out", out,
             ])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["exact", "oracle"])
+    @pytest.mark.parametrize("flag", [["--belief-h", "2"], ["--belief-cap", "8"], ["--eps", "50.0"]])
+    def test_belief_flags_without_a_belief_set_exit_2(self, tiny_scenario, tmp_path, capsys, method, flag):
+        out = tmp_path / "p.npz"
+        assert run(["solve", "--scenario", tiny_scenario, "--method", method, *flag, "--out", out]) == 2
+        assert f"--method {method} uses no belief set; drop {flag[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oracle_over_cap_exits_3(self, tmp_path):
@@ -393,6 +410,20 @@ class TestCompare:
         ]) == 2
         assert "--speeds" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestManifest:
+    def test_manifest_holds_the_arguments_as_json(self, tiny_scenario, tmp_path):
+        """The arguments given, without the command's function (a memory
+        address) or a value turned into its ``str``: the same command writes
+        the same manifest."""
+        out = tmp_path / "p.npz"
+        run(["solve", "--scenario", tiny_scenario, "--method", "gcpbvi", "--belief-h", "2", "--out", out])
+        manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
+        assert manifest["args"] == {
+            "command": "solve", "scenario": str(tiny_scenario), "method": "gcpbvi",
+            "belief_h": 2, "out": str(out),
+        }
 
 
 class TestBench:

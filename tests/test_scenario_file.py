@@ -389,7 +389,26 @@ def test_save_scenario_writes_the_reference_bytes(scenario):
     assert written == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
     blob = json.dumps(want, sort_keys=True).encode()
     assert scenario.fingerprint() == hashlib.sha256(blob).hexdigest()[:16]
-    assert again == scenario  # ints read back as floats: equal values, not equal bytes
+    assert again == scenario
+    assert again.fingerprint() == scenario.fingerprint()  # the numbers are floats either way
+
+
+def test_integers_in_code_fingerprint_like_the_file():
+    """Numbers given as ints are stored as floats, as a file reads them, so a
+    policy solved on a scenario built in code matches its saved file."""
+    scenario = ScenarioConfig(
+        grid_x=1, grid_y=1, relays=(RelaySpec(0, 1, (1, 1)),), ues=(UeSpec((1, 1)),),
+        bs_position=(1, 1), r_max=1, c_max=1, c_th=0, horizon=1, gamma=0,
+        direct_link=DirectLink(3, 2),
+    )
+    numbers = (scenario.r_max, scenario.c_max, scenario.c_th, scenario.gamma,
+               scenario.relays[0].eps_fix, *dataclasses.astuple(scenario.direct_link))
+    assert all(type(x) is float for x in numbers)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sc.json")
+        save_scenario(scenario, path)
+        assert load_scenario(path).fingerprint() == scenario.fingerprint()
+    assert dataclasses.replace(scenario, direct_link=None).fingerprint() == "8aca60cd45cf9e7b"
 
 
 def test_layout_names_every_field():

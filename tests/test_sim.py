@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import advance_ids, line_scenario, random_instance
 from relayplan.alpha import AlphaPair
@@ -31,6 +33,7 @@ from relayplan.sim import (
     metrics_rows,
     monte_carlo,
     _Agent,
+    _cellular_agent,
     _multi_user,
     _play_policy,
     _groups,
@@ -42,7 +45,7 @@ from relayplan.sim import (
     solve_centralized,
     write_csv,
 )
-from relayplan.solvers import brute_force_oracle, solve_gcpbvi
+from relayplan.solvers import _first_fit, _Ranking, brute_force_oracle, solve_gcpbvi
 
 
 class TestRunEpisode:
@@ -135,7 +138,7 @@ class TestBatch:
         scenario, chains = random_instance(rng, k=k, n=n, t=t, gamma=gamma, c_th=c_th)
         ues = tuple(UeSpec((int(rng.integers(1, n + 1)), 1)) for _ in range(3))
         multi = dataclasses.replace(scenario, ues=ues)
-        cellular = _Agent((0,), None, action=Action((0,)))
+        cellular = _cellular_agent(scenario)
         kinds = {
             "alpha": _play_policy(solve_gcpbvi(scenario, chains, h=2, cap=8), scenario, chains),
             "oracle": _play_policy(brute_force_oracle(scenario, chains), scenario, chains),
@@ -505,6 +508,87 @@ class TestMultiUser:
         sc = self._two_ue_scenario()
         with pytest.raises(ValidationError):
             run_multiuser(sc, "federated")
+
+
+def _scalar_first_fit(costs, budgets, c_th) -> list[int]:
+    """Per row, the first pair whose every UE's cost fits its budget plus
+    the tolerance, or the pair count: the reference for ``_first_fit``."""
+    tol = 1e-9 * max(1.0, abs(c_th))
+    return [
+        next((j for j, cs in enumerate(row) if all(c <= b + tol for c, b in zip(cs, budget))), len(row))
+        for row, budget in zip(costs.tolist(), budgets.tolist())
+    ]
+
+
+class TestOneRule:
+    """One ranking and one first fit serve ``select_pair``, ``_Agent.act``
+    and the batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+        c_th=st.sampled_from([0.0, 1.0, 300.0, 1e6]),
+        data=st.data(),
+    )
+    def test_first_fit_is_the_scalar_loop(self, shape, c_th, data):
+        rows, pairs, ues = shape
+        tol = 1e-9 * max(1.0, abs(c_th))
+        levels = [0.0, 1.0, c_th, 0.5 * c_th, math.inf]
+        budgets = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(levels), min_size=ues, max_size=ues),
+            min_size=rows, max_size=rows,
+        )))
+        # each cost sits exactly on a budget plus the tolerance, one ulp past
+        # it, below every budget, or above every one (an all-idle row)
+        edges = [b + tol for b in levels if b < math.inf]
+        pool = [0.0, 2e6, *edges, *(float(np.nextafter(e, math.inf)) for e in edges)]
+        costs = np.array(data.draw(st.lists(
+            st.lists(st.lists(st.sampled_from(pool), min_size=ues, max_size=ues),
+                     min_size=pairs, max_size=pairs),
+            min_size=rows, max_size=rows,
+        )))
+        want = _scalar_first_fit(costs, budgets, c_th)
+        assert _first_fit(costs, budgets, c_th).tolist() == want
+        # a row that fits nothing idles; a row of infinite budgets fits pair 0
+        assert _first_fit(np.full((1, pairs, ues), 2e6), np.zeros((1, ues)), c_th).tolist() == [pairs]
+        assert _first_fit(costs[:1], np.full((1, ues), math.inf), c_th).tolist() == [0]
+
+    @pytest.mark.parametrize("n_ues", [1, 3])
+    def test_a_run_ranks_each_epoch_and_belief_once(self, monkeypatch, n_ues):
+        """Rankings are not memoised, so a batch must build at most one per
+        epoch's pairs and belief: the key is the pair list and the ids of the
+        belief's ``FactorTable`` factors, which the table keeps alive."""
+        rng = np.random.default_rng(40 + n_ues)
+        scenario, chains = random_instance(rng, k=2, n=3, t=4, gamma=0.9)
+        ues = tuple(UeSpec((int(rng.integers(1, 4)), 1)) for _ in range(n_ues))
+        multi = dataclasses.replace(scenario, ues=ues)
+        policy = solve_centralized(multi, chains, h=2, cap=8)
+        built = []
+        of = _Ranking.of.__func__
+
+        def counted(cls, pairs, fb):
+            built.append((id(pairs), tuple(id(f) for f in fb.per_relay)))
+            return of(cls, pairs, fb)
+
+        monkeypatch.setattr(_Ranking, "of", classmethod(counted))
+        monte_carlo(policy, multi, 300, seed=3, chains=chains)
+        assert built and len(set(built)) == len(built)
+
+    def test_cellular_plays_the_direct_link_every_epoch(self):
+        """A direct link of cost 5 against a budget of 0: a tree knows no
+        budget, so it plays option 0 at every epoch regardless."""
+        sc = line_scenario(3, [2], horizon=4, c_th=0.0, gamma=0.9, direct=(30.0, 5.0))
+        chains = chains_for_scenario(sc)
+        trace = run_episode([_cellular_agent(sc)], [_SimContext(sc, chains)], seed=4)
+        assert [rec.actions for rec in trace.records] == [(Action((0,)),)] * 4
+        assert [rec.observations for rec in trace.records] == [((None,),)] * 4
+        weights = [0.9**t for t in range(4)]
+        assert trace.cum_reward == (sum(w * 30.0 for w in weights),)
+        assert trace.cum_cost == (sum(w * 5.0 for w in weights),)
+        metrics = baseline_cellular(sc, 25, seed=8, chains=chains)
+        assert metrics.avg_cum_reward == pytest.approx(30.0 * sum(weights), rel=1e-12)
+        assert metrics.avg_cum_cost == pytest.approx(5.0 * sum(weights), rel=1e-12)
+        assert metrics.stderr_cost == 0.0
 
 
 class TestSelectMulti:
