@@ -1,5 +1,8 @@
-"""Alpha-vector pairs over the joint relay-location space and the
-tabulated immediate reward and cost of an action.
+"""Alpha-vector pairs over the joint relay-location space, and what an
+action pays, read from one option table of ``model.option_tables``: summed
+over its options at every joint state (``tabulate``) or in expectation at a
+factored belief (``expectation``). The solvers, the oracle and the exact
+policy evaluation read immediate rewards and costs only through these two.
 
 Vectors are dense and flat over the joint space (row-major relay order,
 ``n_regions`` per axis). The backups in ``solvers`` build every other
@@ -16,7 +19,7 @@ import numpy as np
 
 from .belief import FactoredBelief, joint_belief
 from .errors import ValidationError
-from .model import Action, ScenarioConfig, cost_vector, reward_vector
+from .model import Action, ScenarioConfig, option_tables
 
 
 @dataclass
@@ -48,25 +51,32 @@ class AlphaPair:
         return float(self.alpha_r @ b), max(float(c @ b) for c in self.alpha_cs)
 
 
-def _tabulate(scenario: ScenarioConfig, action: Action, direct: float, vector) -> np.ndarray:
-    """Sum over the options of ``action`` of ``direct`` (option 0) or the
-    per-region ``vector(i)`` of relay ``i``, over joint states, flat."""
-    out = np.zeros((scenario.n_regions,) * scenario.n_relays)
+def tabulate(rows: np.ndarray, action: Action) -> np.ndarray:
+    """The sum over the options of ``action`` of their ``rows``, an option
+    table (K + 1, n) of ``model.option_tables``, over joint states, flat:
+    relay ``i``'s row along axis ``i``, the direct link's everywhere."""
+    k = len(rows) - 1
+    out = np.zeros((rows.shape[1],) * k)
     for i in action:
-        if i == 0:
-            out += direct
-        else:
-            out += vector(i).reshape((1,) * (i - 1) + (-1,) + (1,) * (scenario.n_relays - i))
+        out += rows[0, 0] if i == 0 else rows[i].reshape((1,) * (i - 1) + (-1,) + (1,) * (k - i))
     return out.reshape(-1)
+
+
+def expectation(rows: np.ndarray, action: Action, fb: FactoredBelief) -> float:
+    """The mean of ``action``'s option ``rows`` at ``fb``: the sum over the
+    selected options of each relay's row under its own belief factor, and
+    the direct link's as it is."""
+    total = float(rows[0, 0]) if 0 in action else 0.0
+    for i in action.relays:
+        total += float(fb.per_relay[i - 1] @ rows[i])
+    return total
 
 
 def reward_tensor(scenario: ScenarioConfig, action: Action, ue: int = 0) -> np.ndarray:
     """R(., a) tabulated over joint states, flat."""
-    return _tabulate(
-        scenario, action, scenario.direct_reward(ue), lambda i: reward_vector(scenario, i, ue)
-    )
+    return tabulate(option_tables(scenario)[0][ue], action)
 
 
 def cost_tensor(scenario: ScenarioConfig, action: Action) -> np.ndarray:
     """C(., a) tabulated over joint states, flat."""
-    return _tabulate(scenario, action, scenario.direct_cost(), lambda i: cost_vector(scenario, i))
+    return tabulate(option_tables(scenario)[1], action)

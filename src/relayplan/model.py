@@ -234,17 +234,17 @@ def relay_cost(region: int, relay_index: int, scenario: ScenarioConfig) -> float
     return scenario.c_max / ((scenario.grid_x - x + 1) + (scenario.grid_y - y + 1))
 
 
-def reward_vector(scenario: ScenarioConfig, relay_index: int, ue: int = 0) -> np.ndarray:
-    """Per-region reward table for one relay, as a vector over region indices."""
-    return np.array(
-        [relay_reward(s, relay_index, scenario, ue) for s in range(scenario.n_regions)]
-    )
-
-
-def cost_vector(scenario: ScenarioConfig, relay_index: int) -> np.ndarray:
-    return np.array(
-        [relay_cost(s, relay_index, scenario) for s in range(scenario.n_regions)]
-    )
+def option_tables(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """What every option pays in every region: each UE's rewards
+    (N, K + 1, n) and the costs (K + 1, n), row 0 the direct link (the same
+    in every region) and row ``i`` relay ``i``."""
+    options, regions = range(scenario.n_relays + 1), range(scenario.n_regions)
+    rewards = np.array([
+        [[relay_reward(s, i, scenario, u) for s in regions] for i in options]
+        for u in range(scenario.n_ues)
+    ])
+    costs = np.array([[relay_cost(s, i, scenario) for s in regions] for i in options])
+    return rewards, costs
 
 
 def total_reward(state: JointState, action: Action, scenario: ScenarioConfig, ue: int = 0) -> float:
@@ -266,13 +266,10 @@ def total_cost(state: JointState, action: Action, scenario: ScenarioConfig) -> f
 
 def value_ranges(scenario: ScenarioConfig) -> tuple[float, float]:
     """Spread between the best and worst one-epoch total reward and cost."""
-    relays = range(1, scenario.n_relays + 1)
-    r_hi = max(
-        scenario.direct_reward(u) + sum(float(reward_vector(scenario, i, u).max()) for i in relays)
-        for u in range(scenario.n_ues)
-    )
-    c_hi = scenario.direct_cost() + sum(float(cost_vector(scenario, i).max()) for i in relays)
-    return r_hi, c_hi
+    rewards, costs = option_tables(scenario)
+    r_hi = max(best[0] + sum(best[1:]) for best in rewards.max(axis=2).tolist())
+    best = costs.max(axis=1).tolist()
+    return r_hi, best[0] + sum(best[1:])
 
 
 # --- scenario file schema ------------------------------------------------

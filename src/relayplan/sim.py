@@ -15,7 +15,9 @@ it, budgets per UE) and a distributed mode (independent single-UE gcpbvi
 solves and private beliefs in a shared world). A policy plays the first N
 UEs of a scenario, N = 1 for a single user. Single-user runs and both modes
 share one episode loop, ``_run_batch``, which steps all of a run's episodes
-together as arrays, one execution rule and one metric reduction.
+together as arrays, one execution rule and one metric reduction, in one
+world per run (``_World``): the option tables of the UEs played, read for
+every UE at once, and the relay-state sampler, built once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alpha import expectation
 from .belief import FactoredBelief, FactorTable, Observation, advance_belief
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
@@ -34,8 +37,7 @@ from .model import (
     Action,
     JointState,
     ScenarioConfig,
-    cost_vector,
-    reward_vector,
+    option_tables,
     total_cost,
     with_single_ue,
 )
@@ -44,7 +46,6 @@ from .solvers import (
     OracleTree,
     PolicySolution,
     _branch_obs,
-    _Engine,
     _first_fit,
     _play,
     _Ranking,
@@ -95,25 +96,27 @@ class SimulationMetrics:
     per_ue: list[dict] = field(default_factory=list)
 
 
-class _SimContext:
-    """One UE's reward and cost tables, and the relay-state sampler."""
+class _World:
+    """What a run's episodes share, built once: the option tables (see
+    ``model.option_tables``) of the UEs played, the first ``n_ues`` of
+    ``scenario``, and the relay-state sampler rows of ``chains``."""
 
-    def __init__(self, scenario: ScenarioConfig, chains: list[MarkovChain]):
+    def __init__(self, scenario: ScenarioConfig, chains: list[MarkovChain], n_ues: int):
         self.scenario = scenario
-        self.r_vecs = {i: reward_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
-        self.c_vecs = {i: cost_vector(scenario, i) for i in range(1, scenario.n_relays + 1)}
+        rewards, self.costs = option_tables(scenario)
+        self.rewards = rewards[:n_ues]
         self.cum_rows = [_sampling_rows(c.matrix) for c in chains]
 
     def outcomes(self, states: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rewards and costs in ``states`` (runs, K) of the actions whose
-        options ``sel`` (runs, K + 1) marks, summed as ``model.total_reward``
-        and ``total_cost`` sum them."""
-        r = np.where(sel[:, 0], self.scenario.direct_reward(), 0.0)
-        c = np.where(sel[:, 0], self.scenario.direct_cost(), 0.0)
-        for i in self.r_vecs:
-            np.add(r, self.r_vecs[i][states[:, i - 1]], out=r, where=sel[:, i])
-            np.add(c, self.c_vecs[i][states[:, i - 1]], out=c, where=sel[:, i])
-        return r, c
+        """Every UE's rewards and costs (runs, UEs) in ``states`` (runs, K) of
+        the actions whose options ``sel`` (UEs, runs, K + 1) marks, summed
+        option by option as ``model.total_reward`` and ``total_cost`` sum them."""
+        r = np.where(sel[..., 0], self.rewards[:, 0, :1], 0.0)
+        c = np.where(sel[..., 0], self.costs[0, 0], 0.0)
+        for i, s in enumerate(states.T, start=1):
+            np.add(r, self.rewards[:, i, s], out=r, where=sel[..., i])
+            np.add(c, self.costs[i, s], out=c, where=sel[..., i])
+        return r.T, c.T
 
     def step_states(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """The next relay states of a batch, ``states`` and ``draws`` both
@@ -274,9 +277,9 @@ def _policy_agent(policy, factors: FactorTable | None, first_ue: int = 0) -> _Ag
 
 def _play_policy(
     policy, scenario: ScenarioConfig, chains: list[MarkovChain]
-) -> tuple[list[_Agent], list[_SimContext]]:
-    """The agent of ``policy`` and the contexts of the UEs it plays, the
-    first of ``scenario``."""
+) -> tuple[list[_Agent], _World]:
+    """The agent of ``policy`` and the world of the UEs it plays, the first
+    of ``scenario``."""
     if policy.horizon != scenario.horizon:
         raise ValidationError(
             f"policy horizon {policy.horizon} does not match scenario horizon {scenario.horizon}"
@@ -284,17 +287,17 @@ def _play_policy(
     agent = _policy_agent(policy, FactorTable(chains))
     if len(agent.ues) > scenario.n_ues:
         raise ValidationError(f"policy plays {len(agent.ues)} UEs; scenario has {scenario.n_ues}")
-    return [agent], [_SimContext(with_single_ue(scenario, u), chains) for u in agent.ues]
+    return [agent], _World(scenario, chains, len(agent.ues))
 
 
 def _run_batch(
-    agents: list[_Agent], contexts: list[_SimContext], seeds: list
+    agents: list[_Agent], world: _World, seeds: list
 ) -> tuple[np.ndarray, np.ndarray, list[EpochRecord]]:
-    """The episodes of ``seeds``, played together, a row of arrays per
-    episode; identical seeds produce identical episodes.
+    """The episodes of ``seeds``, played together in ``world``, a row of
+    arrays per episode; identical seeds produce identical episodes.
 
-    ``contexts`` holds one context per UE; ``agents`` are one agent for a
-    single user, one per UE (distributed) or one for all UEs (centralized).
+    ``agents`` are one agent for a single user, one per UE (distributed) or
+    one for all UEs (centralized), and between them play the world's UEs.
     Each agent carries its own belief ids, oracle-tree cursor and per-UE
     budgets (see ``_Walk``), and observes the relays its UEs selected. Each
     episode's uniforms are drawn up front from its own seed, bitwise the
@@ -304,25 +307,25 @@ def _run_batch(
     ``(runs, 3, T, UEs)``, their per-UE running sums in epoch order
     ``(runs, 3, UEs)``, and the first episode's epoch records.
     """
-    scenario = contexts[0].scenario
+    scenario = world.scenario
     horizon, gamma, k = scenario.horizon, scenario.gamma, scenario.n_relays
-    runs = len(seeds)
+    runs, n_ues = len(seeds), len(world.rewards)
     draws = np.empty((runs, horizon - 1, k))
     for row, seed in zip(draws, seeds):
         np.random.default_rng(seed).random(out=row)
     state = np.tile(np.asarray(scenario.initial_states, dtype=np.int64), (runs, 1))
     walks = [_Walk(agent, scenario, runs) for agent in agents]
-    terms = np.empty((runs, 3, horizon, len(contexts)))
-    cum = np.zeros((runs, 3, len(contexts)))
+    terms = np.empty((runs, 3, horizon, n_ues))
+    cum = np.zeros((runs, 3, n_ues))
     records = []
     for epoch in range(1, horizon + 1):
         decided = [walk.choose(epoch) for walk in walks]
-        sel = np.zeros((len(contexts), runs, k + 1), dtype=bool)
+        sel = np.zeros((n_ues, runs, k + 1), dtype=bool)
         for walk, (choices, inverse) in zip(walks, decided):
             for q, u in enumerate(walk.agent.ues):
                 options = [[o in acts[q] for o in range(k + 1)] for acts, _ in choices]
                 sel[u] = np.array(options)[inverse]
-        rewards, costs = np.stack([ctx.outcomes(state, s) for ctx, s in zip(contexts, sel)], axis=2)
+        rewards, costs = world.outcomes(state, sel)
         ees = np.divide(rewards, costs, out=np.zeros_like(rewards), where=costs > 0)
         w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
         for m, term in enumerate((w * rewards, w * costs, w_ee * ees)):
@@ -338,29 +341,27 @@ def _run_batch(
         if epoch < horizon:
             for walk, (choices, inverse), z in zip(walks, decided, seen):
                 walk.advance(choices, inverse, state, z, costs[:, list(walk.agent.ues)])
-            state = contexts[0].step_states(state, draws[:, epoch - 1])
+            state = world.step_states(state, draws[:, epoch - 1])
     return terms, cum, records
 
 
 def run_episode(
     agents: list[_Agent],
-    contexts: list[_SimContext],
+    world: _World,
     seed: int | np.random.SeedSequence = 0,
 ) -> EpisodeTrace:
     """One seeded episode with its epoch records: the batch of one seed (see
     ``_run_batch``); identical seeds produce identical traces."""
-    _, cum, records = _run_batch(agents, contexts, [seed])
+    _, cum, records = _run_batch(agents, world, [seed])
     return EpisodeTrace(records, *(tuple(x) for x in cum[0].tolist()))
 
 
-def _simulate(
-    agents: list[_Agent], contexts: list[_SimContext], n_runs: int, seed: int
-) -> SimulationMetrics:
+def _simulate(agents: list[_Agent], world: _World, n_runs: int, seed: int) -> SimulationMetrics:
     """The batch of ``n_runs`` episodes on seeds spawned from ``seed``, reduced."""
     if n_runs < 1:
         raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-    terms, cum, _ = _run_batch(agents, contexts, np.random.SeedSequence(seed).spawn(n_runs))
-    return _reduce(terms, cum, contexts[0].scenario)
+    terms, cum, _ = _run_batch(agents, world, np.random.SeedSequence(seed).spawn(n_runs))
+    return _reduce(terms, cum, world.scenario)
 
 
 def monte_carlo(
@@ -431,8 +432,7 @@ def baseline_cellular(
 ) -> SimulationMetrics:
     """Always plays the direct link; the with/without comparison reference."""
     chains = chains if chains is not None else chains_for_scenario(scenario)
-    contexts = [_SimContext(with_single_ue(scenario, 0), chains)]
-    return _simulate([_cellular_agent(scenario)], contexts, n_runs, seed)
+    return _simulate([_cellular_agent(scenario)], _World(scenario, chains, 1), n_runs, seed)
 
 
 def _cellular_agent(scenario: ScenarioConfig) -> _Agent:
@@ -475,7 +475,7 @@ def exact_policy_value(
     cursor = agent.tree
     if cursor is not None and (fb is not None or epoch != 1 or action is not None):
         raise ValidationError("a tree policy is evaluated from its root only")
-    engine = _Engine(scenario, chains)
+    rewards, costs = option_tables(scenario)
 
     def recurse(e: int, b: FactoredBelief, cursor, act: Action | None, budget: float):
         if e > horizon:
@@ -483,7 +483,7 @@ def exact_policy_value(
         choice = None
         if act is None:
             (act,), choice = agent.act(e, b, (budget,), cursor)
-        total_r, total_c = engine.rho(act, b)
+        total_r, total_c = expectation(rewards[0], act, b), expectation(costs, act, b)
         sel = act.relays
         # with no selected relays the product yields the single empty branch
         supports = [np.flatnonzero(b.per_relay[i - 1] > 0.0) for i in sel]
@@ -552,9 +552,9 @@ def _multi_user(
     chains: list[MarkovChain],
     h: int | None,
     cap: int,
-) -> tuple[list[_Agent], list[_SimContext]]:
-    """The solved agents and per-UE contexts of a multi-user run: one agent
-    for all UEs (centralized) or one single-user agent per UE (distributed)."""
+) -> tuple[list[_Agent], _World]:
+    """The solved agents and the world of a multi-user run: one agent for
+    all UEs (centralized) or one single-user agent per UE (distributed)."""
     if mode == "centralized":
         policy = solve_centralized(scenario, chains, h=h, cap=cap)
         return _play_policy(policy, scenario, chains)
@@ -563,7 +563,7 @@ def _multi_user(
         _policy_agent(solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, cap=cap), factors, u)
         for u in range(scenario.n_ues)
     ]
-    return agents, [_SimContext(with_single_ue(scenario, u), chains) for u in range(scenario.n_ues)]
+    return agents, _World(scenario, chains, scenario.n_ues)
 
 
 def run_multiuser(

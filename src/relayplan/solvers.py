@@ -74,11 +74,10 @@ from .model import (
     _as_int,
     _as_number,
     all_actions,
-    cost_vector,
-    reward_vector,
+    option_tables,
     value_ranges,
 )
-from .alpha import AlphaPair, cost_tensor, reward_tensor
+from .alpha import AlphaPair, cost_tensor, expectation, reward_tensor, tabulate
 
 ORACLE_STATE_CAP = 64
 ORACLE_HORIZON_CAP = 3
@@ -357,7 +356,6 @@ class _Engine:
     assembly, for one UE or several sharing the relays."""
 
     def __init__(self, scenario: ScenarioConfig, chains: list[MarkovChain]):
-        self.scenario = scenario
         self.chains = chains
         self.gamma = scenario.gamma
         self.c_th = scenario.c_th
@@ -379,9 +377,8 @@ class _Engine:
         )
         self._reward_flat: dict[tuple, np.ndarray] = {}
         self._cost_flat: dict[tuple, np.ndarray] = {}
-        relays = range(1, self.k + 1)
-        self.r_vecs = [{i: reward_vector(scenario, i, u) for i in relays} for u in range(scenario.n_ues)]
-        self.c_vecs = {i: cost_vector(scenario, i) for i in relays}
+        self.rewards, self.costs = option_tables(scenario)
+        self.singles = [Action((e,)) for e in range(self.k + 1)]
 
     @contextmanager
     def timed(self, phase: str):
@@ -395,25 +392,14 @@ class _Engine:
     def reward_flat(self, action: Action, ue: int = 0) -> np.ndarray:
         key = (ue, action.selected)
         if key not in self._reward_flat:
-            self._reward_flat[key] = reward_tensor(self.scenario, action, ue)
+            self._reward_flat[key] = tabulate(self.rewards[ue], action)
         return self._reward_flat[key]
 
     def cost_flat(self, action: Action) -> np.ndarray:
         key = action.selected
         if key not in self._cost_flat:
-            self._cost_flat[key] = cost_tensor(self.scenario, action)
+            self._cost_flat[key] = tabulate(self.costs, action)
         return self._cost_flat[key]
-
-    def rho(self, action: Action, fb: FactoredBelief, ue: int = 0) -> tuple[float, float]:
-        """Expected immediate (reward, cost) of ``action`` for UE ``ue`` at
-        ``fb``: the sum of the selected options' means under their own
-        belief factors."""
-        r = self.scenario.direct_reward(ue) if 0 in action else 0.0
-        c = self.scenario.direct_cost() if 0 in action else 0.0
-        for i in action.relays:
-            r += float(fb.per_relay[i - 1] @ self.r_vecs[ue][i])
-            c += float(fb.per_relay[i - 1] @ self.c_vecs[i])
-        return r, c
 
     def predict(self, stack: np.ndarray) -> np.ndarray:
         """``gamma * T @ alpha`` for every row ``alpha`` of ``stack``.
@@ -450,7 +436,8 @@ class _Engine:
         if g is not None:
             with self.timed("time_score_s"):
                 scores = _SupportScores(g, fb, self.counters)
-        imm = [[self.rho(Action((e,)), fb, u) for e in range(self.k + 1)] for u in range(self.scenario.n_ues)]
+        costs = [expectation(self.costs, a, fb) for a in self.singles]
+        imm = [[(expectation(rows, a, fb), c) for a, c in zip(self.singles, costs)] for rows in self.rewards]
         return _Anchor(g, scores, imm)
 
     def continuation(self, anchor: _Anchor, sel_axes: tuple[int, ...]) -> _Continuation | None:
@@ -1105,19 +1092,20 @@ def _tree_to_dict(tree: OracleTree) -> dict:
     }
 
 
-def _tree_from_dict(data: dict, k: int) -> OracleTree:
+def _tree_from_dict(data: dict, k: int, path: str = "tree") -> OracleTree:
     return OracleTree(
-        action=_stored_action(data["action"], k),
+        action=_stored_action(data["action"], k, f"{path}.action"),
         children={
-            _obs_from_key(key): _tree_from_dict(sub, k)
+            _obs_from_key(key): _tree_from_dict(sub, k, f"{path}.children.{key}")
             for key, sub in data.get("children", {}).items()
         },
     )
 
 
-def _stored_action(selected: list, k: int) -> Action:
-    """A policy file's action, refused if it names an option outside 0..K."""
-    action = Action(tuple(selected))
+def _stored_action(selected: list, k: int, path: str) -> Action:
+    """A policy file's action at ``path``, refused if an option is not an
+    integer or lies outside 0..K."""
+    action = Action(tuple(_as_int(o, f"{path}[{i}]") for i, o in enumerate(selected)))
     if action.selected and action.selected[-1] > k:
         raise ValidationError(f"stored action {action.selected} names an option outside 0..{k}")
     return action
@@ -1221,10 +1209,13 @@ def _read_policy(fh) -> PolicySolution:
         if not all(0 <= s < n for s in initial_state):
             raise ValidationError(f"initial state {initial_state} has a region outside 0..{n - 1}")
 
+        horizon = _as_int(meta["horizon"], "horizon")
         epochs = None
         if meta["epoch_actions"] is not None:
             epochs = []
             for e, actions in enumerate(meta["epoch_actions"], start=1):
+                if not actions:
+                    raise ValidationError(f"epoch {e} stores no pair")
                 rewards, costs = archive[f"alpha_r_{e}"], archive[f"alpha_c_{e}"]
                 if version == 1:  # one UE: an action and a cost row per pair
                     actions = [[a] for a in actions]
@@ -1237,19 +1228,19 @@ def _read_policy(fh) -> PolicySolution:
                         f"expected ({len(actions)}, {n**k}) and ({len(actions)}, N, {n**k})"
                     )
                 epochs.append([
-                    AlphaPair(r, cs, tuple(_stored_action(a, k) for a in acts))
-                    for r, cs, acts in zip(rewards, costs, actions)
+                    AlphaPair(r, cs, tuple(
+                        _stored_action(a, k, f"epoch_actions[{e - 1}][{j}][{q}]") for q, a in enumerate(acts)
+                    ))
+                    for j, (r, cs, acts) in enumerate(zip(rewards, costs, actions))
                 ])
-            if len(epochs) != meta["horizon"]:
-                raise ValidationError(
-                    f"{len(epochs)} epochs stored for horizon {meta['horizon']}"
-                )
+            if len(epochs) != horizon:
+                raise ValidationError(f"{len(epochs)} epochs stored for horizon {horizon}")
             if len({len(pair.actions) for pairs in epochs for pair in pairs}) > 1:
                 raise ValidationError("epochs store pairs of different numbers of UEs")
 
     return PolicySolution(
         method=meta["method"],
-        horizon=meta["horizon"],
+        horizon=horizon,
         gamma=gamma,
         c_th=c_th,
         chains=chains,

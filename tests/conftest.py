@@ -74,6 +74,29 @@ def line_scenario(
     )
 
 
+def random_grid_scenario(rng: np.random.Generator, n_ues: int, direct: bool) -> ScenarioConfig:
+    """A random 2-D scenario of one to three relays and ``n_ues`` UEs, with a
+    random direct link, or with each UE's default one (``direct=False``)."""
+    gx, gy = (int(v) for v in rng.integers(2, 4, size=2))
+
+    def position():
+        return int(rng.integers(1, gx + 1)), int(rng.integers(1, gy + 1))
+
+    return ScenarioConfig(
+        grid_x=gx,
+        grid_y=gy,
+        relays=tuple(RelaySpec(0.6, 1, position()) for _ in range(int(rng.integers(1, 4)))),
+        ues=tuple(UeSpec(position()) for _ in range(n_ues)),
+        bs_position=position(),
+        r_max=float(rng.uniform(50, 500)),
+        c_max=float(rng.uniform(50, 250)),
+        c_th=100.0,
+        horizon=2,
+        gamma=0.9,
+        direct_link=DirectLink(float(rng.uniform(0, 50)), float(rng.uniform(0, 20))) if direct else None,
+    )
+
+
 def random_instance(
     rng: np.random.Generator,
     k: int | None = None,

@@ -101,6 +101,22 @@ def test_every_top_level_definition_is_used():
     assert unused == []
 
 
+def test_only_model_prices_an_option():
+    """What an option pays is computed in ``model`` alone: the solvers, the
+    oracle, the simulator and the exact evaluation read
+    ``model.option_tables``."""
+    pricing = {"relay_reward", "relay_cost", "direct_reward", "direct_cost"}
+    callers = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        if name != "model.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in pricing or getattr(node.func, "attr", None) in pricing)
+    ]
+    assert callers == []
+
+
 def test_entry_points_exist():
     defined = {
         node.name

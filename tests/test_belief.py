@@ -23,8 +23,17 @@ from relayplan.belief import (
 )
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
-from relayplan.model import Action, EMPTY_ACTION, UeSpec, total_cost, total_reward, value_ranges
-from relayplan.solvers import _Engine, _SupportScores, horizon_for_eps, pbvi_error_bound, solve_gcpbvi
+from relayplan.alpha import expectation
+from relayplan.model import (
+    Action,
+    EMPTY_ACTION,
+    UeSpec,
+    option_tables,
+    total_cost,
+    total_reward,
+    value_ranges,
+)
+from relayplan.solvers import _SupportScores, horizon_for_eps, pbvi_error_bound, solve_gcpbvi
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
@@ -96,7 +105,8 @@ class TestJointBelief:
 
 def _rho(sc, fb, action):
     """Expected immediate (reward, cost) of ``action`` at ``fb``, factored."""
-    return _Engine(sc, chains_for_scenario(sc)).rho(action, fb)
+    rewards, costs = option_tables(sc)
+    return expectation(rewards[0], action, fb), expectation(costs, action, fb)
 
 
 class TestBeliefRewardCost:

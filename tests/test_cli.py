@@ -205,15 +205,27 @@ class TestSimulate:
         assert "relayplan solve" in capsys.readouterr().err
 
 
-def _rewrite_meta(policy, edit) -> None:
-    """Apply ``edit`` to the metadata of the policy archive at ``policy``."""
+def _rewrite_meta(policy, edit, arrays=lambda members: None) -> None:
+    """Apply ``edit`` to the metadata of the policy archive at ``policy``,
+    and ``arrays`` to its other members."""
     with np.load(policy) as archive:
         members = {name: archive[name] for name in archive.files}
     meta = json.loads(str(members["meta"]))
     edit(meta)
+    arrays(members)
     members["meta"] = np.array(json.dumps(meta))
     with open(policy, "wb") as fh:
         np.savez(fh, **members)
+
+
+def _empty_epoch(policy, e: int) -> None:
+    """Leave epoch ``e`` of the policy archive at ``policy`` without a pair:
+    no actions and both stacks of length 0, shaped as a solve writes them."""
+    def arrays(members):
+        for name in (f"alpha_r_{e}", f"alpha_c_{e}"):
+            members[name] = members[name][:0]
+
+    _rewrite_meta(policy, lambda meta: meta["epoch_actions"].__setitem__(e - 1, []), arrays)
 
 
 class TestPolicyFileChecks:
@@ -262,6 +274,35 @@ class TestPolicyFileChecks:
 
         err = self._simulate(tiny_scenario, "oracle", edit, tmp_path, capsys)
         assert "stored action (0, 7) names an option outside 0..1" in err
+
+    def test_epoch_without_a_pair(self, tiny_scenario, tmp_path, capsys):
+        policy = tmp_path / "pol.npz"
+        run(["solve", "--scenario", tiny_scenario, "--method", "gcpbvi", "--out", policy])
+        _empty_epoch(policy, 2)
+        capsys.readouterr()
+        assert run([
+            "simulate", "--scenario", tiny_scenario, "--policy", policy,
+            "--runs", "20", "--seed", "3", "--out", tmp_path / "m.csv",
+        ]) == 2
+        assert not (tmp_path / "m.csv").exists()
+        assert "epoch 2 stores no pair" in capsys.readouterr().err
+
+    def test_epoch_option_not_an_integer(self, tiny_scenario, tmp_path, capsys):
+        def edit(meta):
+            meta["epoch_actions"][0][0] = [[1.5]]
+
+        err = self._simulate(tiny_scenario, "gcpbvi", edit, tmp_path, capsys)
+        assert "epoch_actions[0][0][0][0]: expected an integer, got 1.5" in err
+
+    def test_oracle_tree_option_not_an_integer(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(
+            tiny_scenario, "oracle", lambda m: m["tree"].update(action=[0.0]), tmp_path, capsys
+        )
+        assert "tree.action[0]: expected an integer, got 0.0" in err
+
+    def test_horizon_not_an_integer(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(horizon=2.0), tmp_path, capsys)
+        assert "horizon: expected an integer, got 2.0" in err
 
 
 class TestCentralizedPolicyFile:
@@ -331,6 +372,18 @@ class TestCentralizedPolicyFile:
             "--runs", "5", "--out", tmp_path / "m.csv",
         ]) == 2
         assert "policy plays 2 UEs" in capsys.readouterr().err
+
+    def test_epoch_without_a_pair_exits_2(self, two_ues, tmp_path, capsys):
+        policy = tmp_path / "central.npz"
+        self._solve(two_ues, "centralized", policy)
+        _empty_epoch(policy, 2)
+        capsys.readouterr()
+        assert run([
+            "simulate", "--scenario", two_ues, "--policy", policy,
+            "--runs", "5", "--out", tmp_path / "m.csv",
+        ]) == 2
+        assert not (tmp_path / "m.csv").exists()
+        assert "epoch 2 stores no pair" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_scenario
+from conftest import line_scenario, random_grid_scenario
 from relayplan.errors import SchemaError, ValidationError
 from relayplan.model import (
     Action,
@@ -16,6 +16,7 @@ from relayplan.model import (
     all_actions,
     link_metric,
     load_scenario,
+    option_tables,
     parse_scenario,
     region_coords,
     region_index,
@@ -179,6 +180,24 @@ class TestTotals:
         assert total_cost(state, union, sc) == pytest.approx(
             total_cost(state, a, sc) + total_cost(state, b, sc)
         )
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_the_option_values_region_by_region(self, seed, direct):
+        sc = random_grid_scenario(np.random.default_rng(seed), 1 + seed % 3, direct)
+        rewards, costs = option_tables(sc)
+        options, regions = sc.n_relays + 1, sc.n_regions
+        assert rewards.shape == (sc.n_ues, options, regions)
+        assert costs.shape == (options, regions)
+        for i in range(options):
+            for s in range(regions):
+                assert costs[i, s] == relay_cost(s, i, sc)
+                for u in range(sc.n_ues):
+                    assert rewards[u, i, s] == relay_reward(s, i, sc, u)
+        # the direct link's row is the same in every region
+        assert (rewards[:, 0] == rewards[:, :1, 0]).all() and (costs[0] == costs[0, 0]).all()
 
 
 class TestActions:

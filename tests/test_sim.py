@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import advance_ids, line_scenario, random_instance
+from conftest import advance_ids, line_scenario, random_grid_scenario, random_instance
 from relayplan.alpha import AlphaPair
 from relayplan.belief import FactoredBelief, FactorTable, joint_belief
 from relayplan.errors import ValidationError
@@ -37,8 +37,8 @@ from relayplan.sim import (
     _multi_user,
     _play_policy,
     _groups,
-    _SimContext,
     _simulate,
+    _World,
     _stderr,
     run_episode,
     run_multiuser,
@@ -95,12 +95,12 @@ class TestStepStates:
     CHAIN = MarkovChain(np.array([[0.5, 0.5 - 5e-10, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]]))
 
     def test_draw_past_row_sum_stays_on_grid(self):
-        ctx = _SimContext(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN])
+        world = _World(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN], 1)
         largest = np.full((1, 2), 1.0 - 2.0**-53)  # the largest double below 1
-        assert ctx.step_states(np.array([[0, 1]]), largest).tolist() == [[1, 2]]
+        assert world.step_states(np.array([[0, 1]]), largest).tolist() == [[1, 2]]
 
     def test_draws_in_range_unchanged(self):
-        ctx = _SimContext(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN])
+        world = _World(line_scenario(3, [1, 2]), [self.CHAIN, self.CHAIN], 1)
         rng = np.random.default_rng(8)
         cum = np.cumsum(self.CHAIN.matrix, axis=1)
         state = (0, 2)
@@ -110,8 +110,31 @@ class TestStepStates:
             expected = tuple(
                 int(np.searchsorted(cum[s], d, side="right")) for s, d in zip(state, draws)
             )
-            state = tuple(ctx.step_states(np.array([state]), draws[None])[0].tolist())
+            state = tuple(world.step_states(np.array([state]), draws[None])[0].tolist())
             assert state == expected
+
+
+class TestWorld:
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("n_ues", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outcomes_are_the_scalar_totals(self, seed, n_ues, direct):
+        """Every UE's reward and cost in random states under random per-UE
+        actions equal ``total_reward`` and ``total_cost`` to the bit; the
+        world plays the first ``n_ues`` of a scenario of three UEs."""
+        rng = np.random.default_rng(seed)
+        sc = random_grid_scenario(rng, 3, direct)
+        world = _World(sc, chains_for_scenario(sc), n_ues)
+        runs, k = 40, sc.n_relays
+        states = rng.integers(0, sc.n_regions, size=(runs, k))
+        sel = rng.random((n_ues, runs, k + 1)) < 0.5
+        rewards, costs = world.outcomes(states, sel)
+        assert rewards.shape == costs.shape == (runs, n_ues)
+        for r, state in enumerate(states.tolist()):
+            for u in range(n_ues):
+                action = Action(tuple(np.flatnonzero(sel[u, r]).tolist()))
+                assert rewards[r, u] == total_reward(tuple(state), action, sc, u)
+                assert costs[r, u] == total_cost(tuple(state), action, sc)
 
 
 class TestBatch:
@@ -142,32 +165,32 @@ class TestBatch:
         kinds = {
             "alpha": _play_policy(solve_gcpbvi(scenario, chains, h=2, cap=8), scenario, chains),
             "oracle": _play_policy(brute_force_oracle(scenario, chains), scenario, chains),
-            "cellular": ([cellular], [_SimContext(scenario, chains)]),
+            "cellular": ([cellular], _World(scenario, chains, 1)),
             "centralized": _multi_user(multi, "centralized", chains, 2, 6),
             "distributed": _multi_user(multi, "distributed", chains, 2, 6),
         }
         runs, master = 40, seed + 100
-        for kind, (agents, contexts) in kinds.items():
+        for kind, (agents, world) in kinds.items():
             seeds = np.random.SeedSequence(master).spawn(runs)
-            traces = [run_episode(agents, contexts, s) for s in seeds]
+            traces = [run_episode(agents, world, s) for s in seeds]
             for s, trace in zip(seeds, traces):
-                assert repr(trace) == repr(_reference_episode(agents, contexts, s)), kind
-            want = _reduce_traces(traces, contexts[0].scenario)
-            for key, value in dataclasses.asdict(_simulate(agents, contexts, runs, master)).items():
+                assert repr(trace) == repr(_reference_episode(agents, world, s)), kind
+            want = _reduce_traces(traces, world.scenario)
+            for key, value in dataclasses.asdict(_simulate(agents, world, runs, master)).items():
                 assert repr(value) == repr(want[key]), (kind, key)
 
     @pytest.mark.parametrize("seed", [303, 7])
     def test_table1_batch_equals_reference_loop(self, table1_scenario, seed):
         chains = chains_for_scenario(table1_scenario)
         policy = solve_gcpbvi(table1_scenario, chains, h=2, cap=24)
-        agents, contexts = _play_policy(policy, table1_scenario, chains)
+        agents, world = _play_policy(policy, table1_scenario, chains)
         runs = 300
         traces = [
-            _reference_episode(agents, contexts, s)
+            _reference_episode(agents, world, s)
             for s in np.random.SeedSequence(seed).spawn(runs)
         ]
         want = _reduce_traces(traces, table1_scenario)
-        got = dataclasses.asdict(_simulate(agents, contexts, runs, seed))
+        got = dataclasses.asdict(_simulate(agents, world, runs, seed))
         assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -197,14 +220,14 @@ class TestBatch:
         agents = [
             _Agent(tuple(range(n_ues)), FactorTable(chains), epochs, multi.c_th, multi.gamma)
         ]
-        contexts = [_SimContext(with_single_ue(multi, u), chains) for u in range(n_ues)]
+        world = _World(multi, chains, n_ues)
         runs, master = 120, seed + 200
         traces = [
-            _reference_episode(agents, contexts, s)
+            _reference_episode(agents, world, s)
             for s in np.random.SeedSequence(master).spawn(runs)
         ]
         want = _reduce_traces(traces, multi)
-        assert repr(dataclasses.asdict(_simulate(agents, contexts, runs, master))) == repr(want)
+        assert repr(dataclasses.asdict(_simulate(agents, world, runs, master))) == repr(want)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_groups_are_the_distinct_rows(self, seed):
@@ -220,22 +243,23 @@ class TestBatch:
         assert (first[inverse] == want_first[want_inverse.ravel()]).all()
 
 
-def _reference_episode(agents, contexts, seed) -> EpisodeTrace:
+def _reference_episode(agents, world, seed) -> EpisodeTrace:
     """The scalar episode loop that the batch replaces, as a reference: one
     epoch at a time, each agent's rule applied by ``_Agent.act`` at its
-    belief, and the states sampled by ``searchsorted`` on one
-    ``rng.random(K)`` per epoch."""
-    scenario = contexts[0].scenario
+    belief, each UE's reward and cost by ``total_reward`` and ``total_cost``,
+    and the states sampled by ``searchsorted`` on one ``rng.random(K)`` per
+    epoch."""
+    scenario, n_ues = world.scenario, len(world.rewards)
     horizon, gamma = scenario.horizon, scenario.gamma
     rng = np.random.default_rng(seed)
     state = scenario.initial_states
     ids = [tuple((s, 0) for s in state)] * len(agents)
     nodes = [agent.tree for agent in agents]
     budgets = [np.full(len(agent.ues), scenario.c_th) for agent in agents]
-    cum_r, cum_c, cum_ee = ([0.0] * len(contexts) for _ in range(3))
+    cum_r, cum_c, cum_ee = ([0.0] * n_ues for _ in range(3))
     records = []
     for epoch in range(1, horizon + 1):
-        actions = [EMPTY_ACTION] * len(contexts)
+        actions = [EMPTY_ACTION] * n_ues
         choices = []
         for a, agent in enumerate(agents):
             fb = agent.factors.belief(ids[a]) if agent.epochs is not None else None
@@ -243,8 +267,8 @@ def _reference_episode(agents, contexts, seed) -> EpisodeTrace:
             choices.append(choice)
             for u, action in zip(agent.ues, acts):
                 actions[u] = action
-        rewards = tuple(total_reward(state, a, c.scenario) for c, a in zip(contexts, actions))
-        costs = tuple(total_cost(state, a, c.scenario) for c, a in zip(contexts, actions))
+        rewards = tuple(total_reward(state, a, scenario, u) for u, a in enumerate(actions))
+        costs = tuple(total_cost(state, a, scenario) for a in actions)
         w, w_ee = gamma ** (epoch - 1), gamma ** (horizon - epoch)
         for u, (r, c) in enumerate(zip(rewards, costs)):
             cum_r[u] += w * r
@@ -271,7 +295,7 @@ def _reference_episode(agents, contexts, seed) -> EpisodeTrace:
         draws = rng.random(len(state))
         state = tuple(
             int(np.searchsorted(rows[s], d, side="right"))
-            for rows, s, d in zip(contexts[0].cum_rows, state, draws)
+            for rows, s, d in zip(world.cum_rows, state, draws)
         )
     return EpisodeTrace(records, tuple(cum_r), tuple(cum_c), tuple(cum_ee))
 
@@ -492,11 +516,11 @@ class TestMultiUser:
             bs_position=(3, 1),
             r_max=400.0, c_max=200.0, c_th=100.0, horizon=3, gamma=1.0,
         )
-        agents, contexts = _multi_user(sc, "centralized", chains_for_scenario(sc), 2, 64)
+        agents, world = _multi_user(sc, "centralized", chains_for_scenario(sc), 2, 64)
         assert len(agents) == 1
         differ = 0
         for seed in range(10):
-            for rec in run_episode(agents, contexts, seed).records:
+            for rec in run_episode(agents, world, seed).records:
                 selected = {i for action in rec.actions for i in action.relays}
                 differ += len({action.relays for action in rec.actions}) > 1
                 assert rec.observations == (tuple(
@@ -579,7 +603,7 @@ class TestOneRule:
         budget, so it plays option 0 at every epoch regardless."""
         sc = line_scenario(3, [2], horizon=4, c_th=0.0, gamma=0.9, direct=(30.0, 5.0))
         chains = chains_for_scenario(sc)
-        trace = run_episode([_cellular_agent(sc)], [_SimContext(sc, chains)], seed=4)
+        trace = run_episode([_cellular_agent(sc)], _World(sc, chains, 1), seed=4)
         assert [rec.actions for rec in trace.records] == [(Action((0,)),)] * 4
         assert [rec.observations for rec in trace.records] == [((None,),)] * 4
         weights = [0.9**t for t in range(4)]

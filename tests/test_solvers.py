@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import line_scenario, random_chain, random_instance
 from relayplan import solvers
-from relayplan.alpha import AlphaPair, reward_tensor
+from relayplan.alpha import AlphaPair, expectation, reward_tensor
 from relayplan.belief import BeliefSet, FactoredBelief, FactorTable, build_h_belief_set, density_bound
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
@@ -22,15 +22,15 @@ from relayplan.model import (
     EMPTY_ACTION,
     UeSpec,
     all_actions,
-    cost_vector,
-    reward_vector,
+    relay_cost,
+    relay_reward,
     value_ranges,
     with_single_ue,
 )
 from relayplan.sim import (
     _Agent,
-    _SimContext,
     _simulate,
+    _World,
     discrete_derivative,
     exact_policy_value,
     monte_carlo,
@@ -155,7 +155,7 @@ class TestGreedyArgmax:
     @staticmethod
     def _element(sc, i: int) -> tuple[float, float]:
         s = sc.initial_states[i - 1]
-        return float(reward_vector(sc, i)[s]), float(cost_vector(sc, i)[s])
+        return relay_reward(s, i, sc), relay_cost(s, i, sc)
 
     def test_ratio_selection_skips_budget_violator(self):
         sc = line_scenario(4, [2, 4], horizon=1, direct=(0.0, 0.0))
@@ -374,9 +374,8 @@ class TestDistinctPairs:
                     None if j is None else ranking.pairs[j],
                     None if wj is None else want_ranking.pairs[wj],
                 )
-        contexts = [_SimContext(with_single_ue(multi, u), chains) for u in everyone]
         got = run_multiuser(multi, "centralized", runs, run_seed, chains, h=2, cap=cap)
-        want = _simulate(agents[1:], contexts, runs, run_seed)
+        want = _simulate(agents[1:], _World(multi, chains, multi.n_ues), runs, run_seed)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
@@ -504,10 +503,9 @@ class TestQEvaluation:
         chains = [MarkovChain(np.array([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.4, 0.5]]))]
         policy = solve_gcpbvi(sc, chains, h=1)
         fb = FactoredBelief((np.array([0.2, 0.5, 0.3]),))
-        from relayplan.model import reward_vector
-
         d_r, d_c = discrete_derivative(sc, chains, policy, fb, 1, 1, EMPTY_ACTION)
-        assert d_r == pytest.approx(float(fb.per_relay[0] @ reward_vector(sc, 1)), abs=1e-12)
+        want = sum(p * relay_reward(s, 1, sc) for s, p in enumerate(fb.per_relay[0].tolist()))
+        assert d_r == pytest.approx(want, abs=1e-12)
 
     def test_zero_reward_element_zero_derivative(self):
         sc = line_scenario(3, [2], horizon=1, direct=(0.0, 0.0), c_th=1e6)
@@ -914,7 +912,7 @@ class TestFrontierMerge:
             hits_before = engine.counters["frontier_cap_hits"]
             got = engine.select(((e,),), engine.anchor(fb, g))
 
-            rho_r, rho_c = engine.rho(action, fb)
+            rho_r, rho_c = (expectation(rows, action, fb) for rows in (engine.rewards[0], engine.costs))
             if rho_c > limit:
                 assert got is None
                 continue
@@ -1027,7 +1025,7 @@ def _reference_greedy(engine: _Engine, fb: FactoredBelief, g):
     best one, and the end result is the better of S and the best single
     element of round one. Returns ``(assignment, select's result)``."""
     free = 1e-12 * max(1.0, engine.c_th)
-    n_ues = engine.scenario.n_ues
+    n_ues = len(engine.rewards)
 
     def value(assignment):
         return engine.select(assignment, engine.anchor(fb, g))
