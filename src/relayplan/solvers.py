@@ -41,6 +41,12 @@ unless an approximation fired, and the stats count each one:
 The merge costs what its data holds: the leading branches whose column has
 one running record (every branch when one pair is stored) are folded in one
 sequential sum, bitwise the branch-by-branch merge (``_Engine._root_merge``).
+
+A candidate costs a few float operations (``_Engine.select``): the points
+of a continuation are Python floats, cost-ascending for every UE, so those
+within the budget are a prefix found by bisection (``_Continuation.pick``).
+The chosen pair gathers its continuation from the predicted stack row by
+row (``_Engine.assemble``).
 """
 
 from __future__ import annotations
@@ -50,9 +56,10 @@ import json
 import math
 import time
 import zipfile
+from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -254,10 +261,12 @@ class _Continuation:
     """The continuation points of one relay set at one anchor belief.
 
     Point ``i`` adds ``r[i]`` to the reward and ``cs[u, i]`` to UE ``u``'s
-    cost. Every point takes row ``lead[z]`` at the first ``len(lead)``
-    branches. The local rule leaves one point, all of whose branch choices
-    are ``lead``; a root merge folds its leading single-record branches into
-    ``lead`` and leaves its Pareto frontier, and ``steps[z]`` holds
+    cost. The points are cost-ascending for every UE, and their rewards
+    ascend: a root merge of one UE leaves its Pareto frontier, and the local
+    rule leaves one point, for any number of UEs. Every point takes row
+    ``lead[z]`` at the first ``len(lead)`` branches. The local rule's point
+    takes ``lead`` at every branch; a root merge folds its leading
+    single-record branches into ``lead``, and ``steps[z]`` holds
     ``(parents, choices)`` for the branch ``len(lead) + z`` after them:
     frontier point ``i`` there extends point ``parents[i]`` of the frontier
     before it with row ``choices[i]``.
@@ -268,17 +277,32 @@ class _Continuation:
     lead: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     steps: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.rewards = self.r.tolist()
+        self.costs = list(zip(*self.cs.tolist()))  # per point, each UE's cost
+
     def pick(self, rho_r: float, rho_cs: list[float], limit: float):
         """The best point under immediates ``rho_r`` and per-UE ``rho_cs``:
         the highest total reward with every UE's total cost within ``limit``,
-        ties to the lowest summed cost. ``(r, costs, point)`` or None."""
-        r = rho_r + self.r
-        cs = np.asarray(rho_cs)[:, None] + self.cs
-        ok = np.flatnonzero((cs <= limit).all(axis=0))
-        if not len(ok):
+        ties to the lowest summed cost, then the lowest index. ``(r, costs,
+        point)`` or None.
+
+        The points are cost-ascending for every UE, so each UE's total
+        ``rho + c`` as it rounds ascends too, and so does a point's largest
+        total over the UEs: the points that fit are a prefix, which one
+        ``bisect_right`` on that largest total finds. The rewards ascend, so
+        the best is the prefix's last point, walked back to the first point
+        whose total reward rounds equal to it: of tied rewards, that one has
+        the lowest cost and the lowest index.
+        """
+        end = bisect_right(self.costs, limit, key=lambda cs: max(map(add, rho_cs, cs)))
+        if not end:
             return None
-        best = int(ok[np.lexsort((cs[:, ok].sum(axis=0), -r[ok]))[0]])
-        return float(r[best]), tuple(cs[:, best].tolist()), best
+        best = end - 1
+        top = rho_r + self.rewards[best]
+        while best and rho_r + self.rewards[best - 1] == top:
+            best -= 1
+        return rho_r + self.rewards[best], tuple(map(add, rho_cs, self.costs[best])), best
 
     def choices(self, point: int) -> np.ndarray:
         """The source row of every branch at ``point``."""
@@ -338,17 +362,13 @@ class _SupportScores:
 class _Anchor:
     """One anchor belief of a backup: the predicted stack ``g`` (None with no
     future) with its support scores, each UE's immediate (reward, cost) per
-    option, and the continuation of every relay set scored so far."""
+    option, and the continuation of every relay set scored so far, keyed by
+    its bitmask (``_Engine.relay_axes``)."""
 
     g: np.ndarray | None
     scores: _SupportScores | None
     imm: list[list[tuple[float, float]]]
     continuations: dict = field(default_factory=dict)
-
-
-def _relay_axes(assignment: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The relay axes observed under ``assignment``: those any UE selects."""
-    return tuple(sorted({e - 1 for options in assignment for e in options if e >= 1}))
 
 
 class _Engine:
@@ -369,12 +389,15 @@ class _Engine:
             "branch_merges": 0,
             "frontier_cap_hits": 0,
             "local_mode_selections": 0,
+            "select_calls": 0,
         }
         self.timings = dict.fromkeys(
             ("time_belief_set_s", "time_predict_s", "time_score_s", "time_merge_s",
-             "time_assemble_s"),
+             "time_choose_s", "time_assemble_s"),
             0.0,
         )
+        self._nested = 0.0  # the time of the timed blocks inside the open one
+        self.limit = self.c_th + _budget_tol(self.c_th)
         self._reward_flat: dict[tuple, np.ndarray] = {}
         self._cost_flat: dict[tuple, np.ndarray] = {}
         self.rewards, self.costs = option_tables(scenario)
@@ -382,12 +405,16 @@ class _Engine:
 
     @contextmanager
     def timed(self, phase: str):
-        """Add the wall time of the block to ``timings[phase]``."""
+        """Add the wall time of the block, less that of the timed blocks
+        nested in it, to ``timings[phase]``: no two phases count the same time."""
         started = time.perf_counter()
+        outer, self._nested = self._nested, 0.0
         try:
             yield
         finally:
-            self.timings[phase] += time.perf_counter() - started
+            elapsed = time.perf_counter() - started
+            self.timings[phase] += elapsed - self._nested
+            self._nested = outer + elapsed
 
     def reward_flat(self, action: Action, ue: int = 0) -> np.ndarray:
         key = (ue, action.selected)
@@ -440,12 +467,18 @@ class _Engine:
         imm = [[(expectation(rows, a, fb), c) for a, c in zip(self.singles, costs)] for rows in self.rewards]
         return _Anchor(g, scores, imm)
 
-    def continuation(self, anchor: _Anchor, sel_axes: tuple[int, ...]) -> _Continuation | None:
-        """The continuation points of the relay set ``sel_axes`` at
-        ``anchor``, computed once per anchor; None when some branch has no
-        choice within the budget."""
-        if sel_axes in anchor.continuations:
-            return anchor.continuations[sel_axes]
+    def relay_axes(self, relays: int) -> tuple[int, ...]:
+        """The axes of the relay set ``relays``, a bitmask with bit ``i`` for
+        relay axis ``i`` (option ``i + 1``), ascending."""
+        return tuple(ax for ax in range(self.k) if relays >> ax & 1)
+
+    def continuation(self, anchor: _Anchor, relays: int) -> _Continuation | None:
+        """The continuation points of the relay set ``relays`` (a bitmask,
+        see ``relay_axes``) at ``anchor``, computed once per anchor; None
+        when some branch has no choice within the budget."""
+        if relays in anchor.continuations:
+            return anchor.continuations[relays]
+        sel_axes = self.relay_axes(relays)
         n_ues = len(anchor.imm)
         if anchor.scores is None:
             cont = _Continuation(np.zeros(1), np.zeros((n_ues, 1)))
@@ -471,7 +504,7 @@ class _Engine:
                         wcs[:, sigma, cols].sum(axis=1)[:, None],
                         lead=sigma,
                     )
-        anchor.continuations[sel_axes] = cont
+        anchor.continuations[relays] = cont
         return cont
 
     def _root_merge(self, wr: np.ndarray, wc: np.ndarray) -> _Continuation | None:
@@ -487,7 +520,7 @@ class _Engine:
         they are folded in one ``np.add.accumulate`` over ``[0.0, w_0, w_1,
         ...]``: it is sequential, so its partial sums, signed zeros included,
         and the first that fails ``<= limit`` are the branch-by-branch ones."""
-        limit = self.c_th + _budget_tol(self.c_th)
+        limit = self.limit
         lead, frontiers = _column_frontiers(wr, wc)
         cols = np.arange(len(lead))
         rs = np.add.accumulate(np.concatenate(([0.0], wr[lead, cols])))
@@ -530,21 +563,29 @@ class _Engine:
     def select(self, assignment: tuple[tuple[int, ...], ...], anchor: _Anchor):
         """The best budget-feasible continuation of ``assignment`` (one option
         tuple per UE) at ``anchor``: ``(reward, per-UE costs, point)``, where
-        ``point`` indexes the continuation of the assignment's relay set, or
-        None when some UE's budget cannot hold."""
-        limit = self.c_th + _budget_tol(self.c_th)
+        ``point`` indexes the continuation of the assignment's relay set
+        (``_Continuation.pick``), or None when some UE's budget cannot hold.
+
+        One pass over the options sums the immediates, UE by UE and option
+        by option, and ORs the relay set's bitmask (``relay_axes``), so a
+        call costs a few float operations and one dict lookup besides the
+        pick; ``select_calls`` counts the calls."""
+        self.counters["select_calls"] += 1
         rho_r = 0.0
         rho_cs = []
+        bits = 0
         for imm, options in zip(anchor.imm, assignment):
             c = 0.0
             for e in options:
-                rho_r += imm[e][0]
-                c += imm[e][1]
+                r_e, c_e = imm[e]
+                rho_r += r_e
+                c += c_e
+                bits |= 1 << e
             rho_cs.append(c)
-        if max(rho_cs) > limit:
+        if max(rho_cs) > self.limit:
             return None
-        cont = self.continuation(anchor, _relay_axes(assignment))
-        return None if cont is None else cont.pick(rho_r, rho_cs, limit)
+        cont = self.continuation(anchor, bits >> 1)
+        return None if cont is None else cont.pick(rho_r, rho_cs, self.limit)
 
     def best_action(self, anchor: _Anchor):
         """cpbvi's exhaustive choice at ``anchor`` for one UE: over every
@@ -589,12 +630,14 @@ class _Engine:
         single = None
         while True:
             base_r, base_c = (current[0], sum(current[1])) if current else (0.0, 0.0)
+            first_round = not any(chosen)
             best = None
-            for u in range(n_ues):
+            for u, options in enumerate(chosen):
+                head, tail = chosen[:u], chosen[u + 1 :]
                 for e in range(self.k + 1):
-                    if e in chosen[u]:
+                    if e in options:
                         continue
-                    cand = chosen[:u] + (tuple(sorted(chosen[u] + (e,))),) + chosen[u + 1 :]
+                    cand = head + (tuple(sorted(options + (e,))),) + tail
                     got = self.select(cand, anchor)
                     if got is None:
                         continue
@@ -604,7 +647,7 @@ class _Engine:
                     key = (0, -gain, u, e) if cost <= free else (1, -gain / cost, -gain, u, e)
                     if best is None or key < best[0]:
                         best = (key, cand, got)
-                    if not any(chosen) and (single is None or got[0] > single[1][0]):
+                    if first_round and (single is None or got[0] > single[1][0]):
                         single = (cand, got)
             if best is None:
                 break
@@ -623,7 +666,12 @@ class _Engine:
         """The pair of ``chosen``, an ``(assignment, point)`` at ``anchor``:
         the reward (flat), each UE's cost (N, flat) and each UE's action. A
         branch of probability 0 continues with row 0. None gives the empty
-        assignment's zero vectors."""
+        assignment's zero vectors.
+
+        The continuation is gathered row by row from the predicted stack:
+        row 0 at every joint state, then one masked pass per other row that
+        the point's branch choices name, over the joint states of those
+        branches. A stack of one pair takes no pass past the first."""
         n_ues = len(anchor.imm)
         if chosen is None:
             return AlphaPair(np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues)
@@ -635,16 +683,19 @@ class _Engine:
                 alpha_r += self.reward_flat(action, u)
             alpha_cs = np.array([self.cost_flat(action) for action in actions])
             if anchor.g is not None:
-                sel_axes = _relay_axes(assignment)
+                relays = sum({1 << e for options in assignment for e in options}) >> 1
+                sel_axes = self.relay_axes(relays)
                 support = [anchor.scores.support[ax] for ax in sel_axes]
-                sigma = np.zeros((self.n,) * len(sel_axes), dtype=int)
-                sigma[np.ix_(*support)] = self.continuation(anchor, sel_axes).choices(point).reshape(
-                    tuple(len(s) for s in support)
-                )
-                rows, cols = self.branch_index(sigma.ravel(), sel_axes)
-                picked = np.take(anchor.g.reshape(1 + n_ues, -1), rows * self.flat + cols, axis=1)
-                alpha_r += picked[0]
-                alpha_cs += picked[1:]
+                choices = self.continuation(anchor, relays).choices(point)
+                stack = anchor.g.reshape((1 + n_ues, -1) + self.shape)
+                dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
+                picked = stack[:, 0]
+                for j in sorted(set(choices.tolist()) - {0}):
+                    at = np.zeros((self.n,) * len(sel_axes), dtype=bool)
+                    at[np.ix_(*support)] = (choices == j).reshape(tuple(len(s) for s in support))
+                    picked = np.where(at.reshape(dims), stack[:, j], picked)
+                alpha_r += picked[0].reshape(-1)
+                alpha_cs += picked[1:].reshape(n_ues, -1)
         return AlphaPair(alpha_r, alpha_cs, actions)
 
 
@@ -681,7 +732,9 @@ def _point_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet, c
     out = []
     for fb in points.points:
         anchor = engine.anchor(fb, g)
-        out.append(engine.assemble(anchor, choose(anchor)))
+        with engine.timed("time_choose_s"):
+            chosen = choose(anchor)
+        out.append(engine.assemble(anchor, chosen))
     return out
 
 
@@ -1079,10 +1132,14 @@ def _obs_key(z: Observation) -> str:
     return ",".join("-" if v is None else str(v) for v in z)
 
 
-def _obs_from_key(key: str) -> Observation:
-    if key == "":
-        return ()
-    return tuple(None if part == "-" else int(part) for part in key.split(","))
+def _obs_from_key(key: str, k: int, n: int, path: str) -> Observation:
+    """The observation a policy file's child ``key`` at ``path`` names,
+    refused unless it has one entry per relay, each ``-`` or a region in
+    0..n-1."""
+    obs = tuple(None if part == "-" else int(part) for part in key.split(","))
+    if len(obs) != k or not all(z is None or 0 <= z < n for z in obs):
+        raise ValidationError(f"{path} is not an observation of {k} relays over regions 0..{n - 1}")
+    return obs
 
 
 def _tree_to_dict(tree: OracleTree) -> dict:
@@ -1092,14 +1149,12 @@ def _tree_to_dict(tree: OracleTree) -> dict:
     }
 
 
-def _tree_from_dict(data: dict, k: int, path: str = "tree") -> OracleTree:
-    return OracleTree(
-        action=_stored_action(data["action"], k, f"{path}.action"),
-        children={
-            _obs_from_key(key): _tree_from_dict(sub, k, f"{path}.children.{key}")
-            for key, sub in data.get("children", {}).items()
-        },
-    )
+def _tree_from_dict(data: dict, k: int, n: int, path: str = "tree") -> OracleTree:
+    children = {}
+    for key, sub in data.get("children", {}).items():
+        at = f"{path}.children.{key}"
+        children[_obs_from_key(key, k, n, at)] = _tree_from_dict(sub, k, n, at)
+    return OracleTree(action=_stored_action(data["action"], k, f"{path}.action"), children=children)
 
 
 def _stored_action(selected: list, k: int, path: str) -> Action:
@@ -1247,6 +1302,6 @@ def _read_policy(fh) -> PolicySolution:
         scenario_fingerprint=meta["scenario_fingerprint"],
         initial_state=initial_state,
         epochs=epochs,
-        tree=_tree_from_dict(meta["tree"], k) if meta["tree"] is not None else None,
+        tree=_tree_from_dict(meta["tree"], k, n) if meta["tree"] is not None else None,
         stats=meta["stats"],
     )

@@ -93,7 +93,8 @@ class TestSolve:
             assert "belief_points=" in report
             for key in ("branch_merges", "frontier_cap_hits", "local_mode_selections",
                         "pairs_per_epoch", "time_belief_set_s", "time_predict_s",
-                        "time_score_s", "time_merge_s", "time_assemble_s"):
+                        "time_score_s", "time_merge_s", "time_assemble_s",
+                        "select_calls", "time_choose_s"):
                 assert f"{key}=" in report
 
     def test_seed_flag_rejected(self, tiny_scenario, tmp_path):
@@ -303,6 +304,25 @@ class TestPolicyFileChecks:
     def test_horizon_not_an_integer(self, tiny_scenario, tmp_path, capsys):
         err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(horizon=2.0), tmp_path, capsys)
         assert "horizon: expected an integer, got 2.0" in err
+
+    @pytest.mark.parametrize("key", ["0", "0,1,1", "0,2", "-1,1"])
+    def test_oracle_child_key_not_an_observation(self, tmp_path, capsys, key):
+        """A K = 2 oracle policy whose one child key, "0,1", is rewritten to
+        a key of another length or with a region outside 0..1 is refused:
+        loaded as it was, the child would never be reached."""
+        scenario = tmp_path / "k2.json"
+        assert run([
+            "generate", "--grid", "2x1", "--relays", "2", "--ues", "1", "--eps-fix", "0.6",
+            "--horizon", "2", "--c-th", "300", "--seed", "1", "--out", scenario,
+        ]) == 0
+
+        def edit(meta):
+            children = meta["tree"]["children"]
+            assert list(children) == ["0,1"]
+            children[key] = children.pop("0,1")
+
+        err = self._simulate(scenario, "oracle", edit, tmp_path, capsys)
+        assert f"tree.children.{key} is not an observation of 2 relays over regions 0..1" in err
 
 
 class TestCentralizedPolicyFile:

@@ -45,7 +45,7 @@ from relayplan.sim import (
     solve_centralized,
     write_csv,
 )
-from relayplan.solvers import _first_fit, _Ranking, brute_force_oracle, solve_gcpbvi
+from relayplan.solvers import _first_fit, _Ranking, brute_force_oracle, solve_cpbvi, solve_gcpbvi
 
 
 class TestRunEpisode:
@@ -724,6 +724,66 @@ class TestMultiUser8bRegression:
         metrics = run_multiuser(_scenario_8b(), mode, n_runs=30, seed=3, h=2, cap=4)
         assert metrics.avg_cum_reward == reward
         assert [entry["avg_cum_cost"] for entry in metrics.per_ue] == costs
+
+
+def _policy_digest(*policies) -> str:
+    """sha256 of every stored vector and each pair's per-UE actions, epoch
+    by epoch, over ``policies`` in order."""
+    digest = hashlib.sha256()
+    for policy in policies:
+        for pairs in policy.epochs:
+            for pair in pairs:
+                digest.update(pair.alpha_r.tobytes())
+                digest.update(pair.alpha_cs.tobytes())
+                digest.update(repr(tuple(a.selected for a in pair.actions)).encode())
+    return digest.hexdigest()
+
+
+class TestBenchmarkSolves:
+    """The solves the benchmark runs (h=2), and a budget-binding table1
+    solve whose later epochs store several pairs, pinned bit for bit: the
+    stored vectors and actions, the planned value and the pairs per epoch."""
+
+    # ids name the configuration only, so that re-pinning keeps the test's name
+    @pytest.mark.parametrize("method, cap, c_th, planned, pairs, digest", [
+        pytest.param(
+            "gcpbvi", 32, None, (629.2562396336053, 792.6435554074225), [2, 1, 1, 1, 1],
+            "c927a97877cbe5ab68c5dcc5f6b3f8924105fd67bb31e9c81373ca9825627862",
+            id="gcpbvi-cap32",
+        ),
+        pytest.param(
+            "cpbvi", 12, None, (629.2562396336053, 792.6435554074225), [1, 1, 1, 1, 1],
+            "6b4982ecad9e22aa02dcaca92356ce53c4796510ed3e4818c4ce5c0f5c43e7ac",
+            id="cpbvi-cap12",
+        ),
+        pytest.param(
+            "gcpbvi", 16, 300.0, (342.0599551679845, 299.85177955630286), [10, 9, 8, 3, 1],
+            "80551d6fcf0b7d43631e0a1cc1670336ea22e6935f524bfedebe17f8b367968e",
+            id="gcpbvi-cap16-cth300",
+        ),
+    ])
+    def test_table1(self, table1_scenario, method, cap, c_th, planned, pairs, digest):
+        scenario = table1_scenario if c_th is None else dataclasses.replace(table1_scenario, c_th=c_th)
+        solve = solve_gcpbvi if method == "gcpbvi" else solve_cpbvi
+        policy = solve(scenario, h=2, cap=cap)
+        assert policy.planned_value() == planned
+        assert policy.stats["pairs_per_epoch"] == pairs
+        assert _policy_digest(policy) == digest
+
+    def test_8b_centralized_cap_8(self):
+        policy = solve_centralized(_scenario_8b(), h=2, cap=8)
+        assert policy.planned_value() == (4806.510329051512, 999.1832577538861)
+        assert policy.stats["pairs_per_epoch"] == [6, 1, 1, 1, 1]
+        assert _policy_digest(policy) == (
+            "863c05bdaf4f264bc4da817c1ad557b4d74de4f610b4e7241be5b50788949df7"
+        )
+
+    def test_8b_distributed_cap_8(self):
+        scenario = _scenario_8b()
+        policies = [solve_gcpbvi(with_single_ue(scenario, u), h=2, cap=8) for u in range(scenario.n_ues)]
+        assert _policy_digest(*policies) == (
+            "9c14a15f8133631e89b92c6295be8ede1811288cea8a2e0ae7815c1d58b5c7e6"
+        )
 
 
 class TestComplexityModel:

@@ -40,6 +40,7 @@ from relayplan.sim import (
 from relayplan.solvers import (
     PolicySolution,
     _column_frontiers,
+    _Continuation,
     _distinct_pairs,
     _Engine,
     _pareto_indices,
@@ -424,6 +425,32 @@ class TestCentralized:
         central = solve_centralized(multi, chains, h=2, cap=4)
         with pytest.raises(ValidationError, match="plays 2 UEs"):
             monte_carlo(central, scenario, 5, 0, chains)
+
+
+class TestSolveStats:
+    def test_cpbvi_select_calls_every_action_at_every_anchor(self):
+        """cpbvi scores each of the 2^(K+1) = 8 actions of K = 2 relays with
+        one ``select`` call at each of the 4 anchors, in each of the 3
+        epochs: 96 calls."""
+        sc = line_scenario(3, (1, 3), horizon=3)
+        policy = solve_cpbvi(sc, h=2, cap=4)
+        assert policy.stats["belief_points"] == 4
+        assert policy.stats["select_calls"] == 3 * 4 * 8
+
+    @pytest.mark.parametrize("method", ["cpbvi", "gcpbvi", "centralized"])
+    def test_phases_sum_to_at_most_the_wall_time(self, method):
+        """The timed phases never overlap: choosing excludes the scoring and
+        merging it calls, so their sum stays within the solve's wall time
+        (up to the rounding of seven values to 1e-6 s)."""
+        rng = np.random.default_rng(11)
+        scenario, chains = random_instance(rng, k=2, n=3, t=3)
+        if method == "centralized":
+            scenario = dataclasses.replace(scenario, ues=(UeSpec((1, 1)), UeSpec((3, 1))))
+        solve = {"cpbvi": solve_cpbvi, "gcpbvi": solve_gcpbvi, "centralized": solve_centralized}[method]
+        stats = solve(scenario, chains, h=2, cap=9).stats
+        phases = [value for key, value in stats.items() if key.startswith("time_")]
+        assert len(phases) == 6 and stats["time_choose_s"] > 0.0 and stats["select_calls"] > 0
+        assert sum(phases) <= stats["wall_time_s"] + 7 * 5e-7
 
 
 class TestErrorBounds:
@@ -932,6 +959,91 @@ class TestFrontierMerge:
             assert got == (float(total_r[best]), (float(total_c[best]),), best)
 
 
+def _lexsort_pick(cont: _Continuation, rho_r: float, rho_cs: list[float], limit: float):
+    """The pick by sorting every point that fits: the highest total reward,
+    ties to the lower summed cost, then the lower index. The reference for
+    ``_Continuation.pick``."""
+    r = rho_r + cont.r
+    cs = np.asarray(rho_cs)[:, None] + cont.cs
+    ok = np.flatnonzero((cs <= limit).all(axis=0))
+    if not len(ok):
+        return None
+    best = int(ok[np.lexsort((cs[:, ok].sum(axis=0), -r[ok]))[0]])
+    return float(r[best]), tuple(cs[:, best].tolist()), best
+
+
+def _limit_at(draw, totals: list[float]) -> float:
+    """A budget exactly at one of ``totals``, one ulp below it, or anywhere
+    around them."""
+    at = draw(st.sampled_from(totals))
+    kind = draw(st.sampled_from(["at", "ulp", "free"]))
+    if kind == "at":
+        return at
+    if kind == "ulp":
+        return math.nextafter(at, -math.inf)
+    return draw(st.floats(min(totals) - 1.0, max(totals) + 1.0, allow_nan=False))
+
+
+_rhos = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e3, 1e6]), st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+)
+
+
+def _ascending(first: float, steps: np.ndarray) -> np.ndarray:
+    """``first + cumsum(steps)`` with ``first`` itself as the first entry, so
+    that a -0.0 start stays -0.0; non-decreasing for steps of at least 0."""
+    out = first + np.cumsum(steps)
+    out[0] = first
+    return out
+
+
+@st.composite
+def _frontiers(draw):
+    """One UE's continuation as a root merge leaves it: up to 2,048 points,
+    costs and rewards ascending. Reward steps of a few 1e-15 at a scale of 1
+    tie once a large ``rho_r`` is added; zero steps and -0.0 starts occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.one_of(st.integers(1, 12), st.sampled_from([2047, 2048]), st.integers(1, 2048)))
+    steps = {
+        "ulps": lambda: 1e-15 * rng.uniform(1.01, 4.0, size),
+        "wide": lambda: rng.uniform(0.0, 3.0, size),
+        "grid": lambda: rng.integers(0, 3, size) * 0.5,
+    }
+
+    def ascending(top_start: float) -> np.ndarray:
+        start = draw(st.sampled_from([0.0, -0.0, top_start]))
+        return _ascending(start, steps[draw(st.sampled_from(list(steps)))]())
+
+    r, c = ascending(1.0), ascending(2.0)
+    rho_r, rho_c = draw(_rhos), draw(_rhos)
+    return _Continuation(r, c[None]), rho_r, [rho_c], _limit_at(draw, (rho_c + c).tolist())
+
+
+@st.composite
+def _single_points(draw):
+    """The local rule's one point for 1 to 5 UEs, zeros of both signs among
+    its costs and immediates."""
+    n_ues = draw(st.integers(1, 5))
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1e3, allow_subnormal=False))
+    r = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False)))
+    cs = [draw(parts) for _ in range(n_ues)]
+    rho_cs = [draw(parts) for _ in range(n_ues)]
+    totals = [rho + c for rho, c in zip(rho_cs, cs)]
+    return _Continuation(np.array([r]), np.array(cs)[:, None]), draw(_rhos), rho_cs, _limit_at(draw, totals)
+
+
+class TestPick:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_frontiers(), _single_points()))
+    def test_matches_lexsort_pick(self, case):
+        """The bisection pick is the sorted pick, to the bit (``repr`` tells
+        -0.0 from 0.0), on frontiers of up to 2,048 points and on one-point
+        continuations of up to five UEs, at a budget exactly at a total and
+        one ulp below it."""
+        cont, rho_r, rho_cs, limit = case
+        assert repr(cont.pick(rho_r, rho_cs, limit)) == repr(_lexsort_pick(cont, rho_r, rho_cs, limit))
+
+
 def _fresh_scores(g: np.ndarray, fb: FactoredBelief, sel_axes: tuple[int, ...]) -> np.ndarray:
     """Branch scores from scratch: the unselected axes contracted in descending
     order, then the selected factors multiplied in. The reference scorer."""
@@ -996,7 +1108,7 @@ class TestAnchorScores:
         for i in queries:
             sel_axes = subsets[i]
             before = engine.counters["pair_evaluations"]
-            cont = engine.continuation(anchor, sel_axes)
+            cont = engine.continuation(anchor, sum(1 << ax for ax in sel_axes))
             counted = engine.counters["pair_evaluations"] - before
             if sel_axes in first:
                 assert cont is first[sel_axes] and counted == 0
