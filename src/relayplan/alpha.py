@@ -1,8 +1,9 @@
 """Alpha-vector pairs over the joint relay-location space, and what an
 action pays, read from one option table of ``model.option_tables``: summed
 over its options at every joint state (``tabulate``) or in expectation at a
-factored belief (``expectation``). The solvers, the oracle and the exact
-policy evaluation read immediate rewards and costs only through these two.
+factored belief (``expectation``). The solvers and the oracle read
+immediate rewards and costs only through these two, and the exact policy
+evaluation its expected ones.
 
 Vectors are dense and flat over the joint space (row-major relay order,
 ``n_regions`` per axis). The backups in ``solvers`` build every other
@@ -19,7 +20,7 @@ import numpy as np
 
 from .belief import FactoredBelief, joint_belief
 from .errors import ValidationError
-from .model import Action, ScenarioConfig, option_tables
+from .model import Action
 
 
 @dataclass
@@ -71,12 +72,3 @@ def expectation(rows: np.ndarray, action: Action, fb: FactoredBelief) -> float:
         total += float(fb.per_relay[i - 1] @ rows[i])
     return total
 
-
-def reward_tensor(scenario: ScenarioConfig, action: Action, ue: int = 0) -> np.ndarray:
-    """R(., a) tabulated over joint states, flat."""
-    return tabulate(option_tables(scenario)[0][ue], action)
-
-
-def cost_tensor(scenario: ScenarioConfig, action: Action) -> np.ndarray:
-    """C(., a) tabulated over joint states, flat."""
-    return tabulate(option_tables(scenario)[1], action)

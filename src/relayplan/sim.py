@@ -18,6 +18,10 @@ share one episode loop, ``_run_batch``, which steps all of a run's episodes
 together as arrays, one execution rule and one metric reduction, in one
 world per run (``_World``): the option tables of the UEs played, read for
 every UE at once, and the relay-state sampler, built once.
+
+``exact_policy_value`` enumerates every observation path instead of
+sampling, with the same rule (``solvers._play``), the same budget carry
+(``solvers._Ranking.allotment``) and the same option tables.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .model import (
     JointState,
     ScenarioConfig,
     option_tables,
-    total_cost,
     with_single_ue,
 )
 from .solvers import (
@@ -155,17 +158,21 @@ def _groups(*columns: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class _Agent:
     """A decision maker for the UEs ``ues``, of two kinds: an oracle
-    ``tree``, or the execution rule over ``epochs`` (each epoch's pairs) at
-    the beliefs ``factors`` builds from belief ids.
+    ``tree``, which plays its node's action and idles where the tree has no
+    child, or the execution rule over ``epochs`` (each epoch's pairs) at the
+    beliefs ``factors`` builds from belief ids. ``_Walk`` plays an agent
+    over a batch of episodes, and ``exact_policy_value`` over every
+    observation path.
 
     The rule (``solvers._play``) plays the first pair in ``solvers._Ranking``
     order whose costs-to-go fit every UE's budget, or idles every UE.
     Budgets start at ``c_th``; a UE's next one is ``(budget - the pair's
     cost-to-go at the belief + its cost-to-go at the posterior of the
     observed branch - the cost paid) / gamma``: what the plan gave that
-    branch plus the slack. Over the branches that is the budget, so the
-    expected cost stays within ``c_th``; and the plan's own continuation
-    fits, so with exact beliefs the policy earns at least its planned value.
+    branch (``solvers._Ranking.allotment``) plus the slack. Over the
+    branches that is the budget, so the expected cost stays within
+    ``c_th``; and the plan's own continuation fits, so with exact beliefs
+    the policy earns at least its planned value.
     """
 
     ues: tuple[int, ...]
@@ -174,15 +181,6 @@ class _Agent:
     c_th: float = 0.0
     gamma: float = 1.0
     tree: OracleTree | None = None
-
-    def act(self, epoch: int, fb: FactoredBelief, budgets: tuple, node):
-        """``(actions, choice)`` at one belief; ``choice`` is the rule's
-        ``(ranking, j)``, ``j`` the played pair or None, and None for a tree."""
-        if self.tree is not None:
-            return (node.action if node is not None else EMPTY_ACTION,), None
-        ranking, j = _play(self.epochs[epoch - 1], fb, budgets, self.c_th)
-        acts = (EMPTY_ACTION,) * len(self.ues) if j is None else ranking.pairs[j].actions
-        return acts, (ranking, j)
 
     def next_budgets(self, budgets: np.ndarray, planned, at_branch, spent) -> np.ndarray:
         """Each UE's next budget, elementwise: the played pair's costs-to-go
@@ -210,9 +208,10 @@ class _Walk:
 
     def choose(self, epoch: int) -> tuple[list, np.ndarray]:
         """This epoch's distinct choices, each ``(actions, how)``, and every
-        run's index into them: ``how`` is the rule's ``(ranking, j)`` (see
-        ``_Agent.act``) or the tree node played. The pairs are ranked once per
-        distinct belief ids, and one ``_first_fit`` call fits every run."""
+        run's index into them: ``how`` is the rule's ``(ranking, j)``, ``j``
+        the played pair or None, or the tree node played. The pairs are
+        ranked once per distinct belief ids, and one ``_first_fit`` call
+        fits every run."""
         agent = self.agent
         if agent.tree is not None:
             return [((EMPTY_ACTION if n is None else n.action,), n) for n in self.nodes], self.cursor
@@ -254,8 +253,7 @@ class _Walk:
         planned = np.zeros((len(branches), len(agent.ues)))
         at_branch = np.zeros_like(planned)
         for row, ((ranking, j), obs) in enumerate(branches):
-            if j is not None:
-                planned[row], at_branch[row] = ranking.costs[j], ranking.at_posterior(j, obs)
+            planned[row], at_branch[row] = ranking.allotment(j, obs)
         self.budgets = agent.next_budgets(self.budgets, planned[branch], at_branch[branch], spent)
         self.sid = np.where(seen, state, self.sid)
         self.mid = np.where(seen, 1, self.mid + 1)
@@ -480,9 +478,12 @@ def exact_policy_value(
     def recurse(e: int, b: FactoredBelief, cursor, act: Action | None, budget: float):
         if e > horizon:
             return 0.0, 0.0
-        choice = None
-        if act is None:
-            (act,), choice = agent.act(e, b, (budget,), cursor)
+        ranking = j = None
+        if act is None and agent.tree is not None:
+            act = EMPTY_ACTION if cursor is None else cursor.action  # no child: the tree idles
+        elif act is None:
+            ranking, j = _play(agent.epochs[e - 1], b, (budget,), agent.c_th)
+            act = EMPTY_ACTION if j is None else ranking.pairs[j].actions[0]
         total_r, total_c = expectation(rewards[0], act, b), expectation(costs, act, b)
         sel = act.relays
         # with no selected relays the product yields the single empty branch
@@ -494,12 +495,10 @@ def exact_policy_value(
             obs = _branch_obs(act, combo, k)
             child = cursor.children.get(obs) if cursor is not None else None
             left = budget
-            if e < horizon and choice is not None:
-                ranking, j = choice
-                planned = at_branch = 0.0
-                if j is not None:
-                    planned, at_branch = ranking.costs[j], ranking.at_posterior(j, obs)
-                spent = total_cost(obs, act, scenario)
+            if e < horizon and ranking is not None:
+                planned, at_branch = ranking.allotment(j, obs)
+                # the cost paid, summed from 0 in option order as model.total_cost sums it
+                spent = sum(costs[i, obs[i - 1]] if i else costs[0, 0] for i in act)
                 (left,) = agent.next_budgets(np.array([budget]), planned, at_branch, spent).tolist()
             fr, fc = recurse(e + 1, advance_belief(b, chains, act, obs), child, None, left)
             total_r += gamma * p_z * fr

@@ -17,7 +17,7 @@ The centralized multi-user solve is gcpbvi's backup over every UE's
 (UE, option) elements with per-UE budgets; a single UE is N = 1. The other
 solves plan one UE and refuse a scenario of several. A point-based solve
 takes its anchors as a depth h and a cap; ``horizon_for_eps`` picks the
-smallest h whose reported error bounds fit a target. Also here: a
+smallest h whose whole-set error bounds fit a target. Also here: a
 brute-force oracle (observation-contingent plan enumeration by
 multi-objective dynamic programming over forward-filtered distributions,
 sharing no code with the alpha-vector machinery).
@@ -46,7 +46,8 @@ A candidate costs a few float operations (``_Engine.select``): the points
 of a continuation are Python floats, cost-ascending for every UE, so those
 within the budget are a prefix found by bisection (``_Continuation.pick``).
 The chosen pair gathers its continuation from the predicted stack row by
-row (``_Engine.assemble``).
+row (``_Engine.gather``), and so does every pair of the exact backup's
+cross-sum.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .model import (
     option_tables,
     value_ranges,
 )
-from .alpha import AlphaPair, cost_tensor, expectation, reward_tensor, tabulate
+from .alpha import AlphaPair, expectation, tabulate
 
 ORACLE_STATE_CAP = 64
 ORACLE_HORIZON_CAP = 3
@@ -168,16 +169,26 @@ class _Ranking:
         keyed.sort(key=itemgetter(0, 1, 2))
         return cls(fb, [entry[4] for entry in keyed], np.array([entry[3] for entry in keyed]))
 
-    def at_posterior(self, j: int, obs: Observation) -> list[float]:
-        """Pair ``j``'s per-UE costs-to-go at ``fb`` given the observation:
-        the observed relays' axes indexed, the others contracted with their
-        factors."""
+    def allotment(self, j: int | None, obs: Observation) -> tuple:
+        """What the played pair ``j`` gave the observed branch ``obs``: its
+        per-UE costs-to-go at ``fb`` and at the branch (the observed relays'
+        axes indexed, the others contracted with their factors), or zeros
+        when the rule idled (``j`` None)."""
+        if j is None:
+            return 0.0, 0.0
         t = self.pairs[j].alpha_cs.reshape((-1,) + tuple(len(f) for f in self.fb.per_relay))
-        t = t[(slice(None),) + tuple(slice(None) if z is None else z for z in obs)]
+        t = t[_obs_index(obs)]
         for f, z in reversed(list(zip(self.fb.per_relay, obs))):
             if z is None:
                 t = t @ f
-        return t.tolist()
+        return self.costs[j], t.tolist()
+
+
+def _obs_index(obs: Observation) -> tuple:
+    """The index of the observation branch ``obs`` in an array whose last K
+    axes are the relays': the observed relays' axes at their regions, the
+    others whole."""
+    return (Ellipsis,) + tuple(slice(None) if z is None else z for z in obs)
 
 
 def _first_fit(costs: np.ndarray, budgets: np.ndarray, c_th: float) -> np.ndarray:
@@ -542,7 +553,8 @@ class _Engine:
             keep = ok[_pareto_indices(rr[ok], cc[ok])]
             if len(keep) > FRONTIER_CAP:
                 self.counters["frontier_cap_hits"] += 1
-                keep = keep[np.unique(np.linspace(0, len(keep) - 1, FRONTIER_CAP).round().astype(int))]
+                # steps of more than 1, so the rounded indices strictly increase
+                keep = keep[np.linspace(0, len(keep) - 1, FRONTIER_CAP).round().astype(int)]
             r, c = rr[keep], cc[keep]
             steps.append((keep // len(cand), cand[keep % len(cand)]))
         return _Continuation(r, c[None], lead=lead, steps=steps)
@@ -656,22 +668,33 @@ class _Engine:
             chosen, current = single
         return None if current is None else (chosen, current[2])
 
-    def branch_index(self, sigma: np.ndarray, sel_axes: tuple[int, ...]) -> tuple:
-        """Index of a predicted stack ``g`` such that ``g[index]`` takes, at each
-        joint state, the row the per-branch choices ``sigma`` pick there."""
+    def gather(
+        self, stack: np.ndarray, sel_axes: tuple[int, ...], choices: np.ndarray, support: list
+    ) -> np.ndarray:
+        """The continuation that per-branch ``choices`` pick from ``stack``
+        (groups, rows) + joint shape, flat per group: at every joint state,
+        the row its branch of the relays ``sel_axes`` chooses. ``choices``
+        holds one row per branch of ``support`` (per selected axis, the
+        regions it covers), in row-major order; a branch outside it takes
+        row 0.
+
+        Row 0 at every joint state, then one masked pass per other row that
+        the choices name, over the joint states of its branches, so a stack
+        of one row takes no pass past the first."""
         dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
-        return np.broadcast_to(sigma.reshape(dims), self.shape).reshape(-1), np.arange(self.flat)
+        picked = stack[:, 0]
+        for j in sorted(set(choices.tolist()) - {0}):
+            at = np.zeros((self.n,) * len(sel_axes), dtype=bool)
+            at[np.ix_(*support)] = (choices == j).reshape(tuple(len(s) for s in support))
+            picked = np.where(at.reshape(dims), stack[:, j], picked)
+        return picked.reshape(len(picked), -1)
 
     def assemble(self, anchor: _Anchor, chosen) -> AlphaPair:
         """The pair of ``chosen``, an ``(assignment, point)`` at ``anchor``:
-        the reward (flat), each UE's cost (N, flat) and each UE's action. A
+        the reward (flat), each UE's cost (N, flat) and each UE's action,
+        the continuation gathered from the predicted stack (``gather``). A
         branch of probability 0 continues with row 0. None gives the empty
-        assignment's zero vectors.
-
-        The continuation is gathered row by row from the predicted stack:
-        row 0 at every joint state, then one masked pass per other row that
-        the point's branch choices name, over the joint states of those
-        branches. A stack of one pair takes no pass past the first."""
+        assignment's zero vectors."""
         n_ues = len(anchor.imm)
         if chosen is None:
             return AlphaPair(np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues)
@@ -685,17 +708,13 @@ class _Engine:
             if anchor.g is not None:
                 relays = sum({1 << e for options in assignment for e in options}) >> 1
                 sel_axes = self.relay_axes(relays)
-                support = [anchor.scores.support[ax] for ax in sel_axes]
-                choices = self.continuation(anchor, relays).choices(point)
-                stack = anchor.g.reshape((1 + n_ues, -1) + self.shape)
-                dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
-                picked = stack[:, 0]
-                for j in sorted(set(choices.tolist()) - {0}):
-                    at = np.zeros((self.n,) * len(sel_axes), dtype=bool)
-                    at[np.ix_(*support)] = (choices == j).reshape(tuple(len(s) for s in support))
-                    picked = np.where(at.reshape(dims), stack[:, j], picked)
-                alpha_r += picked[0].reshape(-1)
-                alpha_cs += picked[1:].reshape(n_ues, -1)
+                picked = self.gather(
+                    anchor.g.reshape((1 + n_ues, -1) + self.shape), sel_axes,
+                    self.continuation(anchor, relays).choices(point),
+                    [anchor.scores.support[ax] for ax in sel_axes],
+                )
+                alpha_r += picked[0]
+                alpha_cs += picked[1:]
         return AlphaPair(alpha_r, alpha_cs, actions)
 
 
@@ -771,50 +790,32 @@ def exact_backup(engine: _Engine, v_t: list[AlphaPair]) -> list[AlphaPair]:
     if len(actions) > EXACT_ACTION_CAP:
         raise CapExceededError("too many actions for the exact solver; use gcpbvi")
 
-    gr = gc = None
-    if v_t:
-        g = engine.predict_stack(v_t)
-        gr, gc = g[: len(v_t)], g[len(v_t) :]
+    # the predicted reward rows, then the cost rows (predict_stack), over joint states
+    stack = engine.predict_stack(v_t).reshape((2, len(v_t)) + engine.shape) if v_t else None
 
     out: list[AlphaPair] = []
     for action in actions:
-        if gr is None:
-            out.append(
-                AlphaPair(
-                    alpha_r=engine.reward_flat(action).copy(),
-                    alpha_cs=engine.cost_flat(action)[None].copy(),
-                    actions=(action,),
-                )
-            )
+        r_imm, c_imm = engine.reward_flat(action), engine.cost_flat(action)
+        if stack is None:
+            out.append(AlphaPair(r_imm.copy(), c_imm[None].copy(), (action,)))
             continue
-        sel_axes = tuple(i - 1 for i in action.relays)
         branch_choices: list[np.ndarray] = []
-        tensor_shape = (-1,) + engine.shape
-        gr_t = gr.reshape(tensor_shape)
-        gc_t = gc.reshape(tensor_shape)
-        for combo in itertools.product(range(engine.n), repeat=len(sel_axes)):
-            index = (slice(None),) + tuple(
-                combo[sel_axes.index(ax)] if ax in sel_axes else slice(None)
-                for ax in range(engine.k)
+        for combo in itertools.product(range(engine.n), repeat=len(action.relays)):
+            slice_r, slice_c = stack[_obs_index(_branch_obs(action, combo, engine.k))]
+            branch_choices.append(
+                _pointwise_undominated(slice_r.reshape(len(v_t), -1), slice_c.reshape(len(v_t), -1))
             )
-            slice_r = gr_t[index].reshape(len(v_t), -1)
-            slice_c = gc_t[index].reshape(len(v_t), -1)
-            branch_choices.append(_pointwise_undominated(slice_r, slice_c))
         n_combos = math.prod(len(c) for c in branch_choices)
         if n_combos > EXACT_CROSS_CAP:
             raise CapExceededError(
                 f"action {action.selected} cross-sum would produce {n_combos} pairs "
                 f"(cap {EXACT_CROSS_CAP}); reduce the horizon or use a point-based solver"
             )
+        sel_axes = tuple(i - 1 for i in action.relays)
+        every_region = [range(engine.n)] * len(sel_axes)
         for sigma in itertools.product(*branch_choices):
-            at = engine.branch_index(np.asarray(sigma, dtype=int), sel_axes)
-            out.append(
-                AlphaPair(
-                    alpha_r=engine.reward_flat(action) + gr[at],
-                    alpha_cs=(engine.cost_flat(action) + gc[at])[None],
-                    actions=(action,),
-                )
-            )
+            r, c = engine.gather(stack, sel_axes, np.asarray(sigma, dtype=int), every_region)
+            out.append(AlphaPair(r_imm + r, (c_imm + c)[None], (action,)))
 
     keep = _pointwise_undominated(
         np.array([p.alpha_r for p in out]), np.array([p.alpha_cs[0] for p in out])
@@ -910,7 +911,12 @@ def _error_bounds(scenario: ScenarioConfig, chains: list[MarkovChain], h: int) -
 
 
 def horizon_for_eps(eps: float, scenario: ScenarioConfig, chains: list[MarkovChain]) -> int:
-    """The smallest depth h whose whole-set eta_r and eta_c bounds are both within ``eps``."""
+    """The smallest depth h whose whole-set eta_r and eta_c bounds are both within ``eps``.
+
+    A solve prints these bounds only when its cap keeps the whole depth-h
+    set, and the set grows fast with h: on ``table1.json`` every ``eps`` up
+    to 1e4 gives h >= 82, whose set has 2.26e9 points, so a solve capped at
+    256 points prints them as None."""
     if eps <= 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
 
@@ -1035,8 +1041,9 @@ def brute_force_oracle(
     for chain in chains:
         t_joint = np.kron(t_joint, chain.matrix)
     actions = all_actions(k)
-    r_flat = {a.selected: reward_tensor(scenario, a) for a in actions}
-    c_flat = {a.selected: cost_tensor(scenario, a) for a in actions}
+    rewards, costs = option_tables(scenario)
+    r_flat = {a.selected: tabulate(rewards[0], a) for a in actions}
+    c_flat = {a.selected: tabulate(costs, a) for a in actions}
     gamma = scenario.gamma
     c_th = scenario.c_th
     tol = _budget_tol(c_th)
@@ -1064,19 +1071,15 @@ def brute_force_oracle(
             c0 = float(c_flat[action.selected] @ dist)
             combos = [(r0, c0, {})]
             dist_t = dist.reshape(shape)
-            sel_axes = tuple(i - 1 for i in action.relays)
-            for combo in itertools.product(*(range(n) for _ in sel_axes)):
-                index = tuple(
-                    combo[sel_axes.index(ax)] if ax in sel_axes else slice(None)
-                    for ax in range(k)
-                )
+            for combo in itertools.product(range(n), repeat=len(action.relays)):
+                obs = _branch_obs(action, combo, k)
+                index = _obs_index(obs)
                 masked = np.zeros(shape)
                 masked[index] = dist_t[index]
                 p_z = float(masked.sum())
                 if p_z <= 0.0:
                     continue
                 nxt = (masked.reshape(-1) / p_z) @ t_joint
-                obs = _branch_obs(action, combo, k)
                 children = plans(epoch + 1, nxt)
                 merged = []
                 for r_acc, c_acc, plan_acc in combos:

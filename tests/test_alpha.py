@@ -6,14 +6,21 @@ import pytest
 
 from conftest import line_scenario, random_instance
 from relayplan import solvers
-from relayplan.alpha import AlphaPair, cost_tensor, reward_tensor
+from relayplan.alpha import AlphaPair, tabulate
 from relayplan.belief import FactoredBelief, advance_belief, joint_belief
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain
-from relayplan.model import Action, EMPTY_ACTION, total_cost, total_reward
+from relayplan.model import Action, EMPTY_ACTION, option_tables, total_cost, total_reward
 from relayplan.solvers import _Engine, exact_backup, solve_exact
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+
+def _immediates(scenario, action: Action) -> tuple[np.ndarray, np.ndarray]:
+    """R(., a) and C(., a) over joint states, flat, tabulated from the
+    scenario's option tables."""
+    rewards, costs = option_tables(scenario)
+    return tabulate(rewards[0], action), tabulate(costs, action)
 
 
 def _branches(action: Action, k: int, n: int):
@@ -32,8 +39,9 @@ def _branch_source(pair, mask, sources, scenario, chains):
     net of their immediates, on that branch's joint states."""
     (action,) = pair.actions
     t = functools.reduce(np.kron, [chain.matrix for chain in chains])
-    rest_r = (pair.alpha_r - reward_tensor(scenario, action))[mask]
-    rest_c = (pair.alpha_cs[0] - cost_tensor(scenario, action))[mask]
+    imm_r, imm_c = _immediates(scenario, action)
+    rest_r = (pair.alpha_r - imm_r)[mask]
+    rest_c = (pair.alpha_cs[0] - imm_c)[mask]
     for src in sources:
         pred_r = scenario.gamma * (t @ src.alpha_r)[mask]
         pred_c = scenario.gamma * (t @ src.alpha_cs[0])[mask]
@@ -47,19 +55,20 @@ def _branch_source(pair, mask, sources, scenario, chains):
 class TestImmediatePair:
     def test_empty_action_is_zero(self):
         sc = line_scenario(3, [1, 2])
-        assert not reward_tensor(sc, EMPTY_ACTION).any()
-        assert not cost_tensor(sc, EMPTY_ACTION).any()
+        alpha_r, alpha_c = _immediates(sc, EMPTY_ACTION)
+        assert not alpha_r.any()
+        assert not alpha_c.any()
 
     def test_singleton_tabulation(self):
         sc = line_scenario(3, [2])
-        alpha_r = reward_tensor(sc, Action((1,)))
+        alpha_r, _ = _immediates(sc, Action((1,)))
         for s in range(3):
             assert alpha_r[s] == pytest.approx(total_reward((s,), Action((1,)), sc))
 
     def test_two_relay_modularity_vs_joint_enumeration(self):
         sc = line_scenario(3, [1, 3])
         action = Action((0, 1, 2))
-        alpha_r, alpha_c = reward_tensor(sc, action), cost_tensor(sc, action)
+        alpha_r, alpha_c = _immediates(sc, action)
         for i in range(3):
             for j in range(3):
                 flat = i * 3 + j
@@ -87,7 +96,9 @@ def _branch_part(engine: _Engine, vec, action: Action, sigma) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     g = engine.predict(np.array([vec, np.zeros_like(vec)]))
     sel_axes = tuple(i - 1 for i in action.relays)
-    return g[engine.branch_index(np.asarray(sigma), sel_axes)]
+    every_region = [range(engine.n)] * len(sel_axes)
+    (out,) = engine.gather(g.reshape((1, 2) + engine.shape), sel_axes, np.asarray(sigma), every_region)
+    return out
 
 
 class TestBackproject:
@@ -167,8 +178,7 @@ class TestCrossSum:
         sc, chains, sources = self._setup(direct=(5.0, 0.0))
         for pair in exact_backup(_Engine(sc, chains), sources):
             (action,) = pair.actions
-            expected_r = reward_tensor(sc, action)
-            expected_c = cost_tensor(sc, action)
+            expected_r, expected_c = _immediates(sc, action)
             for _, mask in _branches(action, 1, 2):
                 child = _branch_source(pair, mask, sources, sc, chains)
                 expected_r = expected_r + mask * (TWO_STATE.matrix @ child.alpha_r)
@@ -191,8 +201,9 @@ class TestPiecewiseLinearConsistency:
         each branch continues with (``_branch_source``)."""
         b = joint_belief(fb)
         (action,) = pair.actions
-        r = float(reward_tensor(scenario, action) @ b)
-        c = float(cost_tensor(scenario, action) @ b)
+        imm_r, imm_c = _immediates(scenario, action)
+        r = float(imm_r @ b)
+        c = float(imm_c @ b)
         if not later:
             return r, c
         for obs, mask in _branches(action, scenario.n_relays, scenario.n_regions):
@@ -227,5 +238,5 @@ class TestPiecewiseLinearConsistency:
 
 def test_reward_cost_tensor_shapes():
     sc = line_scenario(3, [1, 2])
-    assert reward_tensor(sc, Action((1, 2))).shape == (9,)
-    assert cost_tensor(sc, EMPTY_ACTION).shape == (9,)
+    assert _immediates(sc, Action((1, 2)))[0].shape == (9,)
+    assert _immediates(sc, EMPTY_ACTION)[1].shape == (9,)

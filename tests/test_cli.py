@@ -213,8 +213,8 @@ def _rewrite_meta(policy, edit, arrays=lambda members: None) -> None:
         members = {name: archive[name] for name in archive.files}
     meta = json.loads(str(members["meta"]))
     edit(meta)
-    arrays(members)
     members["meta"] = np.array(json.dumps(meta))
+    arrays(members)
     with open(policy, "wb") as fh:
         np.savez(fh, **members)
 
@@ -233,10 +233,13 @@ class TestPolicyFileChecks:
     """A policy file whose metadata is out of range is refused on load (exit
     2), before ``simulate`` plays anything."""
 
-    def _simulate(self, scenario, method, edit, tmp_path, capsys) -> str:
+    def _simulate(self, scenario, method, edit, tmp_path, capsys, arrays=lambda members: None) -> str:
+        """``simulate``'s stderr on a ``method`` policy whose metadata
+        ``edit`` and whose members ``arrays`` rewrote, checking that it
+        exits 2 and writes no CSV."""
         policy = tmp_path / "pol.npz"
         run(["solve", "--scenario", scenario, "--method", method, "--out", policy])
-        _rewrite_meta(policy, edit)
+        _rewrite_meta(policy, edit, arrays)
         capsys.readouterr()
         assert run([
             "simulate", "--scenario", scenario, "--policy", policy,
@@ -304,6 +307,39 @@ class TestPolicyFileChecks:
     def test_horizon_not_an_integer(self, tiny_scenario, tmp_path, capsys):
         err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(horizon=2.0), tmp_path, capsys)
         assert "horizon: expected an integer, got 2.0" in err
+
+    def test_metadata_not_an_object(self, tiny_scenario, tmp_path, capsys):
+        def arrays(members):
+            members["meta"] = np.array(json.dumps([1, 2]))
+
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: None, tmp_path, capsys, arrays)
+        assert "policy metadata is not a JSON object" in err
+
+    def test_chains_not_square(self, tiny_scenario, tmp_path, capsys):
+        def arrays(members):
+            members["chains"] = members["chains"][:, :, :1]
+
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: None, tmp_path, capsys, arrays)
+        assert "chains have shape (1, 2, 1), expected (K, n, n)" in err
+
+    @pytest.mark.parametrize("matrix, problem", [
+        ([[1.5, -0.5], [0.4, 0.6]], "transition probabilities must lie in [0, 1]"),
+        ([[0.6, 0.6], [0.4, 0.6]], "rows must sum to 1"),
+    ], ids=["outside-unit-interval", "row-sum"])
+    def test_stored_chain_not_stochastic(self, tiny_scenario, tmp_path, capsys, matrix, problem):
+        def arrays(members):
+            members["chains"] = np.array([matrix])
+
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: None, tmp_path, capsys, arrays)
+        assert problem in err
+
+    def test_initial_state_of_other_relays(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(initial_state=[0, 0]), tmp_path, capsys)
+        assert "initial state (0, 0) does not have 1 relays" in err
+
+    def test_epochs_short_of_the_horizon(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(horizon=3), tmp_path, capsys)
+        assert "2 epochs stored for horizon 3" in err
 
     @pytest.mark.parametrize("key", ["0", "0,1,1", "0,2", "-1,1"])
     def test_oracle_child_key_not_an_observation(self, tmp_path, capsys, key):

@@ -45,7 +45,17 @@ from relayplan.sim import (
     solve_centralized,
     write_csv,
 )
-from relayplan.solvers import _first_fit, _Ranking, brute_force_oracle, solve_cpbvi, solve_gcpbvi
+from relayplan.solvers import (
+    OracleTree,
+    _first_fit,
+    _play,
+    _Ranking,
+    _tree_to_dict,
+    brute_force_oracle,
+    solve_cpbvi,
+    solve_exact,
+    solve_gcpbvi,
+)
 
 
 class TestRunEpisode:
@@ -245,8 +255,8 @@ class TestBatch:
 
 def _reference_episode(agents, world, seed) -> EpisodeTrace:
     """The scalar episode loop that the batch replaces, as a reference: one
-    epoch at a time, each agent's rule applied by ``_Agent.act`` at its
-    belief, each UE's reward and cost by ``total_reward`` and ``total_cost``,
+    epoch at a time, each agent's rule applied by ``solvers._play`` at its
+    belief or its tree node played, each UE's reward and cost by ``total_reward`` and ``total_cost``,
     and the states sampled by ``searchsorted`` on one ``rng.random(K)`` per
     epoch."""
     scenario, n_ues = world.scenario, len(world.rewards)
@@ -262,8 +272,12 @@ def _reference_episode(agents, world, seed) -> EpisodeTrace:
         actions = [EMPTY_ACTION] * n_ues
         choices = []
         for a, agent in enumerate(agents):
-            fb = agent.factors.belief(ids[a]) if agent.epochs is not None else None
-            acts, choice = agent.act(epoch, fb, tuple(budgets[a].tolist()), nodes[a])
+            if agent.tree is not None:  # a tree idles where it has no child
+                acts, choice = (EMPTY_ACTION if nodes[a] is None else nodes[a].action,), None
+            else:
+                fb = agent.factors.belief(ids[a])
+                choice = ranking, j = _play(agent.epochs[epoch - 1], fb, tuple(budgets[a].tolist()), agent.c_th)
+                acts = (EMPTY_ACTION,) * len(agent.ues) if j is None else ranking.pairs[j].actions
             choices.append(choice)
             for u, action in zip(agent.ues, acts):
                 actions[u] = action
@@ -281,9 +295,7 @@ def _reference_episode(agents, world, seed) -> EpisodeTrace:
             observations.append(obs)
             if epoch < horizon and choices[a] is not None:
                 ranking, j = choices[a]
-                planned = at_branch = 0.0
-                if j is not None:
-                    planned, at_branch = ranking.costs[j], ranking.at_posterior(j, obs)
+                planned, at_branch = ranking.allotment(j, obs)
                 spent = np.array([costs[u] for u in agent.ues])
                 budgets[a] = agent.next_budgets(budgets[a], planned, at_branch, spent)
             ids[a] = advance_ids(ids[a], obs)
@@ -545,8 +557,8 @@ def _scalar_first_fit(costs, budgets, c_th) -> list[int]:
 
 
 class TestOneRule:
-    """One ranking and one first fit serve ``select_pair``, ``_Agent.act``
-    and the batch."""
+    """One ranking and one first fit serve ``select_pair``,
+    ``exact_policy_value`` and the batch."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -656,8 +668,7 @@ class TestSelectMulti:
         ]
         expected = min(scored, key=lambda item: item[0])[1] if scored else None
 
-        agent = _Agent(tuple(range(n_ues)), None, [pairs], c_th=c_th)
-        _, (ranking, j) = agent.act(1, fb, (c_th,) * n_ues, None)
+        ranking, j = _play(pairs, fb, (c_th,) * n_ues, c_th)
         assert (None if j is None else ranking.pairs[j]) is expected
 
 
@@ -784,6 +795,72 @@ class TestBenchmarkSolves:
         assert _policy_digest(*policies) == (
             "9c14a15f8133631e89b92c6295be8ede1811288cea8a2e0ae7815c1d58b5c7e6"
         )
+
+
+def _criterion_1_instance(index: int):
+    """Instance ``index`` of acceptance criterion 1, drawn as it draws them."""
+    rng = np.random.default_rng(20240801)
+    for i in range(index + 1):
+        if i % 3 == 0:
+            instance = random_instance(rng, k=2, n=2, t=int(rng.integers(1, 3)))
+        elif i % 3 == 1:
+            instance = random_instance(rng, k=1, n=int(rng.integers(2, 4)), t=int(rng.integers(1, 4)))
+        else:
+            instance = random_instance(rng, k=1, n=int(rng.integers(4, 9)), t=int(rng.integers(1, 3)))
+    return instance
+
+
+class TestExactPathsPinned:
+    """The exact solve, the oracle and the exact evaluator on criterion 1's
+    instances, pinned bit for bit: the exact solve's stored vectors and
+    actions, the oracle's stats and tree, and ``exact_policy_value`` of the
+    exact policy, a gcpbvi policy (h=2, cap 8), the oracle tree and the
+    oracle tree cut to its root, which idles from epoch 2 on."""
+
+    @pytest.mark.parametrize("index, digest, stats, tree, values, cut", [
+        pytest.param(
+            0, "3b03aaa12fcd3cc663022beaa0a8f79fec32a0d7302b965e06912de6303d5791",
+            "{'oracle_value_r': 972.6483935911489, 'oracle_value_c': 115.1959456494448, 'contexts': 2}",
+            {"action": [0, 1, 2], "children": {"0,0": {"action": [0, 1, 2], "children": {}}}},
+            ["(972.6483935911489, 115.19594564944481)"] * 3,
+            "(500.87048922977226, 55.93851009954691)",
+            id="k2-n2-t2",
+        ),
+        pytest.param(
+            2, "8b8dde49d8cd6fd30e9459534fa7440d4e5c06144a1915f75cc4a049dd782f83",
+            "{'oracle_value_r': 124.86445184370365, 'oracle_value_c': 35.71469304564962, 'contexts': 2}",
+            {"action": [0, 1], "children": {"1": {"action": [0, 1], "children": {}}}},
+            ["(124.86445184370366, 35.71469304564962)"] * 3,
+            "(58.23606450383187, 14.135608905308311)",
+            id="k1-n6-t2",
+        ),
+        pytest.param(
+            7, "de15443571e930a86adc609c23dd33633971393d63e149b4fac886c186c28c2a",
+            "{'oracle_value_r': 338.23233343932645, 'oracle_value_c': 159.53096441949418, 'contexts': 5}",
+            {"action": [0, 1], "children": {"1": {"action": [0, 1], "children": {
+                "0": {"action": [0], "children": {}}, "1": {"action": [0, 1], "children": {}},
+            }}}},
+            [
+                "(338.23233343932645, 159.53096441949418)",
+                "(295.4940707673261, 121.45395955009035)",
+                "(338.23233343932645, 159.53096441949418)",
+            ],
+            "(147.02550268424335, 86.0303186624731)",
+            id="k1-n2-t3",
+        ),
+    ])
+    def test_criterion_1_instance(self, index, digest, stats, tree, values, cut):
+        scenario, chains = _criterion_1_instance(index)
+        exact = solve_exact(scenario, chains)
+        assert _policy_digest(exact) == digest
+        oracle = brute_force_oracle(scenario, chains)
+        assert repr({k: v for k, v in oracle.stats.items() if k != "wall_time_s"}) == stats
+        assert _tree_to_dict(oracle.tree) == tree
+        gcpbvi = solve_gcpbvi(scenario, chains, h=2, cap=8)
+        got = [repr(exact_policy_value(p, scenario, chains)) for p in (exact, gcpbvi, oracle)]
+        assert got == values
+        root = dataclasses.replace(oracle, tree=OracleTree(oracle.tree.action))
+        assert repr(exact_policy_value(root, scenario, chains)) == cut
 
 
 class TestComplexityModel:

@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import zipfile
 from unittest import mock
@@ -11,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_scenario, random_chain, random_instance
+from conftest import REPO_ROOT, line_scenario, random_chain, random_instance
 from relayplan import solvers
-from relayplan.alpha import AlphaPair, expectation, reward_tensor
+from relayplan.alpha import AlphaPair, expectation, tabulate
 from relayplan.belief import BeliefSet, FactoredBelief, FactorTable, build_h_belief_set, density_bound
 from relayplan.errors import CapExceededError, ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
@@ -22,6 +25,7 @@ from relayplan.model import (
     EMPTY_ACTION,
     UeSpec,
     all_actions,
+    option_tables,
     relay_cost,
     relay_reward,
     value_ranges,
@@ -44,6 +48,7 @@ from relayplan.solvers import (
     _distinct_pairs,
     _Engine,
     _pareto_indices,
+    _play,
     _SupportScores,
     brute_force_oracle,
     cpbvi_backup,
@@ -68,7 +73,7 @@ class TestExactBackup:
         for action in all_actions(1):
             if action.selected in by_action:
                 np.testing.assert_allclose(
-                    by_action[action.selected].alpha_r, reward_tensor(sc, action)
+                    by_action[action.selected].alpha_r, tabulate(option_tables(sc)[0][0], action)
                 )
         # the best action's pair must survive pruning
         assert (0, 1) in by_action
@@ -286,6 +291,13 @@ class TestGcpbvi:
                         assert c <= scenario.c_th + 1e-6
 
 
+def _played(pairs: list, fb: FactoredBelief, budgets: tuple, c_th: float):
+    """The pair the execution rule (``solvers._play``) plays at ``fb``
+    within ``budgets``, or None where it idles."""
+    ranking, j = _play(pairs, fb, budgets, c_th)
+    return None if j is None else ranking.pairs[j]
+
+
 class TestDistinctPairs:
     """Each epoch stores its distinct pairs. Nothing stored, planned or
     played differs from chaining the backups with every copy kept."""
@@ -353,30 +365,18 @@ class TestDistinctPairs:
         assert central.planned_value() == dataclasses.replace(
             central, epochs=reference
         ).planned_value()
-        everyone = tuple(range(multi.n_ues))
         budgets = (multi.c_th,) * multi.n_ues
-        agents = [
-            _Agent(everyone, FactorTable(chains), e, c_th=multi.c_th, gamma=multi.gamma)
-            for e in (epochs, reference)
-        ]
-        # the planned value's pair is the pair the agent plays first
+        # the planned value's pair is the pair the rule plays first
         fb0 = FactoredBelief.one_hot(multi.initial_states, multi.n_regions)
-        planned, planned_actions = select_pair(central, 1, fb0)
-        acts, (ranking, j) = agents[0].act(1, fb0, budgets, None)
-        assert acts == planned_actions
-        assert self._same_pick(None if j is None else ranking.pairs[j], planned)
+        planned, _ = select_pair(central, 1, fb0)
+        assert self._same_pick(_played(epochs[0], fb0, budgets, multi.c_th), planned)
         for epoch in range(1, multi.horizon + 1):
             for fb in bs.points:
-                (acts, (ranking, j)), (want_acts, (want_ranking, wj)) = (
-                    agent.act(epoch, fb, budgets, None) for agent in agents
-                )
-                assert acts == want_acts
-                assert self._same_pick(
-                    None if j is None else ranking.pairs[j],
-                    None if wj is None else want_ranking.pairs[wj],
-                )
+                got, want = (_played(e[epoch - 1], fb, budgets, multi.c_th) for e in (epochs, reference))
+                assert self._same_pick(got, want)
+        agent = _Agent(tuple(range(multi.n_ues)), FactorTable(chains), reference, multi.c_th, multi.gamma)
         got = run_multiuser(multi, "centralized", runs, run_seed, chains, h=2, cap=cap)
-        want = _simulate(agents[1:], _World(multi, chains, multi.n_ues), runs, run_seed)
+        want = _simulate([agent], _World(multi, chains, multi.n_ues), runs, run_seed)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
@@ -673,7 +673,8 @@ class TestSelectPair:
 
     def test_every_ue_cost_must_fit(self):
         """The better pair breaks UE 1's budget, so the rule at the full
-        budgets, the planned value and the agent all take the other one."""
+        budgets, the planned value and the rule at given budgets all take
+        the other one."""
         ones = np.ones(2)
         over = AlphaPair(3 * ones, np.array([ones, 5 * ones]), (Action((1,)), Action((1,))))
         fits = AlphaPair(2 * ones, np.array([ones, ones]), (Action((0,)), Action((0,))))
@@ -686,8 +687,7 @@ class TestSelectPair:
         pair, actions = select_pair(policy, 1, fb)
         assert pair is fits and actions == fits.actions
         assert policy.planned_value() == (2.0, 1.0)
-        _, (ranking, j) = _Agent((0, 1), None, policy.epochs, c_th=2.0).act(1, fb, (2.0, 2.0), None)
-        assert ranking.pairs[j] is fits
+        assert _played(policy.epochs[0], fb, (2.0, 2.0), 2.0) is fits
 
 
 def _loop_pareto(r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -830,6 +830,33 @@ def _random_merge_input(rng: np.random.Generator):
 
 
 class TestFrontierMerge:
+    @settings(max_examples=400, deadline=None)
+    @given(cap=st.integers(1, 2 * solvers.FRONTIER_CAP), extra=st.integers(1, 200_000))
+    def test_thinned_indices_strictly_increase(self, cap, extra):
+        """A frontier is thinned only past the cap, where the evenly spaced
+        positions step by more than 1, so their rounded indices strictly
+        increase from the first point to the last without ``np.unique``."""
+        n = cap + extra
+        idx = np.linspace(0, n - 1, cap).round().astype(int)
+        assert (np.diff(idx) > 0).all()
+        assert idx[0] == 0 and idx[-1] == (n - 1 if cap > 1 else 0)
+
+    def test_capped_solve_imports_no_masked_arrays(self):
+        """table1 gcpbvi at cap 16 and ``c_th`` 300 thins 76 frontiers in a
+        fresh process and leaves ``numpy.ma`` unimported (the first
+        ``np.unique`` call of a process imports it)."""
+        code = (
+            "import dataclasses, sys\n"
+            "from relayplan.model import load_scenario\n"
+            "from relayplan.solvers import solve_gcpbvi\n"
+            f"sc = dataclasses.replace(load_scenario({str(REPO_ROOT / 'scenarios' / 'table1.json')!r}), c_th=300.0)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "print(solve_gcpbvi(sc, h=2, cap=16).stats['frontier_cap_hits'], 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["76", "False"]
+
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.tuples(_values, _costs), max_size=40))
     def test_pareto_indices_matches_loop(self, points):
