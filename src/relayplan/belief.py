@@ -9,6 +9,11 @@ transition-matrix row for observed relays and the one-step prediction
 either the initial one-hot or a row of some matrix power, which is exactly
 the family the h-belief set enumerates.
 
+Only the selected relays are observed, so a stored vector is read on a
+belief's support only, the joint states where every factor is positive.
+``Support`` gathers it once per belief, per relay and as flat indices, for
+the execution rule and for the point-based backups' anchors.
+
 ``density_bound`` covers a whole h-belief set; the solvers turn it into
 value-error bounds and a depth for a target error (``horizon_for_eps``).
 """
@@ -154,19 +159,30 @@ def joint_belief(fb: FactoredBelief) -> np.ndarray:
     return out
 
 
-def joint_support(fb: FactoredBelief) -> tuple[np.ndarray | None, np.ndarray]:
-    """The belief's support: the joint states where every factor is positive,
-    as ascending flat row-major indices that gather a joint-space vector's
-    entries there with ``take`` (None when the support is the whole space
-    and the vector serves as it is), and ``joint_belief(fb)`` there,
-    bitwise, without building the rest."""
-    idx = np.zeros(1, dtype=np.intp)
-    out = np.ones(1)
-    for b in fb.per_relay:
-        s = np.flatnonzero(b)
-        idx = np.add.outer(idx * b.shape[0], s).ravel()
-        out = np.multiply.outer(out, b[s]).ravel()
-    return (None if len(idx) == math.prod(b.shape[0] for b in fb.per_relay) else idx), out
+class Support:
+    """A belief's support, the joint states where every factor is positive,
+    and its probabilities there: per relay, the regions of positive
+    probability (``index``) and their probabilities (``weights``), and the
+    joint support's ascending row-major flat indices (``flat``, None when
+    the support is the whole space), which gather a joint-space vector's
+    entries there with one ``take``. ``probs`` of every relay is bitwise
+    ``joint_belief(fb)`` at them, built without the rest."""
+
+    def __init__(self, fb: FactoredBelief):
+        self.index = [np.flatnonzero(b) for b in fb.per_relay]
+        self.weights = [b[s] for b, s in zip(fb.per_relay, self.index)]
+        flat = np.zeros(1, dtype=np.intp)
+        for b, s in zip(fb.per_relay, self.index):
+            flat = np.add.outer(flat * b.shape[0], s).ravel()
+        self.flat = None if len(flat) == math.prod(b.shape[0] for b in fb.per_relay) else flat
+
+    def probs(self, axes) -> np.ndarray:
+        """The probabilities of the observation branches of the relays
+        ``axes`` that have positive probability, in row-major order."""
+        p = np.ones(1)
+        for ax in axes:
+            p = np.multiply.outer(p, self.weights[ax]).ravel()
+        return p
 
 
 @dataclass
@@ -189,35 +205,22 @@ class BeliefSet:
 def _relay_family(chain: MarkovChain, s0: int, h: int) -> list[tuple[int, np.ndarray]]:
     """Attainable-belief family for one relay: (earliest epoch, vector) pairs.
 
-    Contains the initial one-hot plus the rows ``P^n(S_j, :)`` for every
-    power ``1 <= n <= h`` and every state observable from the start state
-    (an observed relay's next belief is always such a row). Powers run to
-    ``h`` for all observable states so that any deeper row stays within
-    ``2 * d(h)`` of the family, which is what the coverage bound guarantees.
-    Entries are tagged with the earliest epoch the belief can occur at and
-    deduplicated in L1.
+    These are ``attainable_beliefs(chain, s0, h)``: the initial one-hot plus
+    the rows ``P^n(S_j, :)`` for every power ``1 <= n <= h`` and every state
+    observable from the start state (an observed relay's next belief is
+    always such a row). Powers run to ``h`` for all observable states so
+    that any deeper row stays within ``2 * d(h)`` of the family, which is
+    what the coverage bound guarantees. Each is tagged with the earliest
+    epoch it can occur at (the row of state ``s`` in power ``n`` at ``1 +
+    steps(s) + n``), ordered by (epoch, region) and deduplicated in L1.
     """
-    n = chain.size
-    one_hot = np.zeros(n)
-    one_hot[s0] = 1.0
-    family: list[tuple[int, np.ndarray]] = [(0, one_hot)]
-
-    powers = [np.eye(n)]
-    for _ in range(h):
-        powers.append(powers[-1] @ chain.matrix)
-
     steps = _observable_steps(chain, s0)
-    for s in range(n):
-        if steps[s] < 0:
-            continue
-        t_obs = 1 + steps[s]
-        for n_pow in range(1, h + 1):
-            family.append((t_obs + n_pow, powers[n_pow][s]))
-
-    family.sort(key=lambda item: item[0])
+    observable = np.flatnonzero(steps >= 0).tolist()
+    tags = [(0, s0)] + [(1 + steps[s] + n_pow, s) for n_pow in range(1, h + 1) for s in observable]
+    family = sorted(zip(tags, attainable_beliefs(chain, s0, h)), key=lambda item: item[0])
     kept: list[tuple[int, np.ndarray]] = []
-    rows = np.empty((len(family), n))  # the kept vectors, one distance vector per candidate
-    for epoch, vec in family:
+    rows = np.empty((len(family), chain.size))  # the kept vectors, one distance vector per candidate
+    for (epoch, _), vec in family:
         if (np.abs(rows[: len(kept)] - vec).sum(axis=1) > DEDUP_TOL).all():
             rows[len(kept)] = vec
             kept.append((epoch, vec))

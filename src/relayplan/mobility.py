@@ -37,14 +37,16 @@ class MarkovChain:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def moduli(self) -> np.ndarray:
+        """The eigenvalue moduli of the matrix, descending."""
+        return np.sort(np.abs(np.linalg.eigvals(self.matrix)))[::-1]
+
     def _check_ergodic(self) -> None:
-        if self.size == 1:
-            return
-        moduli = np.sort(np.abs(np.linalg.eigvals(self.matrix)))[::-1]
-        if moduli[1] >= 1.0 - _ROW_TOL:
+        if self.size > 1 and self.moduli[1] >= 1.0 - _ROW_TOL:
             raise SpectralError(
                 "chain has no unique stationary distribution "
-                f"(subdominant eigenvalue modulus {moduli[1]:.12f})"
+                f"(subdominant eigenvalue modulus {self.moduli[1]:.12f})"
             )
 
     @functools.cached_property
@@ -143,10 +145,7 @@ def slem(chain: MarkovChain) -> float:
     horizon is needed for a given coverage target.
     """
     chain._check_ergodic()
-    if chain.size == 1:
-        return 0.0
-    moduli = np.sort(np.abs(np.linalg.eigvals(chain.matrix)))[::-1]
-    return float(moduli[1])
+    return 0.0 if chain.size == 1 else float(chain.moduli[1])
 
 
 def distance_function(chain: MarkovChain, t: int) -> float:

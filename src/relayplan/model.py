@@ -367,7 +367,7 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError("", f"not valid JSON: {exc}") from exc
     return parse_scenario(data)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alpha import expectation
-from .belief import FactoredBelief, FactorTable, Observation, advance_belief
+from .belief import FactoredBelief, FactorTable, Observation, Support, advance_belief
 from .errors import CapExceededError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
 from .model import (
@@ -264,9 +264,16 @@ def _observation(state: list, seen: list) -> Observation:
     return tuple(s if z else None for s, z in zip(state, seen))
 
 
-def _policy_agent(policy, factors: FactorTable | None, first_ue: int = 0) -> _Agent:
-    """The agent playing an oracle-tree or alpha policy for UEs ``first_ue``
-    on: one UE, or as many as the alpha policy's pairs hold."""
+def _policy_agent(
+    policy, scenario: ScenarioConfig, factors: FactorTable | None, first_ue: int = 0
+) -> _Agent:
+    """The agent playing an oracle-tree or alpha policy of ``scenario``'s
+    horizon for UEs ``first_ue`` on: one UE, or as many as the alpha
+    policy's pairs hold."""
+    if policy.horizon != scenario.horizon:
+        raise ValidationError(
+            f"policy horizon {policy.horizon} does not match scenario horizon {scenario.horizon}"
+        )
     if policy.tree is not None:
         return _Agent((first_ue,), factors, tree=policy.tree)
     ues = tuple(range(first_ue, first_ue + policy.n_ues))
@@ -278,11 +285,7 @@ def _play_policy(
 ) -> tuple[list[_Agent], _World]:
     """The agent of ``policy`` and the world of the UEs it plays, the first
     of ``scenario``."""
-    if policy.horizon != scenario.horizon:
-        raise ValidationError(
-            f"policy horizon {policy.horizon} does not match scenario horizon {scenario.horizon}"
-        )
-    agent = _policy_agent(policy, FactorTable(chains))
+    agent = _policy_agent(policy, scenario, FactorTable(chains))
     if len(agent.ues) > scenario.n_ues:
         raise ValidationError(f"policy plays {len(agent.ues)} UEs; scenario has {scenario.n_ues}")
     return [agent], _World(scenario, chains, len(agent.ues))
@@ -459,7 +462,8 @@ def exact_policy_value(
     is the Q-value ``rho(b, a) + gamma * sum_z P(z | b, a) * V(b_z)`` of the
     policy's value ``V``. The belief doubles as the true conditional state distribution, so one
     recursion covers both filtering and probability weighting. A tree policy
-    is followed from its root only.
+    is followed from its root only. An epoch outside 1..T raises
+    ``ValidationError``.
     """
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = scenario.horizon
@@ -467,7 +471,9 @@ def exact_policy_value(
     k = scenario.n_relays
     if scenario.n_regions**k > EXACT_STATE_CAP:
         raise CapExceededError(f"exact policy evaluation needs |S|^K <= {EXACT_STATE_CAP}")
-    agent = _policy_agent(policy, None)
+    if not 1 <= epoch <= horizon:
+        raise ValidationError(f"epoch {epoch} is outside 1..{horizon}")
+    agent = _policy_agent(policy, scenario, None)
     if len(agent.ues) != 1:
         raise ValidationError("exact policy evaluation plays a policy of one UE")
     cursor = agent.tree
@@ -485,13 +491,10 @@ def exact_policy_value(
             ranking, j = _play(agent.epochs[e - 1], b, (budget,), agent.c_th)
             act = EMPTY_ACTION if j is None else ranking.pairs[j].actions[0]
         total_r, total_c = expectation(rewards[0], act, b), expectation(costs, act, b)
-        sel = act.relays
-        # with no selected relays the product yields the single empty branch
-        supports = [np.flatnonzero(b.per_relay[i - 1] > 0.0) for i in sel]
-        for combo in itertools.product(*supports):
-            p_z = 1.0
-            for i, region in zip(sel, combo):
-                p_z *= float(b.per_relay[i - 1][region])
+        support, sel_axes = Support(b), [i - 1 for i in act.relays]
+        # the branches of positive probability; with no selected relays, the single empty one
+        branches = itertools.product(*(support.index[ax] for ax in sel_axes))
+        for combo, p_z in zip(branches, support.probs(sel_axes).tolist()):
             obs = _branch_obs(act, combo, k)
             child = cursor.children.get(obs) if cursor is not None else None
             left = budget
@@ -559,7 +562,7 @@ def _multi_user(
         return _play_policy(policy, scenario, chains)
     factors = FactorTable(chains)
     agents = [
-        _policy_agent(solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, cap=cap), factors, u)
+        _policy_agent(solve_gcpbvi(with_single_ue(scenario, u), chains, h=h, cap=cap), scenario, factors, u)
         for u in range(scenario.n_ues)
     ]
     return agents, _World(scenario, chains, scenario.n_ues)

@@ -24,11 +24,13 @@ sharing no code with the alpha-vector machinery).
 
 Cumulative values weight the epoch-t term by ``gamma**(t-1)``; the budget
 constrains the same discounted sum. Point-based backups never materialise
-cross-sums. At each anchor belief the predicted stored vectors are gathered
-once on the belief's support, and each relay set's continuation is computed
-once: its per-branch choices are optimised jointly under the budget (a
-Pareto merge over the branches of positive probability) for one UE when
-the set has at most ``ROOT_BRANCH_CAP`` branches. The merge selects exactly
+cross-sums. At each anchor belief (``_Anchor``) the predicted stored vectors
+are gathered once on the belief's support by one ``take`` on its flat
+indices (``belief.Support``, which the execution rule's ranking reads too),
+and each relay set's continuation is computed once: its per-branch choices
+are optimised jointly under the budget (a Pareto merge over the branches of
+positive probability) for one UE when the set has at most
+``ROOT_BRANCH_CAP`` branches. The merge selects exactly
 the element of the full cross-sum the printed per-point argmax would pick
 unless an approximation fired, and the stats count each one:
 
@@ -68,9 +70,9 @@ from .belief import (
     BeliefSet,
     FactoredBelief,
     Observation,
+    Support,
     build_h_belief_set,
     density_bound,
-    joint_support,
 )
 from .errors import CapExceededError, SpectralError, ValidationError
 from .mobility import MarkovChain, chains_for_scenario
@@ -158,7 +160,8 @@ class _Ranking:
     @classmethod
     def of(cls, pairs: list, fb: FactoredBelief) -> "_Ranking":
         """The ranking at ``fb``, each pair's entries gathered on its support."""
-        idx, b = joint_support(fb)
+        support = Support(fb)
+        idx, b = support.flat, support.probs(range(fb.n_relays))
         keyed = []
         for pair in pairs:
             if idx is None:
@@ -212,7 +215,10 @@ def select_pair(
 ) -> tuple[AlphaPair | None, tuple[Action, ...]]:
     """Execution rule at the full budgets (``_play``): the best-ranked pair
     whose every UE's cost-to-go at ``fb`` fits ``c_th`` and its actions, or
-    ``(None, empty actions)``; episodes pass the budgets left (``sim._Agent``)."""
+    ``(None, empty actions)``; episodes pass the budgets left (``sim._Agent``).
+    An epoch outside 1..T raises ``ValidationError``."""
+    if not 1 <= epoch <= len(policy.epochs):
+        raise ValidationError(f"epoch {epoch} is outside 1..{len(policy.epochs)}")
     ranking, j = _play(policy.epochs[epoch - 1], fb, (policy.c_th,) * policy.n_ues, policy.c_th)
     pair = None if j is None else ranking.pairs[j]
     return pair, (EMPTY_ACTION,) * policy.n_ues if pair is None else pair.actions
@@ -327,59 +333,42 @@ class _Continuation:
         return sigma
 
 
-class _SupportScores:
-    """Belief-weighted branch scores of a predicted stack at one anchor belief.
+class _Anchor:
+    """Anchor belief ``fb`` of a backup for the scenario's UEs of ``engine``:
+    the predicted stack ``g`` (``_Engine.predict_stack``; None with no
+    future), its entries on the belief's support ``t`` (one ``take`` on the
+    support's flat indices, shaped by its per-relay lengths), each UE's
+    immediate (reward, cost) per option, ``imm``, and the continuation of
+    every relay set scored so far, keyed by its bitmask
+    (``_Engine.relay_axes``)."""
 
-    The stack's entries on the belief's support (the joint states where every
-    factor is positive) are gathered once. ``scores(sel_axes)`` entry
-    ``[j, z]`` is the term that choosing row ``j`` at observation branch
-    ``z`` adds to the value at the belief, for the branches of positive
-    probability only: the unselected axes are contracted in descending order
-    with their factors' support weights, and the selected ones multiplied in.
-    """
-
-    def __init__(self, g: np.ndarray, fb: FactoredBelief, counters: dict):
-        self.counters = counters
-        self.support = [np.flatnonzero(b) for b in fb.per_relay]
-        self.weights = [b[s] for b, s in zip(fb.per_relay, self.support)]
-        n = fb.per_relay[0].shape[0]
-        t = g.reshape((len(g),) + (n,) * fb.n_relays)
-        for ax in sorted(range(fb.n_relays), key=lambda ax: len(self.support[ax])):
-            if len(self.support[ax]) < n:
-                t = np.take(t, self.support[ax], axis=ax + 1)
-        self.t = t
+    def __init__(self, engine: "_Engine", fb: FactoredBelief, g: np.ndarray | None):
+        self.g, self.support, self.t = g, None, None
+        if g is not None:
+            with engine.timed("time_score_s"):
+                self.support = Support(fb)
+                t = g if self.support.flat is None else g.take(self.support.flat, axis=1)
+                self.t = t.reshape((len(g),) + tuple(map(len, self.support.index)))
+        costs = [expectation(engine.costs, a, fb) for a in engine.singles]
+        self.imm = [
+            [(expectation(rows, a, fb), c) for a, c in zip(engine.singles, costs)] for rows in engine.rewards
+        ]
+        self.continuations: dict = {}
 
     def scores(self, sel_axes: tuple[int, ...]) -> np.ndarray:
-        t = self.t
-        for ax in sorted(set(range(len(self.support))) - set(sel_axes), reverse=True):
-            t = np.tensordot(t, self.weights[ax], axes=(ax + 1, 0))
+        """Entry ``[j, z]`` is the term that choosing row ``j`` of ``g`` at
+        observation branch ``z`` of the relays ``sel_axes`` adds to the value
+        at the belief, for the branches of positive probability only (in the
+        order of ``Support.probs``): the unselected axes of ``t`` are
+        contracted in descending order with their support weights, and the
+        selected ones multiplied in."""
+        t, weights = self.t, self.support.weights
+        for ax in sorted(set(range(len(weights))) - set(sel_axes), reverse=True):
+            t = np.tensordot(t, weights[ax], axes=(ax + 1, 0))
         m = len(sel_axes)
         for pos, ax in enumerate(sel_axes):
-            t = t * self.weights[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
-        out = t.reshape(len(t), -1)
-        self.counters["pair_evaluations"] += out.size
-        return out
-
-    def probs(self, sel_axes: tuple[int, ...]) -> np.ndarray:
-        """The probabilities of the observation branches of ``sel_axes`` that
-        have positive probability, in the column order of ``scores``."""
-        p = np.ones(1)
-        for ax in sel_axes:
-            p = np.multiply.outer(p, self.weights[ax]).ravel()
-        return p
-
-
-@dataclass
-class _Anchor:
-    """One anchor belief of a backup: the predicted stack ``g`` (None with no
-    future) with its support scores, each UE's immediate (reward, cost) per
-    option, and the continuation of every relay set scored so far, keyed by
-    its bitmask (``_Engine.relay_axes``)."""
-
-    g: np.ndarray | None
-    scores: _SupportScores | None
-    imm: list[list[tuple[float, float]]]
-    continuations: dict = field(default_factory=dict)
+            t = t * weights[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
+        return t.reshape(len(t), -1)
 
 
 class _Engine:
@@ -467,17 +456,6 @@ class _Engine:
             stack[1:, j] = pair.alpha_cs
         return self.predict(stack.reshape(-1, self.flat))
 
-    def anchor(self, fb: FactoredBelief, g: np.ndarray | None) -> _Anchor:
-        """Anchor belief ``fb`` of a backup for the scenario's UEs over the
-        predicted stack ``g`` (``predict_stack``; None with no future)."""
-        scores = None
-        if g is not None:
-            with self.timed("time_score_s"):
-                scores = _SupportScores(g, fb, self.counters)
-        costs = [expectation(self.costs, a, fb) for a in self.singles]
-        imm = [[(expectation(rows, a, fb), c) for a, c in zip(self.singles, costs)] for rows in self.rewards]
-        return _Anchor(g, scores, imm)
-
     def relay_axes(self, relays: int) -> tuple[int, ...]:
         """The axes of the relay set ``relays``, a bitmask with bit ``i`` for
         relay axis ``i`` (option ``i + 1``), ascending."""
@@ -491,11 +469,12 @@ class _Engine:
             return anchor.continuations[relays]
         sel_axes = self.relay_axes(relays)
         n_ues = len(anchor.imm)
-        if anchor.scores is None:
+        if anchor.g is None:
             cont = _Continuation(np.zeros(1), np.zeros((n_ues, 1)))
         else:
             with self.timed("time_score_s"):
-                w = anchor.scores.scores(sel_axes)
+                w = anchor.scores(sel_axes)
+                self.counters["pair_evaluations"] += w.size
             rows = len(w) // (1 + n_ues)
             wr, wcs = w[:rows], w[rows:].reshape(n_ues, rows, -1)
             with self.timed("time_merge_s"):
@@ -508,7 +487,7 @@ class _Engine:
                     cont = self._root_merge(wr, wcs[0])
                 else:
                     self.counters["local_mode_selections"] += 1
-                    sigma = self._local_select(wr, wcs, anchor.scores.probs(sel_axes))
+                    sigma = self._local_select(wr, wcs, anchor.support.probs(sel_axes))
                     cols = np.arange(len(sigma))
                     cont = _Continuation(
                         np.array([wr[sigma, cols].sum()]),
@@ -711,7 +690,7 @@ class _Engine:
                 picked = self.gather(
                     anchor.g.reshape((1 + n_ues, -1) + self.shape), sel_axes,
                     self.continuation(anchor, relays).choices(point),
-                    [anchor.scores.support[ax] for ax in sel_axes],
+                    [anchor.support.index[ax] for ax in sel_axes],
                 )
                 alpha_r += picked[0]
                 alpha_cs += picked[1:]
@@ -750,7 +729,7 @@ def _point_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet, c
     g = engine.predict_stack(v_next) if v_next else None
     out = []
     for fb in points.points:
-        anchor = engine.anchor(fb, g)
+        anchor = _Anchor(engine, fb, g)
         with engine.timed("time_choose_s"):
             chosen = choose(anchor)
         out.append(engine.assemble(anchor, chosen))
@@ -1153,6 +1132,10 @@ def _tree_to_dict(tree: OracleTree) -> dict:
 
 
 def _tree_from_dict(data: dict, k: int, n: int, path: str = "tree") -> OracleTree:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} is not a JSON object")
+    if not isinstance(data.get("children", {}), dict):
+        raise ValidationError(f"{path}.children is not a JSON object")
     children = {}
     for key, sub in data.get("children", {}).items():
         at = f"{path}.children.{key}"
@@ -1219,7 +1202,8 @@ def load_policy(path) -> PolicySolution:
     policy of one UE. The belief points and belief-set metadata that older
     archives hold are ignored. A file that is not a version-1 or version-2
     policy archive (an old JSON policy, a truncated or foreign file, a
-    missing or unknown version, a mis-shaped array) raises
+    missing or unknown version, a mis-shaped array, neither or both of the
+    stored epochs and the oracle tree, an oracle without its value) raises
     ``ValidationError``.
     """
     with open(path, "rb") as fh:
@@ -1268,6 +1252,14 @@ def _read_policy(fh) -> PolicySolution:
             raise ValidationError(f"initial state {initial_state} has a region outside 0..{n - 1}")
 
         horizon = _as_int(meta["horizon"], "horizon")
+        if (meta["epoch_actions"] is None) == (meta["tree"] is None):
+            which = "neither epoch_actions nor" if meta["tree"] is None else "both epoch_actions and"
+            raise ValidationError(f"policy stores {which} tree, expected one plan")
+        if not isinstance(meta["stats"], dict):
+            raise ValidationError("stats is not a JSON object")
+        if meta["tree"] is not None:  # planned_value reads the oracle's value from its stats
+            for key in ("oracle_value_r", "oracle_value_c"):
+                _as_number(meta["stats"].get(key), f"stats.{key}")
         epochs = None
         if meta["epoch_actions"] is not None:
             epochs = []

@@ -101,6 +101,32 @@ def test_every_top_level_definition_is_used():
     assert unused == []
 
 
+# Names a module imports without reading them, each with its reason.
+UNREAD_IMPORTS = {
+    # perfbench/tracing.py wraps the name ``relayplan.sim.select_pair`` binds
+    "sim.py:select_pair",
+}
+
+
+def test_every_import_is_read():
+    """Every name a package module imports is read in that module; the
+    package's ``__init__`` re-exports its names and is left out."""
+    modules = _modules()
+    del modules["__init__.py"]
+    unread = []
+    for name, tree in modules.items():
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        used = _used_names(tree, {n for node in imports for n in ast.walk(node)})
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and f"{name}:{bound}" not in UNREAD_IMPORTS:
+                    unread.append(f"{name}:{bound}")
+    assert unread == []
+
+
 def test_only_model_prices_an_option():
     """What an option pays is computed in ``model`` alone: the solvers, the
     oracle, the simulator and the exact evaluation read

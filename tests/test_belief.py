@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from relayplan.belief import (
     DEDUP_TOL,
     FactoredBelief,
     FactorTable,
+    Support,
     advance_belief,
     _observable_steps,
     _relay_family,
@@ -18,7 +20,6 @@ from relayplan.belief import (
     density_bound,
     empirical_density,
     joint_belief,
-    joint_support,
     update_relay_belief,
 )
 from relayplan.errors import CapExceededError, ValidationError
@@ -33,7 +34,7 @@ from relayplan.model import (
     total_reward,
     value_ranges,
 )
-from relayplan.solvers import _SupportScores, horizon_for_eps, pbvi_error_bound, solve_gcpbvi
+from relayplan.solvers import horizon_for_eps, pbvi_error_bound, solve_gcpbvi
 
 TWO_STATE = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 
@@ -156,8 +157,7 @@ class TestObservationProb:
 
     @staticmethod
     def _probs(fb, sel_axes):
-        n = fb.per_relay[0].shape[0]
-        return _SupportScores(np.zeros((1, n**fb.n_relays)), fb, {"pair_evaluations": 0}).probs(sel_axes)
+        return Support(fb).probs(sel_axes)
 
     def test_empty_action_single_observation(self):
         fb = FactoredBelief((np.array([0.4, 0.6]),))
@@ -174,6 +174,44 @@ class TestObservationProb:
         assert len(probs) == 9
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert probs[0] == pytest.approx(fb.per_relay[0][0] * fb.per_relay[1][0])
+
+
+@st.composite
+def _beliefs_with_zeros(draw):
+    """Factored beliefs of one to four relays over two to five regions whose
+    factors are zero on some regions, one-hot or fully supported."""
+    n = draw(st.integers(2, 5))
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        factors.append(np.array(weights, dtype=float) / sum(weights))
+    return FactoredBelief(tuple(factors))
+
+
+class TestSupport:
+    @settings(max_examples=200, deadline=None)
+    @given(_beliefs_with_zeros())
+    def test_matches_joint_belief(self, fb):
+        """The flat indices are the joint belief's nonzero entries, None when
+        it has none that is zero; and the branch probabilities of every
+        subset of relays are the nonzero entries of that subset's joint
+        belief, bit for bit: of every relay, the joint belief's entries at
+        the flat indices."""
+        support = Support(fb)
+        joint = joint_belief(fb)
+        nonzero = np.flatnonzero(joint)
+        if len(nonzero) == len(joint):
+            assert support.flat is None
+        else:
+            assert support.flat.tolist() == nonzero.tolist()
+        assert support.probs(range(fb.n_relays)).tobytes() == joint[nonzero].tobytes()
+        for m in range(fb.n_relays + 1):
+            for axes in itertools.combinations(range(fb.n_relays), m):
+                sub = joint_belief(FactoredBelief(tuple(fb.per_relay[ax] for ax in axes)))
+                assert support.probs(axes).tobytes() == sub[np.flatnonzero(sub)].tobytes()
+        for b, index, weights in zip(fb.per_relay, support.index, support.weights):
+            assert index.tolist() == np.flatnonzero(b).tolist()
+            assert weights.tobytes() == b[index].tobytes()
 
 
 class TestFilterEquivalence:
@@ -212,7 +250,7 @@ class TestFactorTable:
     def test_ids_match_repeated_advance_belief(self, seed):
         """Along random action/observation sequences the id of each relay
         names, bit for bit, the factor repeated ``advance_belief`` computes,
-        and ``joint_support`` of that belief gathers its nonzero entries
+        and the ``Support`` of that belief gathers its nonzero entries
         (no indices when it covers the whole joint space)."""
         rng = np.random.default_rng(seed)
         k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
@@ -228,7 +266,8 @@ class TestFactorTable:
                 a.tobytes() == b.tobytes()
                 for a, b in zip(table.belief(ids).per_relay, fb.per_relay)
             )
-            idx, b = joint_support(table.belief(ids))
+            support = Support(table.belief(ids))
+            idx, b = support.flat, support.probs(range(k))
             joint = joint_belief(fb)
             want = np.flatnonzero(joint)
             assert (idx is None) == (len(want) == len(joint))
@@ -317,6 +356,17 @@ class TestDensity:
             for h in (1, 3, 6):
                 bs = build_h_belief_set((0,), h, [chain])
                 assert empirical_density(bs, [chain]) <= density_bound([chain], h) + 1e-9
+
+    def test_eigenvalues_computed_once_per_chain(self, monkeypatch):
+        """The ergodicity check, the stationary law and the SLEM read one
+        cached set of eigenvalue moduli per chain."""
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+        chains = [MarkovChain(TWO_STATE.matrix), random_chain(np.random.default_rng(4), 3)]
+        density_bound(chains, 5)
+        density_bound(chains, 7)
+        assert len(calls) == len(chains)
 
     def test_attainable_beliefs_contains_rows(self):
         beliefs = attainable_beliefs(TWO_STATE, 0, 3)

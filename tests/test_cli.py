@@ -341,6 +341,36 @@ class TestPolicyFileChecks:
         err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(horizon=3), tmp_path, capsys)
         assert "2 epochs stored for horizon 3" in err
 
+    def test_neither_epochs_nor_tree(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "gcpbvi", lambda m: m.update(epoch_actions=None), tmp_path, capsys)
+        assert "policy stores neither epoch_actions nor tree" in err
+
+    def test_both_epochs_and_tree(self, tiny_scenario, tmp_path, capsys):
+        def edit(meta):
+            meta["tree"] = {"action": [0], "children": {}}
+
+        err = self._simulate(tiny_scenario, "gcpbvi", edit, tmp_path, capsys)
+        assert "policy stores both epoch_actions and tree" in err
+
+    def test_oracle_tree_not_an_object(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "oracle", lambda m: m.update(tree=[0, 1]), tmp_path, capsys)
+        assert "tree is not a JSON object" in err
+
+    def test_oracle_children_not_an_object(self, tiny_scenario, tmp_path, capsys):
+        def edit(meta):
+            meta["tree"]["children"] = [meta["tree"]["children"]]
+
+        err = self._simulate(tiny_scenario, "oracle", edit, tmp_path, capsys)
+        assert "tree.children is not a JSON object" in err
+
+    def test_oracle_without_its_value(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "oracle", lambda m: m["stats"].pop("oracle_value_r"), tmp_path, capsys)
+        assert "stats.oracle_value_r: expected a number, got None" in err
+
+    def test_stats_not_an_object(self, tiny_scenario, tmp_path, capsys):
+        err = self._simulate(tiny_scenario, "oracle", lambda m: m.update(stats=[1, 2]), tmp_path, capsys)
+        assert "stats is not a JSON object" in err
+
     @pytest.mark.parametrize("key", ["0", "0,1,1", "0,2", "-1,1"])
     def test_oracle_child_key_not_an_observation(self, tmp_path, capsys, key):
         """A K = 2 oracle policy whose one child key, "0,1", is rewritten to
@@ -606,6 +636,17 @@ class TestExitCodes:
             "generate", "--grid", "2x2", "--relays", "1",
             "--out", blocker / "sub" / "x.json",
         ]) == 4
+
+    def test_scenario_not_utf8_exits_2(self, tmp_path, capsys):
+        """A scenario file that is not UTF-8 (here it starts with a UTF-16
+        byte-order mark) is a schema error, not a traceback."""
+        scenario = tmp_path / "utf16.json"
+        scenario.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        assert run([
+            "solve", "--scenario", scenario, "--method", "gcpbvi", "--out", tmp_path / "x.npz",
+        ]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "x.npz").exists()
 
     def test_missing_scenario_exits_4(self, tmp_path):
         assert run([

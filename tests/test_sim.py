@@ -29,6 +29,7 @@ from relayplan.sim import (
     baseline_cellular,
     complexity_model,
     complexity_ratio,
+    discrete_derivative,
     exact_policy_value,
     metrics_rows,
     monte_carlo,
@@ -52,6 +53,7 @@ from relayplan.solvers import (
     _Ranking,
     _tree_to_dict,
     brute_force_oracle,
+    select_pair,
     solve_cpbvi,
     solve_exact,
     solve_gcpbvi,
@@ -469,6 +471,39 @@ class TestOraclePolicyExecution:
             exact_policy_value(oracle, scenario, chains, epoch=2)
 
 
+class TestEpochRange:
+    """An epoch outside 1..T is refused, not read from the wrong end of the
+    policy or past it."""
+
+    @pytest.mark.parametrize("epoch", [0, -1, 4])
+    def test_outside_the_horizon(self, epoch):
+        rng = np.random.default_rng(10)
+        scenario, chains = random_instance(rng, k=1, n=3, t=3, gamma=1.0)
+        policy = solve_gcpbvi(scenario, chains, h=2, cap=4)
+        fb = FactoredBelief.one_hot(scenario.initial_states, scenario.n_regions)
+        with pytest.raises(ValidationError, match=f"epoch {epoch} is outside 1..3"):
+            select_pair(policy, epoch, fb)
+        with pytest.raises(ValidationError, match=f"epoch {epoch} is outside 1..3"):
+            exact_policy_value(policy, scenario, chains, fb, epoch)
+        with pytest.raises(ValidationError, match=f"epoch {epoch} is outside 1..3"):
+            discrete_derivative(scenario, chains, policy, fb, epoch, 1, Action((0,)))
+        for inside in (1, 3):
+            select_pair(policy, inside, fb)
+            exact_policy_value(policy, scenario, chains, fb, inside)
+
+    @pytest.mark.parametrize("horizon", [2, 5])
+    def test_scenario_of_another_horizon(self, horizon):
+        """The exact evaluation refuses a scenario whose horizon is not the
+        policy's, as the simulator does, instead of reading past the
+        policy's last epoch or stopping short of it."""
+        rng = np.random.default_rng(10)
+        scenario, chains = random_instance(rng, k=1, n=3, t=3, gamma=1.0)
+        policy = solve_gcpbvi(scenario, chains, h=2, cap=4)
+        other = dataclasses.replace(scenario, horizon=horizon)
+        with pytest.raises(ValidationError, match=f"policy horizon 3 does not match scenario horizon {horizon}"):
+            exact_policy_value(policy, other, chains)
+
+
 class TestMultiUser:
     def _two_ue_scenario(self, c_th=1000.0):
         return ScenarioConfig(
@@ -721,6 +756,16 @@ class TestMultiUser8bRegression:
         )
 
     # ids name the mode only, so that re-pinning a value keeps the test's name
+    @pytest.mark.parametrize("mode", ["centralized", "distributed"])
+    def test_benchmark_run_metrics(self, mode):
+        """The benchmark's run of each mode, belief cap 8 and 200 episodes,
+        whose rankings meet beliefs of thousands of joint states: every
+        metric, every bit."""
+        metrics = run_multiuser(_scenario_8b(), mode, n_runs=200, seed=303, h=2, cap=8)
+        assert _metrics_digest(metrics) == (
+            "7352d289620a4a1574f406d3683632ad7d006595b8aa7e658e62b2072d35909b"
+        )
+
     @pytest.mark.parametrize("mode, reward, costs", [
         pytest.param("centralized", 4859.143518518517, [
             1003.7797619047618, 1016.2797619047618, 1003.7797619047618,

@@ -43,13 +43,13 @@ from relayplan.sim import (
 )
 from relayplan.solvers import (
     PolicySolution,
+    _Anchor,
     _column_frontiers,
     _Continuation,
     _distinct_pairs,
     _Engine,
     _pareto_indices,
     _play,
-    _SupportScores,
     brute_force_oracle,
     cpbvi_backup,
     exact_backup,
@@ -964,14 +964,14 @@ class TestFrontierMerge:
         for e in range(k + 1):
             action = Action((e,))
             hits_before = engine.counters["frontier_cap_hits"]
-            got = engine.select(((e,),), engine.anchor(fb, g))
+            got = engine.select(((e,),), _Anchor(engine, fb, g))
 
             rho_r, rho_c = (expectation(rows, action, fb) for rows in (engine.rewards[0], engine.costs))
             if rho_c > limit:
                 assert got is None
                 continue
             sel_axes = tuple(i - 1 for i in action.relays)
-            w = _SupportScores(g, fb, {"pair_evaluations": 0}).scores(sel_axes)
+            w = _Anchor(engine, fb, g).scores(sel_axes)
             r, c, _, _, hits = _loop_merge(0.0, 0.0, w[:pairs], w[pairs:], limit, cap)
             assert engine.counters["frontier_cap_hits"] - hits_before == hits
             if r is None:
@@ -1113,8 +1113,10 @@ class TestAnchorScores:
         g = rng.uniform(-10.0, 10.0, size=(2 * int(rng.integers(1, 4)), n**k))
         g[:, rng.random(n**k) < 0.2] = 0.0
         subsets = [sel for m in range(k + 1) for sel in itertools.combinations(range(k), m)]
+        sc = line_scenario(n, [int(rng.integers(1, n + 1)) for _ in range(k)])
+        engine = _Engine(sc, [random_chain(rng, n) for _ in range(k)])
         expected = {}
-        scorer = _SupportScores(g, fb, {"pair_evaluations": 0})
+        scorer = _Anchor(engine, fb, g)
         for sel_axes in subsets:
             got = scorer.scores(sel_axes)
             live = np.ones(1, dtype=bool)
@@ -1123,11 +1125,9 @@ class TestAnchorScores:
             expected[sel_axes] = _fresh_scores(g, fb, sel_axes)[:, live]
             assert got.shape == expected[sel_axes].shape
             np.testing.assert_allclose(got, expected[sel_axes], rtol=1e-12, atol=1e-12)
-        assert scorer.counters["pair_evaluations"] == sum(w.size for w in expected.values())
+        assert engine.counters["pair_evaluations"] == 0
 
-        sc = line_scenario(n, [int(rng.integers(1, n + 1)) for _ in range(k)])
-        engine = _Engine(sc, [random_chain(rng, n) for _ in range(k)])
-        anchor = engine.anchor(fb, g)
+        anchor = _Anchor(engine, fb, g)
         queries = np.concatenate([
             rng.permutation(len(subsets)), rng.integers(len(subsets), size=len(subsets))
         ])
@@ -1151,8 +1151,10 @@ class TestAnchorScores:
         n = 3
         fb = FactoredBelief((rng.dirichlet(np.ones(n)), np.eye(n)[1], rng.dirichlet(np.ones(n))))
         g = rng.uniform(0.0, 10.0, size=(4, n**3))
-        assert _SupportScores(g, fb, {"pair_evaluations": 0}).t.shape == (4, n, 1, n)
-        scorer = _SupportScores(g, FactoredBelief.one_hot((2, 0, 1), n), {"pair_evaluations": 0})
+        sc = line_scenario(n, [1, 2, 3])
+        engine = _Engine(sc, chains_for_scenario(sc))
+        assert _Anchor(engine, fb, g).t.shape == (4, n, 1, n)
+        scorer = _Anchor(engine, FactoredBelief.one_hot((2, 0, 1), n), g)
         assert scorer.t.shape == (4, 1, 1, 1)
         column = g[:, [np.ravel_multi_index((2, 0, 1), (n,) * 3)]]
         assert _same_bits(scorer.scores(()), column)
@@ -1167,7 +1169,7 @@ def _reference_greedy(engine: _Engine, fb: FactoredBelief, g):
     n_ues = len(engine.rewards)
 
     def value(assignment):
-        return engine.select(assignment, engine.anchor(fb, g))
+        return engine.select(assignment, _Anchor(engine, fb, g))
 
     chosen = ((),) * n_ues
     current = value(chosen)
@@ -1220,7 +1222,7 @@ class TestGreedy:
             g = engine.predict_stack(pairs)
         for _ in range(4):
             fb = _random_belief(rng, k, n)
-            got = engine.greedy(engine.anchor(fb, g))
+            got = engine.greedy(_Anchor(engine, fb, g))
             chosen, value = _reference_greedy(engine, fb, g)
             if value is None:
                 assert got is None
