@@ -54,8 +54,8 @@ class FactoredBelief:
         vecs = []
         for i, b in enumerate(self.per_relay):
             b = np.asarray(b, dtype=float)
-            if b.ndim != 1:
-                raise ValidationError(f"belief factor {i} must be a vector")
+            if b.ndim != 1 or not np.isfinite(b).all():
+                raise ValidationError(f"belief factor {i} must be a vector of finite entries")
             if np.any(b < -1e-12):
                 raise ValidationError(f"belief factor {i} has negative entries")
             if abs(b.sum() - 1.0) > DEDUP_TOL:
@@ -66,6 +66,11 @@ class FactoredBelief:
     @property
     def n_relays(self) -> int:
         return len(self.per_relay)
+
+    def check_shape(self, k: int, n: int) -> None:
+        """Refuse a belief other than ``k`` factors of ``n`` regions each."""
+        if [len(b) for b in self.per_relay] != [n] * k:
+            raise ValidationError(f"belief factor lengths {list(map(len, self.per_relay))}; expected K={k}, n={n}")
 
     @staticmethod
     def one_hot(state: JointState, n_regions: int) -> "FactoredBelief":

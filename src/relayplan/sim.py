@@ -42,6 +42,7 @@ from .model import (
     JointState,
     ScenarioConfig,
     option_tables,
+    validate_action,
     with_single_ue,
 )
 from .solvers import (
@@ -462,8 +463,8 @@ def exact_policy_value(
     is the Q-value ``rho(b, a) + gamma * sum_z P(z | b, a) * V(b_z)`` of the
     policy's value ``V``. The belief doubles as the true conditional state distribution, so one
     recursion covers both filtering and probability weighting. A tree policy
-    is followed from its root only. An epoch outside 1..T raises
-    ``ValidationError``.
+    is followed from its root only. An epoch outside 1..T, an option above K
+    or a belief not of K factors of n raises ``ValidationError``.
     """
     chains = chains if chains is not None else chains_for_scenario(scenario)
     horizon = scenario.horizon
@@ -473,6 +474,10 @@ def exact_policy_value(
         raise CapExceededError(f"exact policy evaluation needs |S|^K <= {EXACT_STATE_CAP}")
     if not 1 <= epoch <= horizon:
         raise ValidationError(f"epoch {epoch} is outside 1..{horizon}")
+    if action is not None:
+        validate_action(action, scenario)
+    if fb is not None:
+        fb.check_shape(k, scenario.n_regions)
     agent = _policy_agent(policy, scenario, None)
     if len(agent.ues) != 1:
         raise ValidationError("exact policy evaluation plays a policy of one UE")
@@ -596,11 +601,13 @@ def complexity_log10(method: str, k: int, sizes: dict | None = None) -> float:
 
     ``sizes`` may carry ``S`` (regions), ``B`` (belief points), ``Z``
     (observation branches, default ``S**K``), ``V`` (stored pairs, default
-    ``B``) and ``N`` (UEs), each at least 1. The enumerated methods are doubly exponential,
+    ``B``) and ``N`` (UEs), each at least 1 (K too). The enumerated methods are doubly exponential,
     so the estimates are kept in log space; they are order-of-magnitude
     models meant for ratios and trend plots. Measured operation counters
     live in each PolicySolution's stats for empirical cross-checks.
     """
+    if k < 1:
+        raise ValidationError(f"K must be >= 1, got {k}")
     sizes = sizes or {}
     if min(sizes.values(), default=1) < 1:
         raise ValidationError(f"sizes must be >= 1, got {sizes}")
@@ -635,6 +642,8 @@ def complexity_ratio(method_a: str, method_b: str, k: int, sizes: dict | None = 
     The CPBVI/GCPBVI ratio reduces to ``2**K / K**2``; the centralized /
     distributed ratio reduces to ``N**2``.
     """
+    if k < 1:
+        raise ValidationError(f"K must be >= 1, got {k}")
     if {method_a, method_b} == {"cpbvi", "gcpbvi"}:
         ratio = 2**k / k**2
         return ratio if method_a == "cpbvi" else 1.0 / ratio

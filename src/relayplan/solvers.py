@@ -47,9 +47,9 @@ sequential sum, bitwise the branch-by-branch merge (``_Engine._root_merge``).
 A candidate costs a few float operations (``_Engine.select``): the points
 of a continuation are Python floats, cost-ascending for every UE, so those
 within the budget are a prefix found by bisection (``_Continuation.pick``).
-The chosen pair gathers its continuation from the predicted stack row by
-row (``_Engine.gather``), and so does every pair of the exact backup's
-cross-sum.
+The chosen pair gathers its continuation from the predicted stack in one
+call (``_Engine.gather``); the exact backup gathers each action's whole
+cross-sum in one, and builds a pair only for a row its final prune keeps.
 """
 
 from __future__ import annotations
@@ -216,9 +216,10 @@ def select_pair(
     """Execution rule at the full budgets (``_play``): the best-ranked pair
     whose every UE's cost-to-go at ``fb`` fits ``c_th`` and its actions, or
     ``(None, empty actions)``; episodes pass the budgets left (``sim._Agent``).
-    An epoch outside 1..T raises ``ValidationError``."""
+    An epoch outside 1..T or a belief not of K factors of n raises ``ValidationError``."""
     if not 1 <= epoch <= len(policy.epochs):
         raise ValidationError(f"epoch {epoch} is outside 1..{len(policy.epochs)}")
+    fb.check_shape(len(policy.chains), policy.chains[0].size)
     ranking, j = _play(policy.epochs[epoch - 1], fb, (policy.c_th,) * policy.n_ues, policy.c_th)
     pair = None if j is None else ranking.pairs[j]
     return pair, (EMPTY_ACTION,) * policy.n_ues if pair is None else pair.actions
@@ -647,26 +648,19 @@ class _Engine:
             chosen, current = single
         return None if current is None else (chosen, current[2])
 
-    def gather(
-        self, stack: np.ndarray, sel_axes: tuple[int, ...], choices: np.ndarray, support: list
-    ) -> np.ndarray:
-        """The continuation that per-branch ``choices`` pick from ``stack``
-        (groups, rows) + joint shape, flat per group: at every joint state,
-        the row its branch of the relays ``sel_axes`` chooses. ``choices``
-        holds one row per branch of ``support`` (per selected axis, the
-        regions it covers), in row-major order; a branch outside it takes
-        row 0.
-
-        Row 0 at every joint state, then one masked pass per other row that
-        the choices name, over the joint states of its branches, so a stack
-        of one row takes no pass past the first."""
+    def gather(self, stack: np.ndarray, sel_axes: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+        """The continuations that ``rows`` (combinations, n^m) pick from
+        ``stack`` (groups, pairs, flat), as (groups, combinations, flat): a row
+        names one stored pair per observation branch of the relays
+        ``sel_axes`` (ascending), branches in row-major order of their regions.
+        Row 0 at every joint state, then one masked pass per other pair named,
+        broadcast over the combinations, so a stack of one pair takes no pass."""
         dims = tuple(self.n if ax in sel_axes else 1 for ax in range(self.k))
-        picked = stack[:, 0]
-        for j in sorted(set(choices.tolist()) - {0}):
-            at = np.zeros((self.n,) * len(sel_axes), dtype=bool)
-            at[np.ix_(*support)] = (choices == j).reshape(tuple(len(s) for s in support))
-            picked = np.where(at.reshape(dims), stack[:, j], picked)
-        return picked.reshape(len(picked), -1)
+        stack = stack.reshape(stack.shape[:2] + self.shape)
+        picked = stack[:, :1]
+        for j in sorted(set(rows.ravel().tolist()) - {0}):
+            picked = np.where((rows == j).reshape((len(rows),) + dims), stack[:, j : j + 1], picked)
+        return np.broadcast_to(picked, (len(stack), len(rows)) + self.shape).reshape(len(stack), len(rows), -1)
 
     def assemble(self, anchor: _Anchor, chosen) -> AlphaPair:
         """The pair of ``chosen``, an ``(assignment, point)`` at ``anchor``:
@@ -687,11 +681,14 @@ class _Engine:
             if anchor.g is not None:
                 relays = sum({1 << e for options in assignment for e in options}) >> 1
                 sel_axes = self.relay_axes(relays)
-                picked = self.gather(
-                    anchor.g.reshape((1 + n_ues, -1) + self.shape), sel_axes,
-                    self.continuation(anchor, relays).choices(point),
-                    [anchor.support.index[ax] for ax in sel_axes],
-                )
+                stack = anchor.g.reshape(1 + n_ues, -1, self.flat)
+                choices = self.continuation(anchor, relays).choices(point)
+                picked = stack[:, 0]
+                if choices.any():
+                    support = [anchor.support.index[ax] for ax in sel_axes]
+                    rows = np.zeros((self.n,) * len(sel_axes), dtype=int)
+                    rows[np.ix_(*support)] = choices.reshape(tuple(map(len, support)))
+                    picked = self.gather(stack, sel_axes, rows.reshape(1, -1))[:, 0]
                 alpha_r += picked[0]
                 alpha_cs += picked[1:]
         return AlphaPair(alpha_r, alpha_cs, actions)
@@ -752,13 +749,16 @@ def gcpbvi_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet) -
 
 
 def exact_backup(engine: _Engine, v_t: list[AlphaPair]) -> list[AlphaPair]:
-    """One enumerated dynamic-programming update over all actions.
+    """One enumerated dynamic-programming update over all actions, each
+    action's cross-sum one array: its combinations of per-branch choices in
+    ``itertools.product`` order, gathered in one call (``_Engine.gather``).
 
     Pruning: exact duplicates and pointwise-dominated pairs are removed per
-    observation branch and again after the action union; this never changes
-    the constrained maximum at any belief. Of equal pairs the first in
-    ``all_actions`` order stays, so when an option adds zero reward and zero
-    cost (a free, zero-reward direct link) the action without it is stored.
+    observation branch and again after the action union, and only the kept
+    rows become pairs; this never changes the constrained maximum at any
+    belief. Of equal pairs the first in ``all_actions`` order stays, so when
+    an option adds zero reward and zero cost (a free, zero-reward direct
+    link) the action without it is stored.
     """
     if engine.flat > EXACT_STATE_CAP:
         raise CapExceededError(
@@ -771,35 +771,28 @@ def exact_backup(engine: _Engine, v_t: list[AlphaPair]) -> list[AlphaPair]:
 
     # the predicted reward rows, then the cost rows (predict_stack), over joint states
     stack = engine.predict_stack(v_t).reshape((2, len(v_t)) + engine.shape) if v_t else None
-
-    out: list[AlphaPair] = []
+    parts, acts = [], []
     for action in actions:
-        r_imm, c_imm = engine.reward_flat(action), engine.cost_flat(action)
-        if stack is None:
-            out.append(AlphaPair(r_imm.copy(), c_imm[None].copy(), (action,)))
-            continue
-        branch_choices: list[np.ndarray] = []
-        for combo in itertools.product(range(engine.n), repeat=len(action.relays)):
-            slice_r, slice_c = stack[_obs_index(_branch_obs(action, combo, engine.k))]
-            branch_choices.append(
-                _pointwise_undominated(slice_r.reshape(len(v_t), -1), slice_c.reshape(len(v_t), -1))
-            )
-        n_combos = math.prod(len(c) for c in branch_choices)
-        if n_combos > EXACT_CROSS_CAP:
-            raise CapExceededError(
-                f"action {action.selected} cross-sum would produce {n_combos} pairs "
-                f"(cap {EXACT_CROSS_CAP}); reduce the horizon or use a point-based solver"
-            )
-        sel_axes = tuple(i - 1 for i in action.relays)
-        every_region = [range(engine.n)] * len(sel_axes)
-        for sigma in itertools.product(*branch_choices):
-            r, c = engine.gather(stack, sel_axes, np.asarray(sigma, dtype=int), every_region)
-            out.append(AlphaPair(r_imm + r, (c_imm + c)[None], (action,)))
-
-    keep = _pointwise_undominated(
-        np.array([p.alpha_r for p in out]), np.array([p.alpha_cs[0] for p in out])
-    )
-    return [out[i] for i in keep]
+        r, c = engine.reward_flat(action)[None], engine.cost_flat(action)[None]
+        if stack is not None:
+            # the selected relays' axes first: one (group, pair, rest) column per branch
+            sel_axes = tuple(i - 1 for i in action.relays)
+            columns = np.moveaxis(stack, [2 + ax for ax in sel_axes], range(len(sel_axes)))
+            columns = columns.reshape(engine.n ** len(sel_axes), 2, len(v_t), -1)
+            branch_choices = [_pointwise_undominated(*col) for col in columns]
+            n_combos = math.prod(map(len, branch_choices))
+            if n_combos > EXACT_CROSS_CAP:
+                raise CapExceededError(
+                    f"action {action.selected} cross-sum would produce {n_combos} pairs "
+                    f"(cap {EXACT_CROSS_CAP}); reduce the horizon or use a point-based solver"
+                )
+            rows = np.array(list(itertools.product(*branch_choices)), dtype=int)
+            g_r, g_c = engine.gather(stack.reshape(2, len(v_t), -1), sel_axes, rows)
+            r, c = r + g_r, c + g_c
+        parts.append((r, c))
+        acts += [action] * len(r)
+    r, c = map(np.concatenate, zip(*parts))
+    return [AlphaPair(r[i].copy(), c[i : i + 1].copy(), (acts[i],)) for i in _pointwise_undominated(r, c)]
 
 
 def _branch_obs(action: Action, regions, k: int) -> Observation:
@@ -811,29 +804,22 @@ def _branch_obs(action: Action, regions, k: int) -> Observation:
 
 
 def _pointwise_undominated(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Indices not pointwise-dominated by any other row pair.
+    """Indices, ascending, not pointwise-dominated by any other row pair.
 
     Row j dominates row i when ``r[j] >= r[i]`` and ``c[j] <= c[i]``
-    everywhere; among identical rows the lowest index survives.
+    everywhere; of equal rows (as numbers, so -0.0 equals 0.0) the first stays.
     """
-    m = len(r)
-    if m <= 1:
-        return np.arange(m)
-    dominated = np.zeros(m, dtype=bool)
-    chunk = 32  # rows per block: the comparisons hold chunk * m * flat booleans
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        ge = (r[None, :, :] >= r[start:stop, None, :]).all(-1)
-        le = (c[None, :, :] <= c[start:stop, None, :]).all(-1)
-        dom = ge & le
-        block = np.arange(start, stop)
-        equal = (r[None, :, :] == r[start:stop, None, :]).all(-1) & (
-            c[None, :, :] == c[start:stop, None, :]
-        ).all(-1)
-        strict = dom & ~equal
-        earlier_equal = equal & (np.arange(m)[None, :] < block[:, None])
-        dominated[block] = (strict | earlier_equal).any(axis=1)
-    return np.flatnonzero(~dominated)
+    _, first = np.unique(np.hstack([r, c]), axis=0, return_index=True)
+    first.sort()
+    r, c = r[first], c[first]
+    dominated = np.zeros(len(first), dtype=bool)
+    chunk = 32  # rows per block: the comparisons hold chunk * rows * flat booleans
+    for start in range(0, len(first), chunk):
+        block = np.arange(start, min(start + chunk, len(first)))
+        dom = (r[None] >= r[block, None]).all(-1) & (c[None] <= c[block, None]).all(-1)
+        dom[np.arange(len(block)), block] = False  # a row does not dominate itself
+        dominated[block] = dom.any(axis=1)
+    return first[~dominated]
 
 
 # --- top-level solves --------------------------------------------------------

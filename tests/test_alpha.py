@@ -96,8 +96,7 @@ def _branch_part(engine: _Engine, vec, action: Action, sigma) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     g = engine.predict(np.array([vec, np.zeros_like(vec)]))
     sel_axes = tuple(i - 1 for i in action.relays)
-    every_region = [range(engine.n)] * len(sel_axes)
-    (out,) = engine.gather(g.reshape((1, 2) + engine.shape), sel_axes, np.asarray(sigma), every_region)
+    ((out,),) = engine.gather(g[None], sel_axes, np.asarray([sigma]))
     return out
 
 

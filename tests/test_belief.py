@@ -67,6 +67,25 @@ class TestRelayUpdate:
             update_relay_belief(np.array([1.0, 0.0]), TWO_STATE, selected=False, obs=1)
 
 
+class TestFactoredBeliefChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, bad):
+        """A NaN passes the sign and sum checks, and the support would count
+        it as positive; every non-finite entry is refused."""
+        with pytest.raises(ValidationError, match="finite entries"):
+            FactoredBelief((np.array([bad, 0.5, 0.5]),))
+
+    @pytest.mark.parametrize("factors", [
+        (np.ones(2) / 2,),
+        (np.ones(2) / 2,) * 3,
+        (np.ones(3) / 3, np.ones(2) / 2),
+    ], ids=["too-few", "too-many", "wrong-length"])
+    def test_check_shape(self, factors):
+        FactoredBelief((np.ones(2) / 2,) * 2).check_shape(2, 2)
+        with pytest.raises(ValidationError, match="expected K=2, n=2"):
+            FactoredBelief(factors).check_shape(2, 2)
+
+
 class TestJointBelief:
     def test_single_relay_identity(self):
         fb = FactoredBelief((np.array([0.3, 0.7]),))

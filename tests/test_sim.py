@@ -27,6 +27,7 @@ from relayplan.sim import (
     EpisodeTrace,
     EpochRecord,
     baseline_cellular,
+    complexity_log10,
     complexity_model,
     complexity_ratio,
     discrete_derivative,
@@ -504,6 +505,39 @@ class TestEpochRange:
             exact_policy_value(policy, other, chains)
 
 
+class TestEvaluatorInputs:
+    """A belief the rule cannot read, or an option above K, is refused with
+    ``ValidationError`` instead of failing inside numpy."""
+
+    @staticmethod
+    def _solved():
+        rng = np.random.default_rng(11)
+        scenario, chains = random_instance(rng, k=2, n=2, t=2, gamma=1.0)
+        return scenario, chains, solve_gcpbvi(scenario, chains, h=2, cap=4)
+
+    @pytest.mark.parametrize("factors", [
+        (np.ones(2) / 2,),
+        (np.ones(2) / 2,) * 3,
+        (np.ones(4) / 4, np.ones(2) / 2),
+    ], ids=["too-few", "too-many", "wrong-length"])
+    def test_belief_of_another_shape(self, factors):
+        scenario, chains, policy = self._solved()
+        fb = FactoredBelief(factors)
+        with pytest.raises(ValidationError, match="expected K=2, n=2"):
+            select_pair(policy, 1, fb)
+        with pytest.raises(ValidationError, match="expected K=2, n=2"):
+            exact_policy_value(policy, scenario, chains, fb)
+
+    def test_option_above_k(self):
+        scenario, chains, policy = self._solved()
+        fb = FactoredBelief.one_hot(scenario.initial_states, scenario.n_regions)
+        with pytest.raises(ValidationError, match="references option > K=2"):
+            exact_policy_value(policy, scenario, chains, fb, action=Action((7,)))
+        with pytest.raises(ValidationError, match="references option > K=2"):
+            discrete_derivative(scenario, chains, policy, fb, 1, 5, EMPTY_ACTION)
+        exact_policy_value(policy, scenario, chains, fb, action=Action((0, 2)))
+
+
 class TestMultiUser:
     def _two_ue_scenario(self, c_th=1000.0):
         return ScenarioConfig(
@@ -935,6 +969,19 @@ class TestComplexityModel:
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             complexity_model("magic", 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        calls = [
+            lambda: complexity_ratio("cpbvi", "gcpbvi", k),
+            lambda: complexity_ratio("centralized", "distributed", k, {"N": 2}),
+            lambda: complexity_ratio("exact", "cpbvi", k),
+            lambda: complexity_log10("gcpbvi", k),
+            lambda: complexity_model("exact", k),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"K must be >= 1, got {k}"):
+                call()
 
     def test_measured_counters_favor_greedy_in_action_heavy_regimes(self):
         rng = np.random.default_rng(14)

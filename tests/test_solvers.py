@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import REPO_ROOT, line_scenario, random_chain, random_instance
 from relayplan import solvers
@@ -50,6 +51,7 @@ from relayplan.solvers import (
     _Engine,
     _pareto_indices,
     _play,
+    _pointwise_undominated,
     brute_force_oracle,
     cpbvi_backup,
     exact_backup,
@@ -109,6 +111,75 @@ class TestExactBackup:
         sc = line_scenario(5, [1, 1, 1, 1, 1, 1], c_th=1e6)
         with pytest.raises(CapExceededError):
             solve_exact(sc)
+
+
+def _undominated_by_loops(r: np.ndarray, c: np.ndarray) -> list[int]:
+    """``_pointwise_undominated`` as its docstring reads, pair by pair: row
+    ``i`` goes when an earlier row equals it, or when a row not equal to it
+    has ``r >= r[i]`` and ``c <= c[i]`` everywhere."""
+    def equal(i, j):
+        return bool((r[i] == r[j]).all() and (c[i] == c[j]).all())
+
+    def dominates(j, i):
+        return bool((r[j] >= r[i]).all() and (c[j] <= c[i]).all()) and not equal(i, j)
+
+    return [
+        i for i in range(len(r))
+        if not any(equal(i, j) for j in range(i)) and not any(dominates(j, i) for j in range(len(r)))
+    ]
+
+
+class TestPointwiseUndominated:
+    """The prune keeps the first of each distinct row pair (rows compared as
+    numbers) that no other distinct row pair dominates."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_loops(self, data):
+        rows, width = data.draw(st.integers(0, 14)), data.draw(st.integers(1, 3))
+        # small integers and both zeros: ties, equal rows and -0.0 == 0.0 are common
+        values = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+        r = data.draw(hnp.arrays(np.float64, (rows, width), elements=values))
+        c = data.draw(hnp.arrays(np.float64, (rows, width), elements=values))
+        got = _pointwise_undominated(r, c)
+        assert got.tolist() == _undominated_by_loops(r, c)
+
+    def test_no_rows_and_one_row(self):
+        assert _pointwise_undominated(np.zeros((0, 2)), np.zeros((0, 2))).tolist() == []
+        assert _pointwise_undominated(np.ones((1, 2)), np.ones((1, 2))).tolist() == [0]
+
+    def test_signed_zeros_are_equal(self):
+        r = np.array([[0.0, 1.0], [-0.0, 1.0]])
+        assert _pointwise_undominated(r, np.zeros((2, 2))).tolist() == [0]
+        assert _pointwise_undominated(r[::-1], np.zeros((2, 2))).tolist() == [0]
+
+
+class TestGather:
+    """``_Engine.gather`` picks, per combination and joint state, the stored
+    pair its observation branch names."""
+
+    @pytest.mark.parametrize("sel_axes", [(), (0,), (1,), (0, 1)])
+    def test_combinations_gather_as_each_alone(self, sel_axes):
+        rng = np.random.default_rng(len(sel_axes) * 7 + sum(sel_axes))
+        engine = _Engine(line_scenario(3, [1, 2]), [random_chain(rng, 3) for _ in range(2)])
+        stack = rng.uniform(-1.0, 1.0, size=(2, 4, engine.flat))
+        rows = rng.integers(0, 4, size=(6, 3 ** len(sel_axes)))
+        rows[0] = 0  # a combination of row 0 alone takes no pass
+        got = engine.gather(stack, sel_axes, rows)
+        assert got.shape == (2, 6, engine.flat)
+        states = list(itertools.product(range(3), repeat=2))
+        for combo, picks in enumerate(rows):
+            np.testing.assert_array_equal(got[:, combo], engine.gather(stack, sel_axes, picks[None])[:, 0])
+            for s, state in enumerate(states):
+                branch = int(np.ravel_multi_index([state[ax] for ax in sel_axes], (3,) * len(sel_axes)))
+                np.testing.assert_array_equal(got[:, combo, s], stack[:, picks[branch], s])
+
+    def test_one_pair_stack_takes_row_zero(self):
+        rng = np.random.default_rng(5)
+        engine = _Engine(line_scenario(2, [1]), [random_chain(rng, 2)])
+        stack = rng.uniform(size=(3, 1, engine.flat))
+        got = engine.gather(stack, (0,), np.zeros((1, 2), dtype=int))
+        np.testing.assert_array_equal(got, stack)
 
 
 class TestCpbviBackup:
