@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,16 +96,31 @@ def update_relay_belief(
     return np.asarray(belief) @ chain.matrix
 
 
+def _checked(per_relay: tuple[np.ndarray, ...]) -> FactoredBelief:
+    """The belief of frozen factors that are valid by construction, made
+    without repeating ``FactoredBelief``'s checks."""
+    fb = object.__new__(FactoredBelief)
+    object.__setattr__(fb, "per_relay", per_relay)
+    return fb
+
+
 def advance_belief(
     fb: FactoredBelief, chains: list[MarkovChain], action: Action, obs: Observation
 ) -> FactoredBelief:
-    """Apply one epoch of filtering for all relays under ``action``/``obs``."""
+    """Apply one epoch of filtering for all relays under ``action``/``obs``.
+
+    A belief other than one factor of n regions per chain raises
+    ``ValidationError``. The child's factors are a checked belief's rows
+    times checked chains, so they are clipped at 0 and frozen as
+    ``FactoredBelief`` does, without its checks."""
+    fb.check_shape(len(chains), chains[0].size)
     relays = set(action.relays)
     vecs = []
     for i, (b, chain) in enumerate(zip(fb.per_relay, chains)):
         selected = (i + 1) in relays
-        vecs.append(update_relay_belief(b, chain, selected, obs[i] if selected else None))
-    return FactoredBelief(tuple(vecs))
+        vec = update_relay_belief(b, chain, selected, obs[i] if selected else None)
+        vecs.append(_frozen(np.clip(vec, 0.0, None)))
+    return _checked(tuple(vecs))
 
 
 class FactorTable:
@@ -140,11 +156,7 @@ class FactorTable:
     def belief(self, ids: tuple[tuple[int, int], ...]) -> FactoredBelief:
         """The belief of ``ids``. Its factors passed ``FactoredBelief``'s
         checks when first built, so it is assembled without repeating them."""
-        fb = object.__new__(FactoredBelief)
-        object.__setattr__(
-            fb, "per_relay", tuple(self.factor(i, s, m) for i, (s, m) in enumerate(ids))
-        )
-        return fb
+        return _checked(tuple(self.factor(i, s, m) for i, (s, m) in enumerate(ids)))
 
 
 def joint_belief(fb: FactoredBelief) -> np.ndarray:
@@ -180,6 +192,11 @@ class Support:
         for b, s in zip(fb.per_relay, self.index):
             flat = np.add.outer(flat * b.shape[0], s).ravel()
         self.flat = None if len(flat) == math.prod(b.shape[0] for b in fb.per_relay) else flat
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """``probs`` of every relay, made once per support."""
+        return self.probs(range(len(self.weights)))
 
     def probs(self, axes) -> np.ndarray:
         """The probabilities of the observation branches of the relays

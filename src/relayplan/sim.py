@@ -207,12 +207,14 @@ class _Walk:
         self.nodes = [agent.tree]
         self.cursor = np.zeros(runs, dtype=np.intp)
 
-    def choose(self, epoch: int) -> tuple[list, np.ndarray]:
+    def choose(self, epoch: int, supports: dict | None) -> tuple[list, np.ndarray]:
         """This epoch's distinct choices, each ``(actions, how)``, and every
         run's index into them: ``how`` is the rule's ``(ranking, j)``, ``j``
         the played pair or None, or the tree node played. The pairs are
         ranked once per distinct belief ids, and one ``_first_fit`` call
-        fits every run."""
+        fits every run. A ``supports`` dict, shared with the other walks of
+        this epoch on the same ``FactorTable``, keeps each belief's
+        ``Support`` under its ids, so the walks build it once."""
         agent = self.agent
         if agent.tree is not None:
             return [((EMPTY_ACTION if n is None else n.action,), n) for n in self.nodes], self.cursor
@@ -220,11 +222,14 @@ class _Walk:
             *((ids, self.n_regions) for ids in self.sid.T),
             *((ids, self.horizon) for ids in self.mid.T),
         )
-        rankings = [
-            _Ranking.of(agent.epochs[epoch - 1], agent.factors.belief(tuple(zip(s, m))))
-            for s, m in zip(self.sid[first].tolist(), self.mid[first].tolist())
-        ]
-        width = len(agent.epochs[epoch - 1])
+        pairs, rankings = agent.epochs[epoch - 1], []
+        for s, m in zip(self.sid[first].tolist(), self.mid[first].tolist()):
+            ids = tuple(zip(s, m))
+            fb = agent.factors.belief(ids)
+            if supports is not None and ids not in supports:
+                supports[ids] = Support(fb)
+            rankings.append(_Ranking.of(pairs, fb, None if supports is None else supports[ids]))
+        width = len(pairs)
         j = _first_fit(np.stack([r.costs for r in rankings])[group], self.budgets, agent.c_th)
         first, inverse = _groups((group, len(rankings)), (j, width + 1))
         picks = zip((rankings[g] for g in group[first].tolist()), j[first].tolist())
@@ -301,7 +306,9 @@ def _run_batch(
     ``agents`` are one agent for a single user, one per UE (distributed) or
     one for all UEs (centralized), and between them play the world's UEs.
     Each agent carries its own belief ids, oracle-tree cursor and per-UE
-    budgets (see ``_Walk``), and observes the relays its UEs selected. Each
+    budgets (see ``_Walk``), and observes the relays its UEs selected. The
+    agents of one ``FactorTable`` (distributed) share each epoch's belief
+    supports, which are dropped once the epoch's choices are made. Each
     episode's uniforms are drawn up front from its own seed, bitwise the
     draws of one ``rng.random(K)`` per epoch but the last.
 
@@ -317,11 +324,15 @@ def _run_batch(
         np.random.default_rng(seed).random(out=row)
     state = np.tile(np.asarray(scenario.initial_states, dtype=np.int64), (runs, 1))
     walks = [_Walk(agent, scenario, runs) for agent in agents]
+    tables = [agent.factors for agent in agents]
+    shared = {id(t) for t in tables if t is not None and sum(u is t for u in tables) > 1}
     terms = np.empty((runs, 3, horizon, n_ues))
     cum = np.zeros((runs, 3, n_ues))
     records = []
     for epoch in range(1, horizon + 1):
-        decided = [walk.choose(epoch) for walk in walks]
+        supports = {table: {} for table in shared}
+        decided = [walk.choose(epoch, supports.get(id(walk.agent.factors))) for walk in walks]
+        del supports
         sel = np.zeros((n_ues, runs, k + 1), dtype=bool)
         for walk, (choices, inverse) in zip(walks, decided):
             for q, u in enumerate(walk.agent.ues):

@@ -27,10 +27,11 @@ constrains the same discounted sum. Point-based backups never materialise
 cross-sums. At each anchor belief (``_Anchor``) the predicted stored vectors
 are gathered once on the belief's support by one ``take`` on its flat
 indices (``belief.Support``, which the execution rule's ranking reads too),
-and each relay set's continuation is computed once: its per-branch choices
-are optimised jointly under the budget (a Pareto merge over the branches of
-positive probability) for one UE when the set has at most
-``ROOT_BRANCH_CAP`` branches. The merge selects exactly
+each partial contraction of them is made once and shared by the relay sets
+that need it, and each relay set's continuation is computed once: its
+per-branch choices are optimised jointly under the budget (a Pareto merge
+over the branches of positive probability) for one UE when the set has at
+most ``ROOT_BRANCH_CAP`` branches. The merge selects exactly
 the element of the full cross-sum the printed per-point argmax would pick
 unless an approximation fired, and the stats count each one:
 
@@ -41,15 +42,18 @@ unless an approximation fired, and the stats count each one:
   local budget instead.
 
 The merge costs what its data holds: the leading branches whose column has
-one running record (every branch when one pair is stored) are folded in one
-sequential sum, bitwise the branch-by-branch merge (``_Engine._root_merge``).
+one running record (every branch when one pair is stored, found without a
+sort) are folded in one sequential sum, bitwise the branch-by-branch merge
+(``_Engine._root_merge``).
 
 A candidate costs a few float operations (``_Engine.select``): the points
 of a continuation are Python floats, cost-ascending for every UE, so those
 within the budget are a prefix found by bisection (``_Continuation.pick``).
 The chosen pair gathers its continuation from the predicted stack in one
-call (``_Engine.gather``); the exact backup gathers each action's whole
-cross-sum in one, and builds a pair only for a row its final prune keeps.
+call (``_Engine.gather``), and a backup assembles each distinct pair (an
+assignment and its per-branch rows) once, for every anchor that chooses it;
+the exact backup gathers each action's whole cross-sum in one, and builds a
+pair only for a row its final prune keeps.
 """
 
 from __future__ import annotations
@@ -158,10 +162,11 @@ class _Ranking:
     costs: np.ndarray
 
     @classmethod
-    def of(cls, pairs: list, fb: FactoredBelief) -> "_Ranking":
-        """The ranking at ``fb``, each pair's entries gathered on its support."""
-        support = Support(fb)
-        idx, b = support.flat, support.probs(range(fb.n_relays))
+    def of(cls, pairs: list, fb: FactoredBelief, support: Support | None = None) -> "_Ranking":
+        """The ranking at ``fb``, each pair's entries gathered on its
+        support: ``support``, or ``Support(fb)`` when it is not given."""
+        support = Support(fb) if support is None else support
+        idx, b = support.flat, support.joint
         keyed = []
         for pair in pairs:
             if idx is None:
@@ -263,7 +268,10 @@ def _pareto_indices(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _column_frontiers(wr: np.ndarray, wc: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """``_pareto_indices(wr[:, z], wc[:, z])`` for every column ``z``, sorted at once,
     as ``(lead, rest)``: the row of each column of the leading run that has
-    one running record (the column's frontier), and the frontiers after it."""
+    one running record (the column's frontier), and the frontiers after it.
+    A stack of one row is every column's frontier and is not sorted."""
+    if len(wr) == 1:  # AlphaPair refuses non-finite vectors, so one row is one record
+        return np.zeros(wr.shape[1], dtype=np.intp), []
     rows = np.broadcast_to(np.arange(len(wr))[:, None], wr.shape)
     order = np.lexsort((rows, -wr, wc), axis=0)
     rs = np.take_along_axis(wr, order, axis=0)
@@ -339,9 +347,9 @@ class _Anchor:
     the predicted stack ``g`` (``_Engine.predict_stack``; None with no
     future), its entries on the belief's support ``t`` (one ``take`` on the
     support's flat indices, shaped by its per-relay lengths), each UE's
-    immediate (reward, cost) per option, ``imm``, and the continuation of
-    every relay set scored so far, keyed by its bitmask
-    (``_Engine.relay_axes``)."""
+    immediate (reward, cost) per option, ``imm``, the continuation of every
+    relay set scored so far, keyed by its bitmask (``_Engine.relay_axes``),
+    and the partial contractions of ``t`` made so far (``scores``)."""
 
     def __init__(self, engine: "_Engine", fb: FactoredBelief, g: np.ndarray | None):
         self.g, self.support, self.t = g, None, None
@@ -355,6 +363,7 @@ class _Anchor:
             [(expectation(rows, a, fb), c) for a, c in zip(engine.singles, costs)] for rows in engine.rewards
         ]
         self.continuations: dict = {}
+        self.contracted: dict = {}
 
     def scores(self, sel_axes: tuple[int, ...]) -> np.ndarray:
         """Entry ``[j, z]`` is the term that choosing row ``j`` of ``g`` at
@@ -362,10 +371,15 @@ class _Anchor:
         at the belief, for the branches of positive probability only (in the
         order of ``Support.probs``): the unselected axes of ``t`` are
         contracted in descending order with their support weights, and the
-        selected ones multiplied in."""
-        t, weights = self.t, self.support.weights
+        selected ones multiplied in. Each partial contraction is kept under
+        the axes contracted so far, so the relay sets whose contracted axes
+        begin alike make it once."""
+        t, weights, done = self.t, self.support.weights, ()
         for ax in sorted(set(range(len(weights))) - set(sel_axes), reverse=True):
-            t = np.tensordot(t, weights[ax], axes=(ax + 1, 0))
+            done += (ax,)
+            if done not in self.contracted:
+                self.contracted[done] = np.tensordot(t, weights[ax], axes=(ax + 1, 0))
+            t = self.contracted[done]
         m = len(sel_axes)
         for pos, ax in enumerate(sel_axes):
             t = t * weights[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (m - pos - 1))
@@ -662,45 +676,58 @@ class _Engine:
             picked = np.where((rows == j).reshape((len(rows),) + dims), stack[:, j : j + 1], picked)
         return np.broadcast_to(picked, (len(stack), len(rows)) + self.shape).reshape(len(stack), len(rows), -1)
 
-    def assemble(self, anchor: _Anchor, chosen) -> AlphaPair:
+    def assemble(self, anchor: _Anchor, chosen, built: dict) -> AlphaPair:
         """The pair of ``chosen``, an ``(assignment, point)`` at ``anchor``:
         the reward (flat), each UE's cost (N, flat) and each UE's action,
-        the continuation gathered from the predicted stack (``gather``). A
+        the continuation gathered from the predicted stack (``gather``) by
+        its rows, one stored row per branch of the assignment's relays. A
         branch of probability 0 continues with row 0. None gives the empty
-        assignment's zero vectors."""
+        assignment's zero vectors.
+
+        A backup's anchors share the predicted stack, so the assignment and
+        the rows fix the pair: ``built`` keeps the backup's pairs under them
+        (the rows as bytes of their smallest unsigned type, None when every
+        branch takes row 0), and a pair is made once per key."""
         n_ues = len(anchor.imm)
         if chosen is None:
-            return AlphaPair(np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues)
+            if None not in built:
+                built[None] = AlphaPair(np.zeros(self.flat), np.zeros((n_ues, self.flat)), (EMPTY_ACTION,) * n_ues)
+            return built[None]
         assignment, point = chosen
-        actions = tuple(map(Action, assignment))
         with self.timed("time_assemble_s"):
-            alpha_r = np.zeros(self.flat)
-            for u, action in enumerate(actions):
-                alpha_r += self.reward_flat(action, u)
-            alpha_cs = np.array([self.cost_flat(action) for action in actions])
+            rows = None
             if anchor.g is not None:
                 relays = sum({1 << e for options in assignment for e in options}) >> 1
                 sel_axes = self.relay_axes(relays)
-                stack = anchor.g.reshape(1 + n_ues, -1, self.flat)
                 choices = self.continuation(anchor, relays).choices(point)
-                picked = stack[:, 0]
                 if choices.any():
                     support = [anchor.support.index[ax] for ax in sel_axes]
                     rows = np.zeros((self.n,) * len(sel_axes), dtype=int)
                     rows[np.ix_(*support)] = choices.reshape(tuple(map(len, support)))
-                    picked = self.gather(stack, sel_axes, rows.reshape(1, -1))[:, 0]
-                alpha_r += picked[0]
-                alpha_cs += picked[1:]
-        return AlphaPair(alpha_r, alpha_cs, actions)
+            key = (assignment, None if rows is None else rows.astype(np.min_scalar_type(rows.max())).tobytes())
+            if key not in built:
+                actions = tuple(map(Action, assignment))
+                alpha_r = np.zeros(self.flat)
+                for u, action in enumerate(actions):
+                    alpha_r += self.reward_flat(action, u)
+                alpha_cs = np.array([self.cost_flat(action) for action in actions])
+                if anchor.g is not None:
+                    stack = anchor.g.reshape(1 + n_ues, -1, self.flat)
+                    picked = stack[:, 0] if rows is None else self.gather(stack, sel_axes, rows.reshape(1, -1))[:, 0]
+                    alpha_r += picked[0]
+                    alpha_cs += picked[1:]
+                built[key] = AlphaPair(alpha_r, alpha_cs, actions)
+        return built[key]
 
 
 # --- point-based backups ---------------------------------------------------
 
 
 def _distinct_pairs(pairs: list) -> list:
-    """``pairs`` without the copies: a pair is
-    dropped when an earlier one has equal ``actions`` and equal ``alpha_r``
-    and ``alpha_cs``. The first of each stays, in order.
+    """``pairs`` without the copies: a pair is dropped when an earlier one
+    is the same object (``_Engine.assemble`` makes each distinct pair of a
+    backup once) or has equal ``actions`` and equal ``alpha_r`` and
+    ``alpha_cs``. The first of each stays, in order.
 
     Nothing a solve stores or plays changes: the backups and the execution
     rule resolve equal rows to the lowest index, which is the kept copy.
@@ -708,7 +735,8 @@ def _distinct_pairs(pairs: list) -> list:
     out = []
     for pair in pairs:
         if not any(
-            q.actions == pair.actions
+            q is pair
+            or q.actions == pair.actions
             and np.array_equal(q.alpha_r, pair.alpha_r)
             and np.array_equal(q.alpha_cs, pair.alpha_cs)
             for q in out
@@ -722,14 +750,15 @@ def _point_backup(engine: _Engine, v_next: list[AlphaPair], points: BeliefSet, c
     ``points``, the pair of the ``(assignment, point)`` that
     ``choose(anchor)`` picks, with its budget-coupled continuation choices.
     Always returns one pair per anchor (the empty assignment's zero pair when
-    nothing is feasible)."""
+    nothing is feasible); anchors that pick the same pair share its object
+    (``_Engine.assemble``)."""
     g = engine.predict_stack(v_next) if v_next else None
-    out = []
+    out, built = [], {}
     for fb in points.points:
         anchor = _Anchor(engine, fb, g)
         with engine.timed("time_choose_s"):
             chosen = choose(anchor)
-        out.append(engine.assemble(anchor, chosen))
+        out.append(engine.assemble(anchor, chosen, built))
     return out
 
 

@@ -1,6 +1,7 @@
 """The package surface: no dead top-level code, and every export resolves."""
 
 import ast
+from collections import Counter
 
 import relayplan
 from conftest import REPO_ROOT
@@ -49,6 +50,15 @@ def _used_names(tree: ast.AST, skip: set[ast.AST]) -> set[str]:
     return out
 
 
+def _name_counts(tree: ast.AST) -> Counter:
+    """How many times each name is loaded or read as an attribute in ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
 def _defined_names(node: ast.stmt) -> list[str]:
     """The names a top-level statement defines: a function, a class, or the
     plain names an assignment binds (constants, tables, type aliases)."""
@@ -79,24 +89,21 @@ def _members(node: ast.stmt) -> list[tuple[str, ast.stmt]]:
 
 def test_every_top_level_definition_is_used():
     """Every top-level definition, class method and dataclass field is read
-    somewhere in the package outside its own definition."""
+    somewhere in the package outside its own definition: the package's reads
+    of its name outnumber those inside the definition."""
     modules = _modules()
     del modules["__init__.py"]
+    reads = sum(map(_name_counts, modules.values()), Counter())
     unused = []
     for name, tree in modules.items():
         for node in tree.body:
-            own = set(ast.walk(node))
-            defined = [(d, own, d in ENTRY_POINTS) for d in _defined_names(node)]
+            defined = [(d, node, d in ENTRY_POINTS) for d in _defined_names(node)]
             defined += [
-                (member, set(ast.walk(stmt)), f"{node.name}.{member}" in RESULT_FIELDS)
+                (member, stmt, f"{node.name}.{member}" in RESULT_FIELDS)
                 for member, stmt in _members(node)
             ]
-            for what, skip, entry_point in defined:
-                used = any(
-                    what in _used_names(other, skip if other_name == name else set())
-                    for other_name, other in modules.items()
-                )
-                if not used and not entry_point:
+            for what, own, entry_point in defined:
+                if reads[what] == _name_counts(own)[what] and not entry_point:
                     unused.append(f"{name}:{what}")
     assert unused == []
 

@@ -264,6 +264,37 @@ class TestFilterEquivalence:
             )
 
 
+class TestAdvanceBelief:
+    @pytest.mark.parametrize("factors", [
+        (np.ones(2) / 2,),
+        (np.ones(2) / 2,) * 3,
+        (np.ones(3) / 3, np.ones(2) / 2),
+    ], ids=["too-few", "too-many", "wrong-length"])
+    def test_wrong_shape_refused(self, factors):
+        """One factor for two relays is refused, not shortened."""
+        chains = [TWO_STATE, TWO_STATE]
+        with pytest.raises(ValidationError, match="expected K=2, n=2"):
+            advance_belief(FactoredBelief(factors), chains, Action((1,)), (0, None))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_child_is_the_checked_belief(self, seed):
+        """The child skips ``FactoredBelief``'s checks yet holds, bit for
+        bit, the factors that construction gives, frozen."""
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        chains = [random_chain(rng, n) for _ in range(k)]
+        fb = FactoredBelief(tuple(rng.dirichlet(np.ones(n)) for _ in range(k)))
+        for _ in range(10):
+            action = Action(tuple(e for e in range(k + 1) if rng.random() < 0.4))
+            obs = tuple(int(rng.integers(n)) if i + 1 in action.relays else None for i in range(k))
+            child = advance_belief(fb, chains, action, obs)
+            vecs = [update_relay_belief(b, c, z is not None, z) for b, c, z in zip(fb.per_relay, chains, obs)]
+            want = FactoredBelief(tuple(vecs))
+            assert [v.tobytes() for v in child.per_relay] == [v.tobytes() for v in want.per_relay]
+            assert not any(v.flags.writeable for v in child.per_relay)
+            fb = child
+
+
 class TestFactorTable:
     @pytest.mark.parametrize("seed", range(20))
     def test_ids_match_repeated_advance_belief(self, seed):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import advance_ids, line_scenario, random_grid_scenario, random_instance
 from relayplan.alpha import AlphaPair
-from relayplan.belief import FactoredBelief, FactorTable, joint_belief
+from relayplan import sim
+from relayplan.belief import FactoredBelief, FactorTable, Support, joint_belief
 from relayplan.errors import ValidationError
 from relayplan.mobility import MarkovChain, chains_for_scenario
 from relayplan.model import (
@@ -671,9 +672,9 @@ class TestOneRule:
         built = []
         of = _Ranking.of.__func__
 
-        def counted(cls, pairs, fb):
+        def counted(cls, pairs, fb, support=None):
             built.append((id(pairs), tuple(id(f) for f in fb.per_relay)))
-            return of(cls, pairs, fb)
+            return of(cls, pairs, fb, support)
 
         monkeypatch.setattr(_Ranking, "of", classmethod(counted))
         monte_carlo(policy, multi, 300, seed=3, chains=chains)
@@ -694,6 +695,66 @@ class TestOneRule:
         assert metrics.avg_cum_reward == pytest.approx(30.0 * sum(weights), rel=1e-12)
         assert metrics.avg_cum_cost == pytest.approx(5.0 * sum(weights), rel=1e-12)
         assert metrics.stderr_cost == 0.0
+
+
+class TestSharedSupports:
+    """The agents of a distributed batch share one ``FactorTable``, so they
+    share each epoch's belief supports; an agent alone shares none."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_support_per_epoch_and_belief_across_agents(self, seed, monkeypatch):
+        """One ``Support`` is built per distinct (epoch, belief ids) that any
+        agent ranks at, each ranking is handed its support, and the metrics
+        are those of agents that each build their own."""
+        rng = np.random.default_rng(seed)
+        scenario, chains = random_instance(rng, k=2, n=3, t=4, gamma=0.9)
+        multi = dataclasses.replace(scenario, ues=tuple(UeSpec((int(rng.integers(1, 4)), 1)) for _ in range(3)))
+        agents, world = _multi_user(multi, "distributed", chains, 2, 8)
+        now, passed, built, ranked = [0], [], [], []
+        choose, of = sim._Walk.choose, _Ranking.of.__func__
+
+        def spied(walk, epoch, supports):
+            now[0] = epoch
+            passed.append(supports is not None)
+            return choose(walk, epoch, supports)
+
+        class Counted(Support):
+            def __init__(self, fb):
+                built.append((now[0], tuple(map(id, fb.per_relay))))
+                super().__init__(fb)
+
+        def counted(cls, pairs, fb, support=None):
+            assert support is not None
+            ranked.append((now[0], tuple(map(id, fb.per_relay))))
+            return of(cls, pairs, fb, support)
+
+        monkeypatch.setattr(sim._Walk, "choose", spied)
+        monkeypatch.setattr(sim, "Support", Counted)
+        monkeypatch.setattr(_Ranking, "of", classmethod(counted))
+        got = _simulate(agents, world, 60, seed)
+        assert passed and all(passed)
+        assert len(set(built)) == len(built) < len(ranked)
+        assert set(built) == set(ranked)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(sim._Walk, "choose", lambda walk, epoch, supports: choose(walk, epoch, None))
+        assert dataclasses.asdict(_simulate(agents, world, 60, seed)) == dataclasses.asdict(got)
+
+    def test_a_single_agent_shares_nothing(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        scenario, chains = random_instance(rng, k=2, n=3, t=3, gamma=0.9)
+        multi = dataclasses.replace(scenario, ues=tuple(UeSpec((int(rng.integers(1, 4)), 1)) for _ in range(2)))
+        passed = []
+        choose = sim._Walk.choose
+
+        def spied(walk, epoch, supports):
+            passed.append(supports)
+            return choose(walk, epoch, supports)
+
+        monkeypatch.setattr(sim._Walk, "choose", spied)
+        monte_carlo(solve_gcpbvi(scenario, chains, h=2, cap=8), scenario, 20, seed=1, chains=chains)
+        run_multiuser(multi, "centralized", 20, seed=1, chains=chains, h=2, cap=8)
+        assert passed and passed == [None] * len(passed)
 
 
 class TestSelectMulti:

@@ -451,6 +451,58 @@ class TestDistinctPairs:
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
+def _backup_without_sharing(engine: _Engine, v: list, points: BeliefSet) -> tuple[list, list]:
+    """gcpbvi's backup with a pair made for every anchor, and every anchor's
+    key: its assignment and the rows of each ``gather`` its assembly made
+    (None when nothing is feasible)."""
+    g = engine.predict_stack(v) if v else None
+    out, keys = [], []
+    for fb in points.points:
+        anchor = _Anchor(engine, fb, g)
+        chosen = engine.greedy(anchor)
+        with mock.patch.object(engine, "gather", wraps=engine.gather) as gather:
+            out.append(engine.assemble(anchor, chosen, {}))
+        rows = tuple(call.args[2].tobytes() for call in gather.call_args_list)
+        keys.append(None if chosen is None else (chosen[0], rows))
+    return out, keys
+
+
+class TestAssembleOnce:
+    """A backup makes one pair per distinct assignment and branch rows, and
+    the anchors of a key share it: what the backup returns, and what a solve
+    stores, is bit for bit what a pair made per anchor gives."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5, 6, 8])  # seeds whose stacks hold several pairs
+    def test_one_pair_per_distinct_assignment_and_rows(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        scenario, chains = random_instance(rng, k=2, n=3, t=3, gamma=0.9, c_th=float(rng.uniform(40.0, 200.0)))
+        multi = dataclasses.replace(scenario, ues=tuple(UeSpec((int(rng.integers(1, 4)), 1)) for _ in range(2)))
+        points = build_h_belief_set(multi.initial_states, 2, chains, cap=12)
+        made = []
+
+        class Counted(AlphaPair):
+            def __post_init__(self):
+                made.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(solvers, "AlphaPair", Counted)
+        engine, reference = _Engine(multi, chains), _Engine(multi, chains)
+        v, stored, gathered = [], [], 0
+        for _ in range(multi.horizon):
+            want, keys = _backup_without_sharing(reference, v, points)
+            made.clear()
+            got = gcpbvi_backup(engine, v, points)
+            assert len(made) == len(set(keys)) < len(keys)
+            assert [_pair_bits(p) for p in got] == [_pair_bits(p) for p in want]
+            for i, j in itertools.combinations(range(len(keys)), 2):
+                assert (got[i] is got[j]) == (keys[i] == keys[j])
+            gathered += sum(bool(key and key[1]) for key in keys)
+            v = _distinct_pairs(got)
+            stored.insert(0, len(v))
+        assert gathered  # some anchor's pair gathers from a stack of several pairs
+        assert solve_centralized(multi, chains, h=2, cap=12).stats["pairs_per_epoch"] == stored
+
+
 class TestCentralized:
     """The centralized solve is gcpbvi's solve loop for every UE; with one
     UE it is gcpbvi."""
@@ -952,6 +1004,20 @@ class TestFrontierMerge:
         assert records[: len(lead)] == [1] * len(lead)
         assert len(lead) == n_cols or records[len(lead)] != 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_one_row_is_every_frontier_without_a_sort(self, n_cols, data):
+        """A stack of one (finite) row is every column's frontier: the lead
+        is row 0 of every column, as ``_pareto_indices`` finds per column,
+        and nothing is sorted."""
+        cells = data.draw(st.lists(st.tuples(_values, _costs), min_size=n_cols, max_size=n_cols))
+        wr = np.array([[r for r, _ in cells]])
+        wc = np.array([[c for _, c in cells]])
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("a one-row stack was sorted")):
+            lead, rest = _column_frontiers(wr, wc)
+        assert rest == [] and lead.dtype == np.intp
+        assert [[int(row)] for row in lead] == [_pareto_indices(wr[:, z], wc[:, z]).tolist() for z in range(n_cols)]
+
     @pytest.mark.parametrize("seed", range(60))
     def test_root_select_matches_full_loop(self, seed):
         """The root merge from (0, 0) and a pick under immediates (rho_r,
@@ -1213,6 +1279,39 @@ class TestAnchorScores:
             else:
                 first[sel_axes] = cont
                 assert counted == expected[sel_axes].size
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_shared_contractions_are_the_unshared_bits(self, k, n, seed):
+        """Relay sets whose contracted axes begin alike share those partial
+        contractions: on one anchor, every relay set scored in a random
+        order equals, byte for byte, its contraction of the gathered stack
+        from scratch, and each distinct run of contracted axes is one
+        ``tensordot``."""
+        rng = np.random.default_rng(seed)
+        fb = _random_belief(rng, k, n)
+        g = rng.uniform(-10.0, 10.0, size=(2 * int(rng.integers(1, 4)), n**k))
+        sc = line_scenario(n, [int(rng.integers(1, n + 1)) for _ in range(k)])
+        anchor = _Anchor(_Engine(sc, [random_chain(rng, n) for _ in range(k)]), fb, g)
+        subsets = [sel for m in range(k + 1) for sel in itertools.combinations(range(k), m)]
+        weights = anchor.support.weights
+        expected = {}
+        for sel in subsets:
+            t = anchor.t
+            for ax in sorted(set(range(k)) - set(sel), reverse=True):
+                t = np.tensordot(t, weights[ax], axes=(ax + 1, 0))
+            for pos, ax in enumerate(sel):
+                t = t * weights[ax].reshape((1,) * (pos + 1) + (-1,) + (1,) * (len(sel) - pos - 1))
+            expected[sel] = t.reshape(len(t), -1)
+        runs = {
+            tuple(sorted(set(range(k)) - set(sel), reverse=True))[:j]
+            for sel in subsets
+            for j in range(1, k - len(sel) + 1)
+        }
+        with mock.patch.object(np, "tensordot", wraps=np.tensordot) as contract:
+            for i in np.concatenate([rng.permutation(len(subsets)), rng.permutation(len(subsets))]):
+                assert _same_bits(anchor.scores(subsets[i]), expected[subsets[i]])
+        assert contract.call_count == len(runs)
 
     def test_one_hot_axis_is_sliced(self):
         """A one-hot factor's axis is gathered down to its one supported
